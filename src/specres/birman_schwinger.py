@@ -11,6 +11,10 @@ which follows from (Id - C R_H C W)(Id + C R0 C W) = Id.  Zeros of
 Id + K along the real axis are spectral singularities; their kernel
 vectors reconstruct resonant states Psi = -R0(lam +/- i0) C W phi that
 solve the stationary equation with outgoing/incoming tails.
+
+:class:`BoundarySystem` is the one place where Id + K is formed and
+factorized, at a complex z or at a boundary pair (lam, side); sigma_min,
+solves, R_H applications and log det all come from it.
 """
 
 from __future__ import annotations
@@ -19,18 +23,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 
 from .model import (
     AdmissibilityError,
-    FreeResolventAction,
     ModelError,
     OperatorModel,
-    boundary_wavenumber,
     resolvent_action,
-    wavenumber,
+    weighted_matrix,
 )
 
 __all__ = [
+    "BoundarySystem",
     "BoundaryValueOperator",
     "SpectralPointReport",
     "ResonantState",
@@ -41,6 +45,8 @@ __all__ = [
     "log_det",
     "weighted_resolvent_H",
     "resolvent_H_apply",
+    "sigma_profile",
+    "classify_minima",
     "scan_singularities",
     "classify_point",
     "resonant_state",
@@ -70,50 +76,107 @@ class SingularBoundaryError(ModelError):
 # ---------------------------------------------------------------------------
 
 
-def _w_action_matrix(model):
-    """Sample-representation matrix of W (multiplication or integral rule)."""
-    if getattr(model, "w_sample_matrix", None) is not None:
-        return model.w_sample_matrix
-    return None
-
-
-def apply_w(model, u):
-    mat = _w_action_matrix(model)
-    if mat is not None:
-        return mat @ u
-    return model.w_values * u
-
-
 def _k_from_action(model, act):
     g = model.grid
     c = model.c_values
-    core = c[:, None] * act.matrix() * c[None, :]
-    wmat = _w_action_matrix(model)
-    if wmat is not None:
-        core = core @ wmat
-    else:
-        core = core * model.w_values[None, :]
-    return (g.sqrtw[:, None] * core) / g.sqrtw[None, :]
+    # scaled in place: every N x N temporary is fresh memory to page in
+    k = c[:, None] * act.matrix()
+    k *= c[None, :]
+    k = model.right_apply_w(k)
+    k *= g.sqrtw[:, None]
+    k /= g.sqrtw[None, :]
+    return k
 
 
-def z_operator(model, z=None, lam=None, side=None):
-    """(free action, K matrix) pair sharing one kernel assembly."""
-    act = resolvent_action(model, z=z, lam=lam, side=side)
-    return act, _k_from_action(model, act)
+class BoundarySystem:
+    """Id + K at one spectral point: a complex z or a boundary pair (lam, side).
+
+    The free-resolvent ``action`` serves both K and every R0 application.
+    K is formed from it on demand (no assembly: the action memoizes its
+    matrix) and Id + K is LU-factorized once, by the first ``solve`` or
+    ``inverse``, so a cached system keeps only the action and the LU
+    factors.  On the finite backend only K(z) and the matrix-level methods
+    (no ``solve`` or ``resolvent_apply``) exist.
+    """
+
+    def __init__(self, model, z=None, lam=None, side=None):
+        self.model = model
+        self._lu = None
+        if model.backend == "finite":
+            if z is None:
+                raise AdmissibilityError(
+                    "finite backend supports K(z) off the spectrum of H0 only"
+                )
+            self.action, self.z = None, complex(z)
+        else:
+            self.action = resolvent_action(model, z=z, lam=lam, side=side)
+
+    @property
+    def k(self):
+        """K = [C R0(.) C] W on the grid, in the L2-isometric representation."""
+        m = self.model
+        if self.action is not None:
+            return _k_from_action(m, self.action)
+        r0 = np.linalg.solve(m.h0 - self.z * np.eye(m.size), np.eye(m.size))
+        return m.c_diag[:, None] * r0 * m.c_diag[None, :] @ m.w_matrix
+
+    def _id_plus_k(self):
+        a = self.k  # a fresh array: Id is added in place
+        a[np.diag_indices_from(a)] += 1.0
+        return a
+
+    def _factors(self):
+        if self._lu is None:
+            self._lu = sla.lu_factor(self._id_plus_k(), check_finite=False)
+        return self._lu
+
+    def sigma_min(self):
+        """Smallest singular value of Id + K."""
+        return float(np.linalg.svd(self._id_plus_k(), compute_uv=False)[-1])
+
+    def svd(self):
+        """Full SVD (u, s, vh) of Id + K; vh[-1] spans its numerical kernel."""
+        return np.linalg.svd(self._id_plus_k())
+
+    def log_det(self):
+        """log |det(Id + K)| and the phase."""
+        sign, logabs = np.linalg.slogdet(self._id_plus_k())
+        return float(logabs), complex(sign)
+
+    def inverse(self):
+        """(Id + K)^(-1), in the representation of K."""
+        return sla.lu_solve(self._factors(), np.eye(self.model.size), check_finite=False)
+
+    def solve(self, samples):
+        """(Id + K)^(-1) on grid samples (a vector, or the columns of a matrix).
+
+        K acts in the L2-isometric representation, so the samples are scaled
+        by sqrt(weights) on the way in and back on the way out.
+        """
+        sw = self.model.grid.sqrtw
+        if np.ndim(samples) == 2:
+            sw = sw[:, None]
+        return sla.lu_solve(self._factors(), sw * samples, check_finite=False) / sw
+
+    def resolvent_apply(self, samples):
+        """R_H v by the factorized second resolvent identity,
+
+            R_H v = R0 v - R0 C W (Id + K)^(-1) C R0 v.
+
+        Returns (R_H v, source) with source = C W (Id + K)^(-1) C R0 v, the
+        compactly supported source of the scattered part.  ``samples`` is a
+        vector or a matrix of column vectors.
+        """
+        v = np.asarray(samples, dtype=complex)
+        c = self.model.c_values if v.ndim == 1 else self.model.c_values[:, None]
+        r0v = self.action.apply(v)
+        source = c * self.model.apply_w(self.solve(c * r0v))
+        return r0v - self.action.apply(source), source
 
 
 def bs_matrix(model, z=None, lam=None, side=None):
     """K = [C R0(.) C] W on the grid, in the L2-isometric representation."""
-    if model.backend == "finite":
-        if z is None:
-            raise AdmissibilityError(
-                "finite backend supports K(z) off the spectrum of H0 only"
-            )
-        n = model.size
-        r0 = np.linalg.solve(model.h0 - complex(z) * np.eye(n), np.eye(n))
-        c = model.c_diag
-        return c[:, None] * r0 * c[None, :] @ model.w_matrix
-    return z_operator(model, z=z, lam=lam, side=side)[1]
+    return BoundarySystem(model, z=z, lam=lam, side=side).k
 
 
 def bs_matrix_dz(model, z):
@@ -138,32 +201,24 @@ class BoundaryValueOperator:
     norm: float
     sigma_min: float
 
-    @property
-    def id_plus_k(self):
-        return np.eye(self.k_matrix.shape[0]) + self.k_matrix
-
 
 def bs_operator(model, lam, side):
     """Boundary-value operator K(lam, side) = C R0(lam +/- i0) C W."""
-    k = bs_matrix(model, lam=lam, side=side)
-    sv = np.linalg.svd(np.eye(k.shape[0]) + k, compute_uv=False)
+    system = BoundarySystem(model, lam=lam, side=side)
+    k = system.k
     return BoundaryValueOperator(
         lam=float(lam), side=side, k_matrix=k,
-        norm=float(np.linalg.norm(k, 2)), sigma_min=float(sv[-1]),
+        norm=float(np.linalg.norm(k, 2)), sigma_min=system.sigma_min(),
     )
 
 
 def sigma_min(model, lam, side):
-    k = bs_matrix(model, lam=lam, side=side)
-    sv = np.linalg.svd(np.eye(k.shape[0]) + k, compute_uv=False)
-    return float(sv[-1])
+    return BoundarySystem(model, lam=lam, side=side).sigma_min()
 
 
 def log_det(model, z=None, lam=None, side=None):
     """log |det(Id + K)| and the phase, via LU."""
-    k = bs_matrix(model, z=z, lam=lam, side=side)
-    sign, logabs = np.linalg.slogdet(np.eye(k.shape[0]) + k)
-    return float(logabs), complex(sign)
+    return BoundarySystem(model, z=z, lam=lam, side=side).log_det()
 
 
 def weighted_resolvent_H(model, z=None, lam=None, side=None, min_sigma=1e-10):
@@ -175,14 +230,13 @@ def weighted_resolvent_H(model, z=None, lam=None, side=None, min_sigma=1e-10):
     below ``min_sigma`` the point is flagged as singular instead of
     inverting noise.
     """
-    k = bs_matrix(model, z=z, lam=lam, side=side)
-    eye = np.eye(k.shape[0])
-    sv = np.linalg.svd(eye + k, compute_uv=False)
-    if sv[-1] < min_sigma:
+    system = BoundarySystem(model, z=z, lam=lam, side=side)
+    s = system.sigma_min()
+    if s < min_sigma:
         raise SingularBoundaryError(
-            f"sigma_min(Id+K) = {sv[-1]:.3e}: spectral singularity or eigenvalue nearby"
+            f"sigma_min(Id+K) = {s:.3e}: spectral singularity or eigenvalue nearby"
         )
-    return eye - np.linalg.solve(eye + k, eye)
+    return np.eye(model.size) - system.inverse()
 
 
 def resolvent_H_apply(model, v_samples, z=None, lam=None, side=None):
@@ -200,17 +254,9 @@ def resolvent_H_apply(model, v_samples, z=None, lam=None, side=None):
         h = model.h
         out = np.linalg.solve(h - complex(z) * np.eye(n), np.asarray(v_samples))
         return out, None, None
-    act = resolvent_action(model, z=z, lam=lam, side=side)
-    g = model.grid
-    v = np.asarray(v_samples, dtype=complex)
-    r0v = act.apply(v)
-    k = bs_matrix(model, z=z, lam=lam, side=side)
-    eye = np.eye(k.shape[0])
-    rhs = g.sqrtw * (model.c_values * r0v)
-    sol = np.linalg.solve(eye + k, rhs) / g.sqrtw
-    source = model.c_values * apply_w(model, sol)
-    out = r0v - act.apply(source)
-    return out, act, source
+    system = BoundarySystem(model, z=z, lam=lam, side=side)
+    out, source = system.resolvent_apply(v_samples)
+    return out, system.action, source
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +285,8 @@ class ResonantState:
     model: OperatorModel = field(repr=False, default=None)
 
     def psi_at(self, points):
-        act = _state_action(self.model, self.lam, self.side)
-        source = self.model.c_values * apply_w(self.model, self.phi)
+        act = _state_system(self.model, self.lam, self.side).action
+        source = self.model.c_values * self.model.apply_w(self.phi)
         return -act.evaluate(source, points)
 
     @property
@@ -305,21 +351,14 @@ def classify_point(model, lam, detection_threshold=DETECTION_THRESHOLD):
     return SpectralPointReport(float(lam), kind, sp, sm)
 
 
-def scan_singularities(model, lam_grid, detection_threshold=DETECTION_THRESHOLD,
-                       refine_width=1e-8, estimate_orders=False, threads=None,
-                       candidate_floor=REGULAR_FLOOR):
-    """Scan sigma_min(Id + K(lam, +/-)) and classify refined minima.
+def sigma_profile(model, lam_grid, threads=None):
+    """sigma_min(Id + K(lam, +/-)) at every point of a scan grid, by side.
 
-    Local minima of either side falling below ``candidate_floor`` are
-    refined by golden-section search to a bracket of width
-    ``refine_width``; refined minima below ``detection_threshold`` are
-    reported.  A point singular on both sides is tested for square
-    integrability of its resonant state and promoted to
-    ``embedded_eigenvalue`` when the outgoing tail amplitude vanishes.
+    The grid must start on the admissible boundary and end within the
+    energy the model grid resolves.  ``threads`` > 1 spreads the points
+    over a pool of Python threads.
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
-    if not (0 < detection_threshold < 0.5):
-        raise ModelError("detection threshold must lie in (0, 0.5)")
     for lam in (lam_grid[0], lam_grid[-1]):
         model.require_boundary(lam, "+")
     limit = model.max_scan_energy()
@@ -336,11 +375,36 @@ def scan_singularities(model, lam_grid, detection_threshold=DETECTION_THRESHOLD,
                 return np.array(list(ex.map(lambda l: sigma_min(model, l, side), lam_grid)))
         return np.array([sigma_min(model, l, side) for l in lam_grid])
 
-    sig = {"+": values_for("+"), "-": values_for("-")}
+    return {"+": values_for("+"), "-": values_for("-")}
 
+
+def scan_singularities(model, lam_grid, detection_threshold=DETECTION_THRESHOLD,
+                       refine_width=1e-8, estimate_orders=False, threads=None,
+                       candidate_floor=REGULAR_FLOOR):
+    """Scan sigma_min(Id + K(lam, +/-)) and classify refined minima.
+
+    Local minima of either side falling below ``candidate_floor`` are
+    refined by golden-section search to a bracket of width
+    ``refine_width``; refined minima below ``detection_threshold`` are
+    reported.  A point singular on both sides is tested for square
+    integrability of its resonant state and promoted to
+    ``embedded_eigenvalue`` when the outgoing tail amplitude vanishes.
+    """
+    return classify_minima(model, lam_grid, sigma_profile(model, lam_grid, threads),
+                           detection_threshold, refine_width, estimate_orders,
+                           candidate_floor)
+
+
+def classify_minima(model, lam_grid, profile, detection_threshold=DETECTION_THRESHOLD,
+                    refine_width=1e-8, estimate_orders=False,
+                    candidate_floor=REGULAR_FLOOR):
+    """The reports of ``scan_singularities`` from a ``sigma_profile`` result."""
+    if not (0 < detection_threshold < 0.5):
+        raise ModelError("detection threshold must lie in (0, 0.5)")
+    lam_grid = np.asarray(lam_grid, dtype=float)
     candidates = []
     for side in ("+", "-"):
-        v = sig[side]
+        v = profile[side]
         for i in range(1, len(v) - 1):
             if v[i] <= v[i - 1] and v[i] <= v[i + 1] and v[i] < candidate_floor:
                 candidates.append((side, lam_grid[i - 1], lam_grid[i + 1]))
@@ -382,12 +446,12 @@ def scan_singularities(model, lam_grid, detection_threshold=DETECTION_THRESHOLD,
 # ---------------------------------------------------------------------------
 
 
-def _state_action(model, lam, side):
-    """Kernel action at lam: boundary value on the essential spectrum,
+def _state_system(model, lam, side):
+    """Boundary system at lam: boundary value on the essential spectrum,
     decaying resolvent-set kernel for lam < 0 (bound-state energies)."""
     if lam < 0:
-        return resolvent_action(model, z=complex(lam))
-    return resolvent_action(model, lam=lam, side=side)
+        return BoundarySystem(model, z=complex(lam))
+    return BoundarySystem(model, lam=lam, side=side)
 
 
 def resonant_state(model, lam_star, side, detection_threshold=DETECTION_THRESHOLD):
@@ -400,33 +464,26 @@ def resonant_state(model, lam_star, side, detection_threshold=DETECTION_THRESHOL
     Negative lam addresses discrete (bound-state) energies, where the
     kernel is the real decaying resolvent-set kernel.
     """
-    if lam_star < 0:
-        k = bs_matrix(model, z=complex(lam_star))
-        eye_k = np.eye(k.shape[0]) + k
-        sv = np.linalg.svd(eye_k, compute_uv=False)
-        op = BoundaryValueOperator(float(lam_star), side, k,
-                                   float(np.linalg.norm(k, 2)), float(sv[-1]))
-    else:
-        op = bs_operator(model, lam_star, side)
-    if op.sigma_min > detection_threshold:
+    system = _state_system(model, lam_star, side)
+    _, sv, vh = system.svd()
+    kernel_residual = float(sv[-1])
+    if kernel_residual > detection_threshold:
         raise ModelError(
-            f"sigma_min(Id+K) = {op.sigma_min:.3e} above detection threshold: "
+            f"sigma_min(Id+K) = {kernel_residual:.3e} above detection threshold: "
             "no kernel vector to extract"
         )
-    _, _, vh = np.linalg.svd(op.id_plus_k)
     g = model.grid
     phi = np.conj(vh[-1]) / g.sqrtw  # back to sample representation
     norm_phi = math.sqrt(float(g.weights @ np.abs(phi) ** 2))
     phi = phi / norm_phi
-    kernel_residual = op.sigma_min
 
-    act = _state_action(model, lam_star, side)
-    source = model.c_values * apply_w(model, phi)
+    act = system.action
+    source = model.c_values * model.apply_w(phi)
     psi = -act.apply(source)
     tail_amp = -act.outgoing_amplitude(source)
 
-    residual = _stationary_residual(model, lam_star, side, phi, psi)
-    fit_amp, fit_err = _tail_fit(model, lam_star, side, phi)
+    residual = _stationary_residual(model, lam_star, act, source, psi)
+    fit_amp, fit_err = _tail_fit(model, act, source)
 
     return ResonantState(
         lam=float(lam_star), side=side, phi=phi, psi_samples=psi,
@@ -436,11 +493,13 @@ def resonant_state(model, lam_star, side, detection_threshold=DETECTION_THRESHOL
     )
 
 
-def _stationary_residual(model, lam, side, phi, psi):
-    """||(-Psi'' + V Psi - lam Psi)|| / ||Psi|| on interior sample points."""
+def _stationary_residual(model, lam, act, source, psi):
+    """||(-Psi'' + V Psi - lam Psi)|| / ||Psi|| on interior sample points.
+
+    Psi = -R0 source is evaluated exactly off the grid; V Psi = C W C Psi
+    is sampled on the grid and interpolated, for either form of W.
+    """
     g = model.grid
-    act = _state_action(model, lam, side)
-    source = model.c_values * apply_w(model, phi)
 
     breakpoints = model.potential.breakpoints
     h = 1e-3
@@ -455,33 +514,26 @@ def _stationary_residual(model, lam, side, phi, psi):
     offsets = h * np.arange(-2, 3)
     res = np.empty(pts.size)
     mag = np.empty(pts.size)
-    wmat = _w_action_matrix(model)
-    cpsi = model.c_values * psi
+    vpsi_samples = model.c_values * model.apply_w(model.c_values * psi)
     for i, x in enumerate(pts):
         vals = -act.evaluate(source, x + offsets)
         d2 = sten @ vals
-        if wmat is not None:
-            # nonlocal W: V Psi = c(x) * (W (c Psi))(x), interpolated
-            wcpsi = wmat @ cpsi
-            vpsi = model.weight(x) * g.interpolate(wcpsi, [x])[0]
-        else:
-            vpsi = model.potential(np.array([x]))[0] * vals[2]
+        vpsi = g.interpolate(vpsi_samples, [x])[0]
         res[i] = abs(-d2 + vpsi - lam * vals[2])
         mag[i] = abs(vals[2])
     scale = math.sqrt(float(np.mean(mag**2)))
     return float(math.sqrt(np.mean(res**2)) / max(scale, 1e-300))
 
 
-def _tail_fit(model, lam, side, phi):
+def _tail_fit(model, act, source):
     """Least-squares fit of the exterior tail amplitude (the DERIVED check).
 
-    Fits Psi(x) ~ A e^{+/- i sqrt(lam) x} on exterior sample points beyond
-    the support of W (both exterior branches on the line backend).
+    Fits Psi(x) = -(R0 source)(x) ~ A e^{i k x}, k the wavenumber of the
+    action, on exterior sample points beyond the support of W (both
+    exterior branches on the line backend).
     """
     g = model.grid
-    k = wavenumber(complex(lam)) if lam < 0 else boundary_wavenumber(lam, side)
-    act = _state_action(model, lam, side)
-    source = model.c_values * apply_w(model, phi)
+    k = act.k
     hi_support = max(abs(b) for b in model.potential.breakpoints) if model.potential.breakpoints else 0.0
     lo = max(hi_support + 0.5, g.hi - 0.45 * (g.hi - hi_support))
     pts = np.linspace(lo, g.hi + 3.0, 40)
@@ -528,15 +580,8 @@ def adjoint_consistency(model, lam, rng=None):
     that sigma_min(Id + M W) and sigma_min(Id + W M) vanish together.
     """
     g = model.grid
-    act = resolvent_action(model, lam=lam, side="+")
-    c = model.c_values
-    m_s = c[:, None] * act.matrix() * c[None, :]
-    m = (g.sqrtw[:, None] * m_s) / g.sqrtw[None, :]
-    wmat = _w_action_matrix(model)
-    if wmat is not None:
-        w = (g.sqrtw[:, None] * wmat) / g.sqrtw[None, :]
-    else:
-        w = np.diag(model.w_values)
+    m = weighted_matrix(model, resolvent_action(model, lam=lam, side="+"))
+    w = (g.sqrtw[:, None] * model.apply_w(np.eye(model.size))) / g.sqrtw[None, :]
     eye = np.eye(m.shape[0])
     mw = m @ w
     wm = w @ m
@@ -590,12 +635,10 @@ def dissipative_audit(model, lam_range=(1e-3, 25.0), n_grid=300,
         )
         return report
 
-    from .model import OperatorModel as _OM  # noqa: F401 (backend constructors below)
-
     grid_lam = np.linspace(lam_range[0], lam_range[1], n_grid)
-    out_sig = np.array([sigma_min(model, l, "+") for l in grid_lam])
-    report["outgoing_sigma_min"] = float(out_sig.min())
-    out_scan = scan_singularities(model, grid_lam, detection_threshold)
+    profile = sigma_profile(model, grid_lam)
+    report["outgoing_sigma_min"] = float(profile["+"].min())
+    out_scan = classify_minima(model, grid_lam, profile, detection_threshold)
     outgoing = [r for r in out_scan
                 if r.kind in ("outgoing_singularity", "both", "embedded_eigenvalue")]
     report["outgoing_detected"] = [r.as_record() for r in outgoing]
@@ -607,7 +650,7 @@ def dissipative_audit(model, lam_range=(1e-3, 25.0), n_grid=300,
     report["self_adjoint_outgoing_detected"] = [r.as_record() for r in sa_out]
 
     incoming = [r for r in out_scan if r.kind in ("incoming_singularity", "both")]
-    if incoming and _w_action_matrix(model) is not None:
+    if incoming and model.w_sample_matrix is not None:
         raise ModelError("W2 ratios are implemented for multiplication W only")
     w2_ratios = []
     for r in incoming:
@@ -652,11 +695,9 @@ def order_estimate(model, lam_star, side, eps_samples):
         raise ModelError("order estimate needs eps samples spanning >= 3 decades")
     sgn = 1.0 if side == "+" else -1.0
     norms = []
+    eye = np.eye(model.size)
     for eps in eps_samples:
-        z = lam_star + 1j * sgn * eps
-        k = bs_matrix(model, z=z)
-        eye = np.eye(k.shape[0])
-        x = eye - np.linalg.solve(eye + k, eye)
+        x = eye - BoundarySystem(model, z=lam_star + 1j * sgn * eps).inverse()
         norms.append(np.linalg.norm(x, 2))
     logs = np.log(np.asarray(norms))
     slope, intercept = np.polyfit(-np.log(eps_samples), logs, 1)
@@ -686,7 +727,7 @@ def epsilon_bounds_check(model, lam, eps_samples, profile=None):
     with both sides computed along independent paths (tail-corrected
     L2 norm vs weighted pairing).
     """
-    from .model import GaussianBump, build_weighted_free_resolvent
+    from .model import GaussianBump
 
     eps_samples = np.asarray(sorted(eps_samples, reverse=True), dtype=float)
     if eps_samples.size < 4:
@@ -700,20 +741,15 @@ def epsilon_bounds_check(model, lam, eps_samples, profile=None):
     r0c_norms, rh_norms = [], []
     id_err = 0.0
     for eps in eps_samples:
-        z = lam + 1j * eps
-        m = build_weighted_free_resolvent(model, z=z)
+        system = BoundarySystem(model, z=lam + 1j * eps)
+        act = system.action
+        m = weighted_matrix(model, act)
         im_part = (m - m.conj().T) / 2j
         # ||R0(z) C||^2 = ||C R0(z*) R0(z) C|| = ||C Im R0(z) C|| / eps
         r0c_norms.append(math.sqrt(np.linalg.norm(im_part, 2) / eps))
-        # grid-restricted R_H norm via R_H = R0 - R0 C W (Id + K)^(-1) C R0
-        act = resolvent_action(model, z=z)
-        r_w = (g.sqrtw[:, None] * act.matrix()) / g.sqrtw[None, :]
-        k = bs_matrix(model, z=z)
-        eye = np.eye(k.shape[0])
-        c = np.diag(model.c_values)
-        w_d = np.diag(model.w_values)
-        rh = r_w - r_w @ c @ w_d @ np.linalg.solve(eye + k, c @ r_w)
-        rh_norms.append(np.linalg.norm(rh, 2))
+        # grid-restricted R_H norm, R_H applied to every grid sample basis vector
+        rh, _ = system.resolvent_apply(np.eye(model.size))
+        rh_norms.append(np.linalg.norm((g.sqrtw[:, None] * rh) / g.sqrtw[None, :], 2))
         # exact identity, two computation paths
         cu = model.c_values * u
         lhs = act.norm_squared(cu)
@@ -766,10 +802,9 @@ def threshold_equivalence_check(model, detection_threshold=DETECTION_THRESHOLD):
 
 
 def _logdet_derivative(model, z):
-    k = bs_matrix(model, z=z)
-    kp = bs_matrix_dz(model, z)
-    eye = np.eye(k.shape[0])
-    return complex(np.trace(np.linalg.solve(eye + k, kp)))
+    """d/dz log det(Id + K(z)) = tr[(Id + K)^(-1) K'(z)]."""
+    inv = BoundarySystem(model, z=z).inverse()
+    return complex(np.sum(inv * bs_matrix_dz(model, z).T))
 
 
 def locate_eigenvalues(model, re_range=(-10.0, 30.0), im_range=(-6.0, 6.0),

@@ -31,14 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import birman_schwinger as bs
-from .model import (
-    AdmissibilityError,
-    FreeResolventAction,
-    GaussianBump,
-    ModelError,
-    boundary_wavenumber,
-    resolvent_action,
-)
+from .model import AdmissibilityError, ModelError
 from .numerics import gauss_legendre
 
 __all__ = [
@@ -53,7 +46,6 @@ __all__ = [
     "free_density",
     "free_form",
     "free_apply",
-    "boundary_jump_pairing",
     "spectral_form",
     "stone_form",
     "stone_apply",
@@ -62,6 +54,7 @@ __all__ = [
     "stone_product_form",
     "stone_product_forms",
     "spectral_product_form",
+    "distinct_eigenvalues",
     "riesz_projection",
     "embedded_projection",
     "regularizer_apply",
@@ -203,35 +196,27 @@ def _adaptive(func, a, b, rtol=1e-4, max_depth=12, blowup_scale=None, _depth=0):
 # ---------------------------------------------------------------------------
 
 
-def _correction_pairing(model, lam, side, u, v, cache=None):
+def _boundary_system(model, lam, side, cache):
+    """The BoundarySystem at (lam, side), shared through ``cache``."""
+    key = (lam, side)
+    if key not in cache:
+        cache[key] = bs.BoundarySystem(model, lam=lam, side=side)
+    return cache[key]
+
+
+def _correction_pairing(model, lam, side, u, v, cache):
     """<C R0(l -/+ i0) u, W (Id + K(l, +/-))^(-1) C R0(l, +/-) v>.
 
     This is the W-localized form of <u, R0 C W (Id - C R_H C W) C R0 v>,
     the full second-plus-third order correction of the resolvent
-    expansion.
+    expansion.  Both sides' systems at lam come from ``cache``.
     """
-    key = (lam, side)
-    if cache is not None and key in cache:
-        act, lu_data = cache[key]
-    else:
-        import scipy.linalg as sla
-
-        act = resolvent_action(model, lam=lam, side=side)
-        k = bs.bs_matrix(model, lam=lam, side=side)
-        lu_data = sla.lu_factor(np.eye(k.shape[0]) + k, check_finite=False)
-        if cache is not None:
-            cache[key] = (act, lu_data)
-    import scipy.linalg as sla
-
-    g = model.grid
+    system = _boundary_system(model, lam, side, cache)
+    other = _boundary_system(model, lam, "-" if side == "+" else "+", cache)
     c = model.c_values
-    other = "-" if side == "+" else "+"
-    act_other = resolvent_action(model, lam=lam, side=other)
-    left = c * act_other.apply(u)
-    right = c * act.apply(v)
-    sol = sla.lu_solve(lu_data, g.sqrtw * right, check_finite=False) / g.sqrtw
-    wsol = bs.apply_w(model, sol)
-    return complex(np.sum(g.weights * np.conj(left) * wsol))
+    left = c * other.action.apply(u)
+    wsol = model.apply_w(system.solve(c * system.action.apply(v)))
+    return complex(np.sum(model.grid.weights * np.conj(left) * wsol))
 
 
 def spectral_form(model, interval, u, v, f=None, rtol=1e-4, blowup_scale=None,
@@ -243,7 +228,7 @@ def spectral_form(model, interval, u, v, f=None, rtol=1e-4, blowup_scale=None,
     model.require_boundary(max(a, 1e-12), "+")
     fval = (lambda lam: 1.0) if f is None else f
     free = free_form(model, interval, u, v, f=f)
-    if model.potential.is_zero and getattr(model, "w_sample_matrix", None) is None:
+    if model.potential.is_zero and model.w_sample_matrix is None:
         return free
     cache = {} if cache is None else cache
 
@@ -283,22 +268,16 @@ def stone_apply(model, interval, v, rtol=1e-4, points=None):
     a, b = interval
     pts = model.grid.nodes if points is None else np.asarray(points, dtype=float)
     out = free_apply(model, interval, v, points=points)
-    if model.potential.is_zero and getattr(model, "w_sample_matrix", None) is None:
+    if model.potential.is_zero and model.w_sample_matrix is None:
         return out
-
-    g = model.grid
 
     def vec_integrand(k):
         lam = k * k
         pieces = []
         for side, sgn in (("+", 1.0), ("-", -1.0)):
-            act = resolvent_action(model, lam=lam, side=side)
-            kmat = bs.bs_matrix(model, lam=lam, side=side)
-            eye = np.eye(kmat.shape[0])
-            right = model.c_values * act.apply(v)
-            sol = np.linalg.solve(eye + kmat, g.sqrtw * right) / g.sqrtw
-            src = model.c_values * bs.apply_w(model, sol)
-            pieces.append(sgn * act.evaluate(src, pts))
+            system = bs.BoundarySystem(model, lam=lam, side=side)
+            _, src = system.resolvent_apply(v)
+            pieces.append(sgn * system.action.evaluate(src, pts))
         return -(pieces[0] + pieces[1]) / (2j * math.pi) * 2.0 * k
 
     corr = _adaptive(vec_integrand, math.sqrt(max(a, 0.0)), math.sqrt(b), rtol=rtol)
@@ -311,14 +290,6 @@ def functional_calculus_form(model, interval, f, u, v, rtol=1e-4,
     if check_regular and not model.potential.is_zero:
         _assert_singularity_free(model, interval)
     return spectral_form(model, interval, u, v, f=f, rtol=rtol, cache=cache)
-
-
-def boundary_jump_pairing(model, lam, w_samples, witness):
-    """<(R_H(l-i0) - R_H(l+i0)) w, psi> on the grid."""
-    plus, _, _ = bs.resolvent_H_apply(model, w_samples, lam=lam, side="+")
-    minus, _, _ = bs.resolvent_H_apply(model, w_samples, lam=lam, side="-")
-    g = model.grid
-    return complex(np.sum(g.weights * np.conj(minus - plus) * witness))
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +333,7 @@ class Regularizer:
             if np.min(np.abs(evals - self.z0)) < 1e-8:
                 raise ModelError("z0 collides with an eigenvalue of H")
             return True
-        k = bs.bs_matrix(model, z=self.z0)
-        s = np.linalg.svd(np.eye(k.shape[0]) + k, compute_uv=False)[-1]
+        s = bs.BoundarySystem(model, z=self.z0).sigma_min()
         if s < min_sigma:
             raise ModelError(
                 f"z0 not certified in the resolvent set: sigma_min = {s:.3e}"
@@ -444,22 +414,12 @@ def regularized_calculus_form(model, interval, rf, u, v, rtol=1e-4, cache=None):
 
 def _batched_forms(model, z, pairs):
     """F_j(z) = <u_j, R_H(z) v_j> for all test pairs at one complex z."""
-    import scipy.linalg as sla
-
-    act, k = bs.z_operator(model, z=z)
-    g = model.grid
-    c = model.c_values
-    lu = sla.lu_factor(np.eye(k.shape[0]) + k, check_finite=False)
-    vmat = np.stack([v for _, v in pairs], axis=1)
-    r0v = act.matrix() @ vmat
-    sol = sla.lu_solve(lu, g.sqrtw[:, None] * (c[:, None] * r0v),
-                       check_finite=False) / g.sqrtw[:, None]
-    wmat = bs._w_action_matrix(model)
-    wsol = wmat @ sol if wmat is not None else model.w_values[:, None] * sol
-    rhv = r0v - act.matrix() @ (c[:, None] * wsol)
+    rhv, _ = bs.BoundarySystem(model, z=z).resolvent_apply(
+        np.stack([v for _, v in pairs], axis=1))
+    w = model.grid.weights
     out = np.empty(len(pairs), dtype=complex)
     for j, (u, _) in enumerate(pairs):
-        out[j] = np.sum(g.weights * np.conj(u) * rhv[:, j])
+        out[j] = np.sum(w * np.conj(u) * rhv[:, j])
     return out
 
 
@@ -572,6 +532,16 @@ def spectral_product_form(model, interval1, interval2, u, v, f1=None, f2=None, *
 # ---------------------------------------------------------------------------
 
 
+def distinct_eigenvalues(values, tol):
+    """``values`` as complex numbers, each within ``tol`` of an earlier one
+    dropped (first occurrences, in order)."""
+    distinct = []
+    for e in values:
+        if not any(abs(e - d) < tol for d in distinct):
+            distinct.append(complex(e))
+    return distinct
+
+
 @dataclass
 class SpectralProjection:
     """A spectral projection with its certification residuals."""
@@ -583,6 +553,7 @@ class SpectralProjection:
     idempotency: float | None = None
     commutation: float | None = None
     diagnostics: dict = field(default_factory=dict)
+    action: object = None  # vector action u -> Pi u of a continuum projection
 
     def apply(self, u):
         if self.matrix is None:
@@ -606,10 +577,7 @@ def riesz_projection(model, lam, radius, n_nodes=64):
         n = h.shape[0]
         evals = np.linalg.eigvals(h)
         inside = np.abs(evals - lam) < radius
-        distinct = []
-        for e in evals[inside]:
-            if not any(abs(e - d) < 1e-8 for d in distinct):
-                distinct.append(e)
+        distinct = distinct_eigenvalues(evals[inside], tol=1e-8)
         if len(distinct) != 1:
             raise ModelError(
                 f"contour encloses {len(distinct)} distinct eigenvalues, need exactly 1"
@@ -641,12 +609,10 @@ def riesz_projection(model, lam, radius, n_nodes=64):
             out += -rv * d
         return out / (2j * math.pi)
 
-    proj = SpectralProjection(
+    return SpectralProjection(
         "riesz", complex(lam), rank=rank,
-        diagnostics={"trace": complex(mult / (2j * math.pi))},
+        diagnostics={"trace": complex(mult / (2j * math.pi))}, action=action,
     )
-    proj.action = action
-    return proj
 
 
 def embedded_projection(model, lam, eigenbasis, gram_condition_max=1e8):
@@ -737,7 +703,7 @@ def apply_h(model, samples, d2_profile=None):
         for p in range(g.npanels):
             sl = g.panel_slice(p)
             d2[sl] = blocks[p] @ v[sl]
-    pot = model.c_values * bs.apply_w(model, model.c_values * v)
+    pot = model.c_values * model.apply_w(model.c_values * v)
     return -d2 + pot
 
 
@@ -862,12 +828,8 @@ class ContourSpec:
 
 
 def contour_for_finite(model, eps=0.05, radius=0.2):
-    evals = np.linalg.eigvals(model.h)
-    distinct = []
-    for e in evals:
-        if not any(abs(e - d) < 1e-8 for d in distinct):
-            distinct.append(e)
-    circles = tuple((complex(e), radius) for e in distinct)
+    distinct = distinct_eigenvalues(np.linalg.eigvals(model.h), tol=1e-8)
+    circles = tuple((e, radius) for e in distinct)
     return ContourSpec(eps=eps, circles=circles)
 
 
@@ -884,7 +846,6 @@ def dunford_contour_check(model, reg, contour=None):
     n = h.shape[0]
     contour = contour or contour_for_finite(model)
     evals = np.linalg.eigvals(h)
-    spacing = None
     total = np.zeros((n, n), dtype=complex)
     for z, dz in contour.pieces():
         for zj, dj in zip(z, dz):

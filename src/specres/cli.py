@@ -9,8 +9,14 @@ Commands: scan | resonant-state | project | evolve | verify | export.
 The config file is INI-style with sections [model], [scan], [tolerances],
 [regularizer], [verify] (see the README for the full schema).  Identical
 config + seed produces byte-identical JSON output apart from the
-wall-clock field.  Exit codes: 0 success, 2 schema violation or unknown
-suite, 3 inadmissible range, 4 unwritable destination.
+wall-clock field.  Exit codes: 0 success, 1 a verify suite ran and one of
+its checks failed, 2 schema violation or unknown suite, 3 inadmissible
+range, 4 unwritable destination.
+
+``--threads N`` (or the SPECRES_THREADS environment variable) sizes the
+Python thread pool of the ``scan`` command only.  BLAS threads are limited
+through ``threadpoolctl`` when it is installed and are otherwise left to
+the BLAS environment variables (e.g. OPENBLAS_NUM_THREADS).
 """
 
 from __future__ import annotations
@@ -128,14 +134,20 @@ def validate_config(cfg):
             raise SchemaError("model.dissipative: must be auto|true|false")
     else:
         _parse_float(m, "size", "model", default=8.0, positive=True)
+    for section, name in ((cfg.run, "run"), (cfg.verify, "verify")):
+        if "seed" in section:
+            try:
+                int(section["seed"])
+            except ValueError as exc:
+                raise SchemaError(
+                    f"{name}.seed: expected an integer, got {section['seed']!r}") from exc
     for key in ("detection_threshold",):
         if key in cfg.scan:
             thr = _parse_float(cfg.scan, key, "scan", positive=True)
             if not (0 < thr < 0.5):
                 raise SchemaError(f"scan.{key}: must lie in (0, 0.5)")
-    for key, val in cfg.tolerances.items():
-        if float(val) <= 0:
-            raise SchemaError(f"tolerances.{key}: must be positive")
+    for key in cfg.tolerances:
+        _parse_float(cfg.tolerances, key, "tolerances", positive=True)
 
 
 def build_model(cfg):
@@ -177,8 +189,12 @@ def build_model(cfg):
             chunk = chunk.strip()
             if not chunk:
                 continue
-            a, b, v = chunk.split(":")
-            pieces.append((float(a), float(b), _parse_complex(v, "model.pieces")))
+            try:
+                a, b, v = chunk.split(":")
+                pieces.append((float(a), float(b), _parse_complex(v, "model.pieces")))
+            except ValueError as exc:
+                raise SchemaError(
+                    f"model.pieces: expected entries a:b:v, got {chunk!r}") from exc
         if not pieces:
             raise SchemaError("model.pieces: piecewise potential needs entries a:b:v")
         support = (min(p[0] for p in pieces), max(p[1] for p in pieces))
@@ -282,19 +298,18 @@ def cmd_scan(cfg, threads):
     lam_max = _parse_float(s, "lambda_max", "scan", default=25.0)
     if not (0 <= lam_min < lam_max):
         raise AdmissibilityError(f"scan range [{lam_min}, {lam_max}] is empty or negative")
-    n = int(float(s.get("num_points", 300)))
+    n = int(_parse_float(s, "num_points", "scan", default=300.0, positive=True))
     thr = float(s.get("detection_threshold", bs.DETECTION_THRESHOLD))
     grid = np.linspace(lam_min, lam_max, n)
-    reports = bs.scan_singularities(
-        model, grid, detection_threshold=thr,
+    profile = bs.sigma_profile(model, grid, threads=threads)
+    reports = bs.classify_minima(
+        model, grid, profile, detection_threshold=thr,
         estimate_orders=s.get("estimate_orders", "false").lower() == "true",
-        threads=threads,
     )
+    step = max(1, n // 64)
     sigma_grid = [
-        {"lambda": float(l),
-         "sigma_min_plus": bs.sigma_min(model, l, "+"),
-         "sigma_min_minus": bs.sigma_min(model, l, "-")}
-        for l in grid[:: max(1, n // 64)]
+        {"lambda": float(l), "sigma_min_plus": float(sp), "sigma_min_minus": float(sm)}
+        for l, sp, sm in zip(grid[::step], profile["+"][::step], profile["-"][::step])
     ]
     return {
         "detected": [r.as_record() for r in reports],
@@ -308,7 +323,7 @@ def cmd_resonant_state(cfg, threads):
     s = cfg.scan
     thr = float(s.get("detection_threshold", bs.DETECTION_THRESHOLD))
     if "lambda_star" in s:
-        lam_star = float(s["lambda_star"])
+        lam_star = _parse_float(s, "lambda_star", "scan")
         side = s.get("side", "+")
     else:
         result = cmd_scan(cfg, threads)
@@ -333,11 +348,7 @@ def cmd_resonant_state(cfg, threads):
 def cmd_project(cfg, threads):
     model = build_model(cfg)
     if model.backend == "finite":
-        evals = np.linalg.eigvals(model.h)
-        distinct = []
-        for e in evals:
-            if not any(abs(e - d) < 1e-8 for d in distinct):
-                distinct.append(complex(e))
+        distinct = calc.distinct_eigenvalues(np.linalg.eigvals(model.h), tol=1e-8)
         out = []
         for lam in distinct:
             radius = max(min(abs(lam - d) for d in distinct if d != lam) / 3, 1e-3) \
@@ -369,8 +380,8 @@ def cmd_evolve(cfg, threads):
     n = model.size
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     s = cfg.scan
-    t_max = float(s.get("t_max", 20.0))
-    n_t = int(float(s.get("num_points", 201)))
+    t_max = _parse_float(s, "t_max", "scan", default=20.0)
+    n_t = int(_parse_float(s, "num_points", "scan", default=201.0, positive=True))
     curve = sub.evolve_norm_curve(model, u, np.linspace(0.0, t_max, n_t))
     return {
         "classification": curve.classification,
@@ -386,11 +397,7 @@ def _verify_projections(cfg, model, rng):
     if model.backend != "finite":
         model = build_model(RunConfig(model={"backend": "finite", "size": "6"},
                                       run={"seed": str(cfg.seed)}))
-    evals = np.linalg.eigvals(model.h)
-    distinct = []
-    for e in evals:
-        if not any(abs(e - d) < 1e-6 for d in distinct):
-            distinct.append(complex(e))
+    distinct = calc.distinct_eigenvalues(np.linalg.eigvals(model.h), tol=1e-6)
     checks = []
     projs = []
     for lam in distinct[:4]:

@@ -198,8 +198,8 @@ def rank_one_embedded_model(lam0=2.0, s=1.5, length=14.0, centers=(1.0, 3.0),
     integrable (no outgoing tail: the amplitude is proportional to the
     vanishing transform).
     """
-    base = M.radial_model(M.PotentialSpec(support=(0.0, max(centers) + 2 * width)),
-                          s=s, length=length, **kw)
+    pot = M.PotentialSpec(support=(0.0, max(centers) + 2 * width))
+    base = M.radial_model(pot, s=s, length=length, **kw)
     g = base.grid
     k0 = math.sqrt(lam0)
     b1 = np.exp(-0.5 * ((g.nodes - centers[0]) / width) ** 2)
@@ -213,6 +213,5 @@ def rank_one_embedded_model(lam0=2.0, s=1.5, length=14.0, centers=(1.0, 3.0),
     m_val = complex(np.sum(g.weights * eta * c * act.apply(c * eta)))
     coupling = -1.0 / m_val
     w_sample = coupling * np.outer(eta, g.weights * eta)
-    base.w_sample_matrix = w_sample
-    base.dissipative = False
-    return base, coupling, eta
+    model = M.radial_model(pot, s=s, length=length, w_sample_matrix=w_sample, **kw)
+    return model, coupling, eta

@@ -284,13 +284,6 @@ class PanelGrid:
             out[i] = basis @ samples[self.panel_slice(p)]
         return out
 
-    def refine(self, factor=2):
-        new_edges = [self.edges[0]]
-        for a, b in zip(self.edges[:-1], self.edges[1:]):
-            pts = np.linspace(a, b, factor + 1)[1:]
-            new_edges.extend(pts)
-        return PanelGrid(np.array(new_edges), self.n)
-
     def partial_tensors(self):
         """k-independent data for exact partial integrals within panels.
 
@@ -346,10 +339,15 @@ def _panel_edges(lo, hi, breakpoints, target_panels):
 
 
 class OperatorModel:
-    """A concrete H = H0 + CWC on one of the three backends."""
+    """A concrete H = H0 + CWC on one of the three backends.
+
+    On the continuum backends W is multiplication by ``w_values`` unless a
+    nonlocal W is given as ``w_sample_matrix``, an integral rule acting on
+    grid samples; a nonlocal W is not certified dissipative.
+    """
 
     def __init__(self, backend, *, h0=None, c_diag=None, w_matrix=None,
-                 potential=None, weight=None, grid=None):
+                 potential=None, weight=None, grid=None, w_sample_matrix=None):
         self.backend = backend
         if backend == "finite":
             h0 = np.asarray(h0, dtype=complex)
@@ -374,8 +372,9 @@ class OperatorModel:
             self.v_values = potential(x)
             self.perturbation = factorize_potential(potential, weight, x)
             self.w_values = self.perturbation.w_values
-            self.dissipative = self.perturbation.dissipative
-            self.w_sample_matrix = None  # optional nonlocal W (integral rule)
+            self.w_sample_matrix = (None if w_sample_matrix is None
+                                    else np.asarray(w_sample_matrix, dtype=complex))
+            self.dissipative = self.perturbation.dissipative and self.w_sample_matrix is None
             self.size = grid.size
         else:
             raise ModelError(f"unknown backend {backend!r}")
@@ -437,6 +436,19 @@ class OperatorModel:
         """Grid mask of the numerically significant support of W."""
         return np.abs(self.w_values) > 1e-14
 
+    def apply_w(self, u):
+        """W u on grid samples (a vector, or the columns of a matrix)."""
+        if self.w_sample_matrix is not None:
+            return self.w_sample_matrix @ u
+        w = self.w_values if np.ndim(u) == 1 else self.w_values[:, None]
+        return w * u
+
+    def right_apply_w(self, m):
+        """m W for a sample-to-sample matrix m."""
+        if self.w_sample_matrix is not None:
+            return m @ self.w_sample_matrix
+        return m * self.w_values[None, :]
+
 
 def finite_model(h0, c_diag, w_matrix):
     return OperatorModel("finite", h0=h0, c_diag=c_diag, w_matrix=w_matrix)
@@ -451,11 +463,12 @@ def line_model(potential, s=1.0, half_length=12.0, panels=12, nodes_per_panel=16
 
 
 def radial_model(potential, s=1.5, length=14.0, panels=12, nodes_per_panel=16,
-                 weight=None):
+                 weight=None, w_sample_matrix=None):
     weight = weight or MetricWeight("power", s=s)
     edges = _panel_edges(0.0, length, potential.breakpoints, panels)
     grid = PanelGrid(edges, nodes_per_panel)
-    return OperatorModel("radial", potential=potential, weight=weight, grid=grid)
+    return OperatorModel("radial", potential=potential, weight=weight, grid=grid,
+                         w_sample_matrix=w_sample_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -757,13 +770,6 @@ def lap_supremum_estimate(model, z_grid):
             rms = float(np.sqrt(np.mean(resid**2)))
             diverging = bool(abs(slope) >= 0.15 and rms <= 0.05)
     return float(norms[idx]), z_grid[idx], diverging, norms
-
-
-def imag_part_norm(model, lam, eps):
-    """||C Im R0(lam + i eps) C|| (Hermitian part in the operator sense)."""
-    m = build_weighted_free_resolvent(model, z=lam + 1j * eps)
-    im = (m - m.conj().T) / 2j
-    return float(np.linalg.norm(im, 2))
 
 
 def kato_smoothness_check(model, u_samples, k_max=8.0, n_k=240, c0_estimate=None):

@@ -173,7 +173,7 @@ def ads_basis(model, sign, horizon=None, tol=1e-6, ambiguity_band=1e-8):
     label = "ads_plus" if sign == "+" else "ads_minus"
     if complex_eigs.size == 0 or not np.any(target):
         # Lyapunov regime: verify no direction decays over a default horizon
-        growth = _stepped_growth(h, sign, horizon=50.0, n=n)
+        _, growth = _stepped_frame(h, sign, horizon=50.0)
         max_growth = float(np.max(growth))
         return SubspaceBasis(
             label, np.zeros((n, 0), dtype=complex), None,
@@ -221,11 +221,6 @@ def _stepped_frame(h, sign, horizon):
         growth += np.log(np.maximum(np.abs(np.diag(r)), 1e-300))
     order = np.argsort(-growth)
     return q[:, order], growth[order]
-
-
-def _stepped_growth(h, sign, horizon, n):
-    _, growth = _stepped_frame(h, sign, horizon)
-    return growth
 
 
 # ---------------------------------------------------------------------------
@@ -398,21 +393,16 @@ def ac_certificate(model, u=None, w=None, witnesses=None, method="auto",
 def _jump_terms(model, lam, cw):
     """The five constituents of (R_H(l-i0) - R_H(l+i0)) C w as grid vectors:
     free difference, two second-order and two third-order terms."""
-    from .model import resolvent_action
-
-    acts = {s: resolvent_action(model, lam=lam, side=s) for s in ("+", "-")}
-    r0 = {s: acts[s].apply(cw) for s in ("+", "-")}
+    c = model.c_values
+    systems = {s: bs.BoundarySystem(model, lam=lam, side=s) for s in ("+", "-")}
+    r0 = {s: systems[s].action.apply(cw) for s in ("+", "-")}
     free = r0["-"] - r0["+"]
     second, third = {}, {}
     for s in ("+", "-"):
-        src1 = model.c_values * bs.apply_w(model, model.c_values * r0[s])
-        second[s] = acts[s].apply(src1)
-        k = bs.bs_matrix(model, lam=lam, side=s)
-        g = model.grid
-        sol = np.linalg.solve(np.eye(k.shape[0]) + k, g.sqrtw * (model.c_values * r0[s])) / g.sqrtw
-        corr = model.c_values * bs.apply_w(model, sol)
-        src2 = model.c_values * bs.apply_w(model, model.c_values * acts[s].apply(corr))
-        third[s] = acts[s].apply(src2)
+        act = systems[s].action
+        second[s] = act.apply(c * model.apply_w(c * r0[s]))
+        _, corr = systems[s].resolvent_apply(cw)
+        third[s] = act.apply(c * model.apply_w(c * act.apply(corr)))
     # R_H = R0 - R0 V R0 + R0 V R_H V R0, difference minus-plus
     return (
         free,

@@ -419,9 +419,34 @@ class TestResolventL2Budget:
                 g = small_well.grid
                 sol = np.linalg.solve(np.eye(k.shape[0]) + k,
                                       g.sqrtw * (small_well.c_values * act.apply(u)))
-                src = small_well.c_values * BS.apply_w(small_well, sol / g.sqrtw)
+                src = small_well.c_values * small_well.apply_w(sol / g.sqrtw)
                 total += w * act.norm_squared(u - src)
             budgets.append(eps * total)
         slope = np.polyfit(np.log(np.geomspace(1e-1, 1e-4, 7)), np.log(budgets), 1)[0]
         assert slope >= -0.05  # no growth as eps -> 0
         assert max(budgets) <= 10.0 * min(budgets)
+
+
+class TestAssemblyCounts:
+    def test_boundary_systems_share_their_kernel_assembly(self, small_well, monkeypatch):
+        # one free-kernel assembly per R_H application, and none at all for
+        # a Stone form whose boundary systems are already in the cache
+        assemblies = []
+        original = M.FreeResolventAction.matrix
+
+        def counting_matrix(act):
+            if act._matrix is None:
+                assemblies.append(act.k)
+            return original(act)
+
+        monkeypatch.setattr(M.FreeResolventAction, "matrix", counting_matrix)
+        u, v = pair_for(small_well)
+        BS.resolvent_H_apply(small_well, v, lam=2.0, side="+")
+        assert len(assemblies) == 1
+
+        cache = {}
+        first = C.stone_form(small_well, (1.0, 2.0), u, v, check_regular=False, cache=cache)
+        assemblies.clear()
+        second = C.stone_form(small_well, (1.0, 2.0), u, v, check_regular=False, cache=cache)
+        assert assemblies == []
+        assert second == first

@@ -93,6 +93,18 @@ class TestScanCommand:
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
+@pytest.mark.parametrize("old, new, field", [
+    ("num_points = 60", "num_points = 60\n\n[tolerances]\nfoo = abc", "tolerances.foo"),
+    ("potential = none", "potential = piecewise\npieces = 0:1", "model.pieces"),
+    ("num_points = 60", "num_points = x", "scan.num_points"),
+    ("num_points = 60", "num_points = 60\n\n[run]\nseed = abc", "run.seed"),
+], ids=["tolerances", "pieces", "num_points", "seed"])
+def test_malformed_value_exits_2_with_field_path(tmp_path, capsys, old, new, field):
+    cfg = write_config(tmp_path, FREE_SCAN.replace(old, new))
+    assert cli.main(["scan", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert field in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_ads_suite_passes(self, tmp_path):
         cfg = write_config(tmp_path, """
