@@ -15,6 +15,17 @@ solve the stationary equation with outgoing/incoming tails.
 :class:`BoundarySystem` is the one place where Id + K is formed and
 factorized, at a complex z or at a boundary pair (lam, side); sigma_min,
 solves, R_H applications and log det all come from it.
+
+K = C R0 C W has no columns off the support S of W.  Ordering the nodes
+as (S, T), Id + K = [[A, 0], [B, I]] with A = I + K_SS and B = K_TS, so
+det(Id + K) = det A (the Sylvester / Weinstein-Aronszajn identity) and
+(Id + K)^(-1) = [[A^(-1), 0], [-B A^(-1), I]].  Determinants, their
+z-derivatives, solves, R_H applications and inverses are computed from
+A, which has order |S| (16 of 192 nodes for a unit square well on the
+default radial grid), and from the N x |S| column block of the free
+kernel.  The singular values (sigma_min, the resonant-state SVD) stay at
+full order N, because the detection thresholds are calibrated on the
+smallest singular value of the full Id + K, which A does not share.
 """
 
 from __future__ import annotations
@@ -88,20 +99,57 @@ def _k_from_action(model, act):
     return k
 
 
+def _k_block(model, act, rows, support):
+    """K[rows, S] from the free-kernel block R0[rows, S] (S the support of W),
+    scaled in the order of ``_k_from_action``, so its entries are the same."""
+    g = model.grid
+    c = model.c_values
+    k = c[rows, None] * act.block(rows, support)
+    k *= c[None, support]
+    k = model.right_apply_w(k, support)
+    k *= g.sqrtw[rows, None]
+    k /= g.sqrtw[None, support]
+    return k
+
+
 class BoundarySystem:
     """Id + K at one spectral point: a complex z or a boundary pair (lam, side).
 
-    The free-resolvent ``action`` serves both K and every R0 application.
-    K is formed from it on demand (no assembly: the action memoizes its
-    matrix) and Id + K is LU-factorized once, by the first ``solve`` or
-    ``inverse``, so a cached system keeps only the action and the LU
-    factors.  On the finite backend only K(z) and the matrix-level methods
-    (no ``solve`` or ``resolvent_apply``) exist.
+    K has no columns off the support S of W (``OperatorModel.support_mask``),
+    so with T the other nodes, in the order (S, T),
+
+        Id + K = [[A, 0], [B, I]],   A = I + K_SS,   B = K_TS.
+
+    Everything but K itself and the singular values is computed from the
+    LU factors of the |S| x |S| block A:
+
+    * ``log_det``: det(Id + K) = det A (the Sylvester / Weinstein-Aronszajn
+      identity);
+    * ``solve``: x_S = A^(-1) y_S and x_T = y_T - B x_S; W (Id + K)^(-1)
+      needs x_S alone (``w_solve``, ``resolvent_apply``), hence A alone;
+    * ``inverse``: [[A^(-1), 0], [-B A^(-1), I]];
+    * ``inverse_columns``: its S columns, which carry all of
+      Id - (Id + K)^(-1).
+
+    K_SS and K_TS are assembled from the blocks R0[S, S] and R0[T, S] of the
+    free kernel, so the full N x N kernel is assembled only when a caller
+    applies R0 to arbitrary vectors (``action.apply``); later blocks are
+    then sliced from it.  ``k``, ``sigma_min`` and ``svd`` stay at full
+    order: ``DETECTION_THRESHOLD`` and ``REGULAR_FLOOR`` are calibrated on
+    the smallest singular value of the full Id + K, which the reduced
+    block does not give.  When S is every node B is empty; when S is empty
+    (W = 0) det = 1 and the solves are the identity.  On the finite
+    backend K is formed densely and its blocks are sliced from it, and the
+    sample-level methods (``solve``, ``w_solve``, ``resolvent_apply``) do
+    not exist.
     """
 
     def __init__(self, model, z=None, lam=None, side=None):
         self.model = model
-        self._lu = None
+        mask = model.support_mask()
+        self.support = np.flatnonzero(mask)
+        self.rest = np.flatnonzero(~mask)
+        self._lu = self._k_ss = self._k_ts = None
         if model.backend == "finite":
             if z is None:
                 raise AdmissibilityError(
@@ -120,6 +168,25 @@ class BoundarySystem:
         r0 = np.linalg.solve(m.h0 - self.z * np.eye(m.size), np.eye(m.size))
         return m.c_diag[:, None] * r0 * m.c_diag[None, :] @ m.w_matrix
 
+    def _k_rows(self, rows):
+        if self.action is None:
+            return self.k[np.ix_(rows, self.support)]
+        return _k_block(self.model, self.action, rows, self.support)
+
+    def k_support(self):
+        """K_SS, the block of K on the support S of W."""
+        if self._k_ss is None:
+            self._k_ss = self._k_rows(self.support)
+        return self._k_ss
+
+    def _k_rest(self):
+        if self._k_ts is None:
+            self._k_ts = self._k_rows(self.rest)
+        return self._k_ts
+
+    def _a(self):
+        return self.k_support() + np.eye(self.support.size)
+
     def _id_plus_k(self):
         a = self.k  # a fresh array: Id is added in place
         a[np.diag_indices_from(a)] += 1.0
@@ -127,7 +194,7 @@ class BoundarySystem:
 
     def _factors(self):
         if self._lu is None:
-            self._lu = sla.lu_factor(self._id_plus_k(), check_finite=False)
+            self._lu = sla.lu_factor(self._a(), check_finite=False)
         return self._lu
 
     def sigma_min(self):
@@ -139,13 +206,38 @@ class BoundarySystem:
         return np.linalg.svd(self._id_plus_k())
 
     def log_det(self):
-        """log |det(Id + K)| and the phase."""
-        sign, logabs = np.linalg.slogdet(self._id_plus_k())
+        """log |det(Id + K)| and the phase, as det A."""
+        sign, logabs = np.linalg.slogdet(self._a())
         return float(logabs), complex(sign)
+
+    def a_solve(self, rhs):
+        """A^(-1) rhs for rhs indexed by the support S."""
+        return sla.lu_solve(self._factors(), rhs, check_finite=False)
+
+    def inverse_columns(self):
+        """The S columns [[A^(-1)], [-B A^(-1)]] of (Id + K)^(-1), in the
+        representation of K, as an N x |S| matrix."""
+        a_inv = self.a_solve(np.eye(self.support.size))
+        cols = np.empty((self.model.size, self.support.size), dtype=complex)
+        cols[self.support] = a_inv
+        cols[self.rest] = -(self._k_rest() @ a_inv)
+        return cols
 
     def inverse(self):
         """(Id + K)^(-1), in the representation of K."""
-        return sla.lu_solve(self._factors(), np.eye(self.model.size), check_finite=False)
+        inv = np.eye(self.model.size, dtype=complex)
+        inv[:, self.support] = self.inverse_columns()
+        return inv
+
+    def _solve_support(self, y):
+        """x = (Id + K)^(-1) y on S and zero on T (isometric representation)."""
+        x = np.zeros(np.shape(y), dtype=complex)
+        x[self.support] = self.a_solve(y[self.support])
+        return x
+
+    def _sqrtw(self, samples):
+        sw = self.model.grid.sqrtw
+        return sw[:, None] if np.ndim(samples) == 2 else sw
 
     def solve(self, samples):
         """(Id + K)^(-1) on grid samples (a vector, or the columns of a matrix).
@@ -153,10 +245,17 @@ class BoundarySystem:
         K acts in the L2-isometric representation, so the samples are scaled
         by sqrt(weights) on the way in and back on the way out.
         """
-        sw = self.model.grid.sqrtw
-        if np.ndim(samples) == 2:
-            sw = sw[:, None]
-        return sla.lu_solve(self._factors(), sw * samples, check_finite=False) / sw
+        sw = self._sqrtw(samples)
+        y = sw * np.asarray(samples, dtype=complex)
+        x = self._solve_support(y)
+        x[self.rest] = y[self.rest] - self._k_rest() @ x[self.support]
+        return x / sw
+
+    def w_solve(self, samples):
+        """W (Id + K)^(-1) on grid samples: W only sees the S part of the
+        solution, so only A is factorized."""
+        sw = self._sqrtw(samples)
+        return self.model.apply_w(self._solve_support(sw * np.asarray(samples)) / sw)
 
     def resolvent_apply(self, samples):
         """R_H v by the factorized second resolvent identity,
@@ -170,7 +269,7 @@ class BoundarySystem:
         v = np.asarray(samples, dtype=complex)
         c = self.model.c_values if v.ndim == 1 else self.model.c_values[:, None]
         r0v = self.action.apply(v)
-        source = c * self.model.apply_w(self.solve(c * r0v))
+        source = c * self.w_solve(c * r0v)
         return r0v - self.action.apply(source), source
 
 
@@ -180,15 +279,19 @@ def bs_matrix(model, z=None, lam=None, side=None):
 
 
 def bs_matrix_dz(model, z):
-    """d/dz of K(z) (exact resolvent algebra on the finite backend,
-    central differences of the crease-exact assembly on continuum grids)."""
+    """d/dz of K_SS(z), the block of K(z) on the support of W (exact
+    resolvent algebra on the finite backend, central differences of the
+    crease-exact block assembly on continuum grids).  K'(z) has the zero
+    columns of K, so tr[(Id + K)^(-1) K'] = tr[A^(-1) K'_SS]."""
     if model.backend == "finite":
         n = model.size
         r0 = np.linalg.solve(model.h0 - complex(z) * np.eye(n), np.eye(n))
         c = model.c_diag
-        return c[:, None] * (r0 @ r0) * c[None, :] @ model.w_matrix
+        s = np.flatnonzero(model.support_mask())
+        return (c[:, None] * (r0 @ r0) * c[None, :] @ model.w_matrix)[np.ix_(s, s)]
     h = 1e-5 * max(1.0, abs(z))
-    return (bs_matrix(model, z=z + h) - bs_matrix(model, z=z - h)) / (2.0 * h)
+    plus = BoundarySystem(model, z=z + h).k_support()
+    return (plus - BoundarySystem(model, z=z - h).k_support()) / (2.0 * h)
 
 
 @dataclass
@@ -695,9 +798,11 @@ def order_estimate(model, lam_star, side, eps_samples):
         raise ModelError("order estimate needs eps samples spanning >= 3 decades")
     sgn = 1.0 if side == "+" else -1.0
     norms = []
-    eye = np.eye(model.size)
     for eps in eps_samples:
-        x = eye - BoundarySystem(model, z=lam_star + 1j * sgn * eps).inverse()
+        # Id - (Id + K)^(-1) vanishes off the S columns
+        system = BoundarySystem(model, z=lam_star + 1j * sgn * eps)
+        x = -system.inverse_columns()
+        x[system.support, np.arange(system.support.size)] += 1.0
         norms.append(np.linalg.norm(x, 2))
     logs = np.log(np.asarray(norms))
     slope, intercept = np.polyfit(-np.log(eps_samples), logs, 1)
@@ -802,9 +907,8 @@ def threshold_equivalence_check(model, detection_threshold=DETECTION_THRESHOLD):
 
 
 def _logdet_derivative(model, z):
-    """d/dz log det(Id + K(z)) = tr[(Id + K)^(-1) K'(z)]."""
-    inv = BoundarySystem(model, z=z).inverse()
-    return complex(np.sum(inv * bs_matrix_dz(model, z).T))
+    """d/dz log det(Id + K(z)) = tr[(Id + K)^(-1) K'(z)] = tr[A^(-1) K'_SS(z)]."""
+    return complex(np.trace(BoundarySystem(model, z=z).a_solve(bs_matrix_dz(model, z))))
 
 
 def locate_eigenvalues(model, re_range=(-10.0, 30.0), im_range=(-6.0, 6.0),

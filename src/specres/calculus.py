@@ -215,7 +215,7 @@ def _correction_pairing(model, lam, side, u, v, cache):
     other = _boundary_system(model, lam, "-" if side == "+" else "+", cache)
     c = model.c_values
     left = c * other.action.apply(u)
-    wsol = model.apply_w(system.solve(c * system.action.apply(v)))
+    wsol = system.w_solve(c * system.action.apply(v))
     return complex(np.sum(model.grid.weights * np.conj(left) * wsol))
 
 
@@ -228,7 +228,7 @@ def spectral_form(model, interval, u, v, f=None, rtol=1e-4, blowup_scale=None,
     model.require_boundary(max(a, 1e-12), "+")
     fval = (lambda lam: 1.0) if f is None else f
     free = free_form(model, interval, u, v, f=f)
-    if model.potential.is_zero and model.w_sample_matrix is None:
+    if model.w_is_zero:
         return free
     cache = {} if cache is None else cache
 
@@ -243,12 +243,17 @@ def spectral_form(model, interval, u, v, f=None, rtol=1e-4, blowup_scale=None,
     return free + complex(corr)
 
 
-def _assert_singularity_free(model, interval, floor=bs.REGULAR_FLOOR, n_probe=24):
+def _assert_singularity_free(model, interval, cache, floor=bs.REGULAR_FLOOR, n_probe=24):
+    """Refuse an interval on which sigma_min(Id + K) falls below ``floor`` at
+    a probe; the probe values are kept in ``cache`` (floats, not systems)."""
     a, b = interval
     lams = np.linspace(max(a, 1e-6), b, n_probe)
     for lam in lams:
         for side in ("+", "-"):
-            s = bs.sigma_min(model, lam, side)
+            key = ("sigma_min", float(lam), side)
+            if key not in cache:
+                cache[key] = bs.sigma_min(model, lam, side)
+            s = cache[key]
             if s < floor:
                 raise AdmissibilityError(
                     f"interval [{a}, {b}] is not singularity-free: "
@@ -258,8 +263,9 @@ def _assert_singularity_free(model, interval, floor=bs.REGULAR_FLOOR, n_probe=24
 
 def stone_form(model, interval, u, v, rtol=1e-4, check_regular=True, cache=None):
     """<u, 1_I(H) v> for a closed singularity-free interval."""
-    if check_regular and not model.potential.is_zero:
-        _assert_singularity_free(model, interval)
+    cache = {} if cache is None else cache
+    if check_regular and not model.w_is_zero:
+        _assert_singularity_free(model, interval, cache)
     return spectral_form(model, interval, u, v, f=None, rtol=rtol, cache=cache)
 
 
@@ -268,7 +274,7 @@ def stone_apply(model, interval, v, rtol=1e-4, points=None):
     a, b = interval
     pts = model.grid.nodes if points is None else np.asarray(points, dtype=float)
     out = free_apply(model, interval, v, points=points)
-    if model.potential.is_zero and model.w_sample_matrix is None:
+    if model.w_is_zero:
         return out
 
     def vec_integrand(k):
@@ -287,8 +293,9 @@ def stone_apply(model, interval, v, rtol=1e-4, points=None):
 def functional_calculus_form(model, interval, f, u, v, rtol=1e-4,
                              check_regular=True, cache=None):
     """<u, f(H) 1_I v> for bounded continuous f on I."""
-    if check_regular and not model.potential.is_zero:
-        _assert_singularity_free(model, interval)
+    cache = {} if cache is None else cache
+    if check_regular and not model.w_is_zero:
+        _assert_singularity_free(model, interval, cache)
     return spectral_form(model, interval, u, v, f=f, rtol=rtol, cache=cache)
 
 

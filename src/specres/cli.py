@@ -148,6 +148,7 @@ def validate_config(cfg):
                 raise SchemaError(f"scan.{key}: must lie in (0, 0.5)")
     for key in cfg.tolerances:
         _parse_float(cfg.tolerances, key, "tolerances", positive=True)
+    _regularizer_terms(cfg.regularizer)
 
 
 def build_model(cfg):
@@ -216,19 +217,32 @@ def build_model(cfg):
     return model
 
 
-def build_regularizer(cfg, model):
-    r = cfg.regularizer
-    if not r:
-        return None
+def _regularizer_terms(r):
+    """(z0, ((lam, nu), ...), nu_infinity) of a [regularizer] section."""
     z0 = _parse_complex(r.get("z0", "1+3j"), "regularizer.z0")
     sing = []
     for chunk in r.get("singularities", "").split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
-        lam, nu = chunk.split(":")
-        sing.append((float(lam), int(nu)))
-    reg = calc.Regularizer(z0, tuple(sing), int(r.get("nu_infinity", 0)))
+        try:
+            lam, nu = chunk.split(":")
+            sing.append((float(lam), int(nu)))
+        except ValueError as exc:
+            raise SchemaError(
+                f"regularizer.singularities: expected lam:nu entries, got {chunk!r}") from exc
+    try:
+        nu_inf = int(r.get("nu_infinity", 0))
+    except ValueError as exc:
+        raise SchemaError(
+            f"regularizer.nu_infinity: expected an integer, got {r['nu_infinity']!r}") from exc
+    return z0, tuple(sing), nu_inf
+
+
+def build_regularizer(cfg, model):
+    if not cfg.regularizer:
+        return None
+    reg = calc.Regularizer(*_regularizer_terms(cfg.regularizer))
     reg.validate(model)
     return reg
 

@@ -123,10 +123,6 @@ class PotentialSpec:
         pts.update(self.support)
         return sorted(pts)
 
-    @property
-    def is_zero(self):
-        return self.func is None and not self.pieces
-
 
 def square_well(v0, radius=1.0):
     """Piecewise-constant well V = v0 on (0, radius), 0 outside."""
@@ -433,8 +429,20 @@ class OperatorModel:
         return (2.0 * math.pi / (10.0 * gap)) ** 2
 
     def support_mask(self):
-        """Grid mask of the numerically significant support of W."""
-        return np.abs(self.w_values) > 1e-14
+        """Mask of the exact support S of W: the nonzero rows and columns of
+        W when it is a matrix (finite backend, or a nonlocal
+        ``w_sample_matrix``), the nonzero ``w_values`` otherwise.  K = C R0 C W
+        has no columns off S."""
+        w = self.w_matrix if self.backend == "finite" else self.w_sample_matrix
+        if w is not None:
+            nonzero = w != 0
+            return nonzero.any(axis=0) | nonzero.any(axis=1)
+        return self.w_values != 0
+
+    @property
+    def w_is_zero(self):
+        """True when W vanishes: H = H0."""
+        return not self.support_mask().any()
 
     def apply_w(self, u):
         """W u on grid samples (a vector, or the columns of a matrix)."""
@@ -443,11 +451,15 @@ class OperatorModel:
         w = self.w_values if np.ndim(u) == 1 else self.w_values[:, None]
         return w * u
 
-    def right_apply_w(self, m):
-        """m W for a sample-to-sample matrix m."""
+    def right_apply_w(self, m, support=None):
+        """m W for a sample-to-sample matrix m.  With ``support``, indices
+        containing the support of W, m holds only those columns and the
+        result is m W restricted to them."""
         if self.w_sample_matrix is not None:
-            return m @ self.w_sample_matrix
-        return m * self.w_values[None, :]
+            w = self.w_sample_matrix
+            return m @ (w if support is None else w[np.ix_(support, support)])
+        w = self.w_values if support is None else self.w_values[support]
+        return m * w[None, :]
 
 
 def finite_model(h0, c_diag, w_matrix):
@@ -555,37 +567,65 @@ class FreeResolventAction:
         self.psi_nodes = psi(x)
         self.phi_w = self.phi_nodes * g.weights   # full-panel phi moments
         self.psi_w = self.psi_nodes * g.weights
-        self._partial_left = None
-        self._partial_right = None
+        self._partials_of = {}
         self._matrix = None
 
     # -- partial blocks -----------------------------------------------------
 
-    def _partials(self):
-        """Per-panel matrices of int_{a_p}^{x_i} phi l_m and int_{x_i}^{b_p} psi l_m."""
-        if self._partial_left is None:
+    def _partials(self, panels):
+        """Per-panel matrices (left, right) of int_{a_p}^{x_i} phi l_m and
+        int_{x_i}^{b_p} psi l_m for the given panels, memoized per panel."""
+        new = [int(p) for p in panels if p not in self._partials_of]
+        if new:
             tl, wbl, tr, wbr = self.grid.partial_tensors()
-            self._partial_left = np.einsum("pis,pism->pim", self.phi(tl), wbl)
-            self._partial_right = np.einsum("pis,pism->pim", self.psi(tr), wbr)
-        return self._partial_left, self._partial_right
+            # a run of panels is a view: the n^4-per-panel tensors are not copied
+            run = new == list(range(new[0], new[-1] + 1))
+            sel = slice(new[0], new[-1] + 1) if run else new
+            left = np.einsum("pis,pism->pim", self.phi(tl[sel]), wbl[sel])
+            right = np.einsum("pis,pism->pim", self.psi(tr[sel]), wbr[sel])
+            self._partials_of.update(zip(new, zip(left, right)))
+        return self._partials_of
 
     def matrix(self):
         """Dense sample-to-sample matrix of the action (includes weights)."""
         if self._matrix is not None:
             return self._matrix
         g = self.grid
-        left, right = self._partials()
+        partials = self._partials(range(g.npanels))
         pidx = g.panel_index
         below = pidx[None, :] < pidx[:, None]   # source panel strictly left of target
         above = pidx[None, :] > pidx[:, None]
         out = np.where(below, np.outer(self.psi_nodes, self.phi_w), 0.0 + 0.0j)
         out += np.where(above, np.outer(self.phi_nodes, self.psi_w), 0.0 + 0.0j)
-        for q in range(g.npanels):
+        for q, (left, right) in partials.items():
             sl = g.panel_slice(q)
-            out[sl, sl] = (self.psi_nodes[sl, None] * left[q]
-                           + self.phi_nodes[sl, None] * right[q])
+            out[sl, sl] = (self.psi_nodes[sl, None] * left
+                           + self.phi_nodes[sl, None] * right)
         out *= self.pref
         self._matrix = out
+        return out
+
+    def block(self, rows, cols):
+        """The block matrix()[rows, cols] for index arrays rows and cols,
+        assembled by the same panel formulas (sliced from the full matrix
+        when that is already assembled)."""
+        if self._matrix is not None:
+            return self._matrix[np.ix_(rows, cols)]
+        g = self.grid
+        row_panel, col_panel = g.panel_index[rows], g.panel_index[cols]
+        out = np.where(col_panel[None, :] < row_panel[:, None],
+                       np.outer(self.psi_nodes[rows], self.phi_w[cols]),
+                       np.outer(self.phi_nodes[rows], self.psi_w[cols]))
+        shared = np.intersect1d(row_panel, col_panel)
+        partials = self._partials(shared)
+        for q in shared:
+            left, right = partials[q]
+            r, c = np.flatnonzero(row_panel == q), np.flatnonzero(col_panel == q)
+            i = rows[r]
+            li, lj = np.ix_(i - q * g.n, cols[c] - q * g.n)
+            out[np.ix_(r, c)] = (self.psi_nodes[i, None] * left[li, lj]
+                                 + self.phi_nodes[i, None] * right[li, lj])
+        out *= self.pref
         return out
 
     def apply(self, samples):

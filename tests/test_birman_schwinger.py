@@ -1,9 +1,13 @@
 import cmath
+import functools
 import math
 
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specres import birman_schwinger as BS
 from specres import families as F
@@ -122,6 +126,13 @@ class TestScan:
         limit = free_radial.max_scan_energy()
         with pytest.raises(AdmissibilityError):
             BS.scan_singularities(free_radial, np.linspace(1.0, 4 * limit, 10))
+
+    def test_threaded_profile_is_bit_identical(self, small_well):
+        grid = np.linspace(0.2, 6.0, 24)
+        serial = BS.sigma_profile(small_well, grid)
+        threaded = BS.sigma_profile(small_well, grid, threads=2)
+        for side in ("+", "-"):
+            assert np.array_equal(threaded[side], serial[side])
 
     def test_fredholm_consistency(self, tuned_well):
         # |det(Id+K)| and sigma_min vanish at the same refined location
@@ -338,3 +349,131 @@ class TestEigenvalues:
         total = BS.eigenvalue_winding(model, roots[0]["z"], radius=0.5, n_nodes=64)
         assert total == sum(r["multiplicity"] for r in roots
                             if abs(r["z"] - roots[0]["z"]) < 0.5)
+
+
+SMALL_GRID = {"panels": 6, "nodes_per_panel": 10}
+GAUSSIAN_BUMP = M.PotentialSpec(
+    func=M.GaussianBump(center=2.0, width=0.5, amplitude=-2.0 - 1.0j), support=(0.0, 14.0))
+SYLVESTER_CASES = {
+    "radial_well": lambda: M.radial_model(M.square_well(-25.0 - 4.0j), **SMALL_GRID),
+    "line_well": lambda: M.line_model(M.square_well(-3.0 - 1.0j), **SMALL_GRID),
+    "gaussian_bump": lambda: M.radial_model(GAUSSIAN_BUMP, **SMALL_GRID),
+    "rank_one": lambda: F.rank_one_embedded_model(**SMALL_GRID)[0],
+    "free": lambda: M.radial_model(M.PotentialSpec(), **SMALL_GRID),
+    "finite": lambda: F.random_spectrum_model(np.random.default_rng(5))[0],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def sylvester_model(name):
+    return SYLVESTER_CASES[name]()
+
+
+def test_sylvester_cases_cover_every_support_shape():
+    sizes = {name: np.count_nonzero(sylvester_model(name).support_mask())
+             for name in SYLVESTER_CASES}
+    for name in ("radial_well", "line_well"):
+        assert 0 < sizes[name] < sylvester_model(name).size
+    assert sizes["gaussian_bump"] == sylvester_model("gaussian_bump").size
+    # the nonlocal W: zero w_values, support from the sample matrix
+    assert sizes["rank_one"] > 0 and not sylvester_model("rank_one").w_values.any()
+    assert sizes["free"] == 0
+    assert sizes["finite"] > 0
+
+
+off_axis = st.builds(
+    complex,
+    st.floats(-5.0, 20.0),
+    st.floats(0.1, 3.0) | st.floats(-3.0, -0.1),
+)
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+
+
+def _full_k_dz(model, z):
+    """K'(z) at full order: exact resolvent algebra (finite), central
+    differences of the full kernel (continuum), with the step of
+    ``bs_matrix_dz``."""
+    if model.backend == "finite":
+        n = model.size
+        r0 = np.linalg.solve(model.h0 - z * np.eye(n), np.eye(n))
+        c = model.c_diag
+        return c[:, None] * (r0 @ r0) * c[None, :] @ model.w_matrix
+    h = 1e-5 * max(1.0, abs(z))
+    return (BS.bs_matrix(model, z=z + h) - BS.bs_matrix(model, z=z - h)) / (2.0 * h)
+
+
+@pytest.mark.parametrize("name", sorted(SYLVESTER_CASES))
+class TestSylvesterReduction:
+    """Everything computed from A = I + K_SS agrees with full-order Id + K."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(z=off_axis)
+    def test_log_det_is_det_of_the_support_block(self, name, z):
+        model = sylvester_model(name)
+        k = BS.bs_matrix(model, z=z)
+        sign, logabs = np.linalg.slogdet(np.eye(model.size) + k)
+        value, phase = BS.log_det(model, z=z)
+        assert abs(value - logabs) <= 1e-12 * max(1.0, abs(logabs))
+        assert abs(phase - sign) <= 1e-12
+
+    @settings(max_examples=8, deadline=None)
+    @given(z=off_axis)
+    def test_logdet_derivative_matches_full_order_trace(self, name, z):
+        model = sylvester_model(name)
+        inv = np.linalg.inv(np.eye(model.size) + BS.bs_matrix(model, z=z))
+        full = np.trace(inv @ _full_k_dz(model, z))
+        assert abs(BS._logdet_derivative(model, z) - full) <= 1e-9 * max(abs(full), 1e-12)
+
+    @settings(max_examples=8, deadline=None)
+    @given(z=off_axis)
+    def test_solves_match_full_order_lu(self, name, z):
+        model = sylvester_model(name)
+        id_plus_k = np.eye(model.size) + BS.bs_matrix(model, z=z)
+        lu = scipy.linalg.lu_factor(id_plus_k)
+        system = BS.BoundarySystem(model, z=z)
+        assert _rel(system.inverse(), scipy.linalg.lu_solve(lu, np.eye(model.size))) <= 1e-12
+        if model.backend == "finite":
+            return
+        g = model.grid
+        v = np.stack([M.GaussianBump(center=c, width=0.6)(g.nodes) for c in (0.8, 2.5)],
+                     axis=1) + 0.3j
+        full_solve = scipy.linalg.lu_solve(lu, g.sqrtw[:, None] * v) / g.sqrtw[:, None]
+        assert _rel(system.solve(v), full_solve) <= 1e-12
+        assert _rel(system.solve(v[:, 0]), full_solve[:, 0]) <= 1e-12
+        c = model.c_values[:, None]
+        r0v = system.action.apply(v)
+        source = c * model.apply_w(
+            scipy.linalg.lu_solve(lu, g.sqrtw[:, None] * (c * r0v)) / g.sqrtw[:, None])
+        rhv, src = system.resolvent_apply(v)
+        assert _rel(src, source) <= 1e-12
+        assert _rel(rhv, r0v - system.action.apply(source)) <= 1e-12
+
+
+class TestSupportReduction:
+    def test_determinant_work_has_the_order_of_the_support(self, monkeypatch):
+        model = M.radial_model(M.square_well(-25.0 - 4.0j))
+        support = np.count_nonzero(model.support_mask())
+        assert support < model.size
+        orders = []
+
+        def record(fn):
+            def wrapped(a, *args, **kwargs):
+                # lu_solve takes the (lu, piv) pair of lu_factor
+                orders.append((fn.__name__, (a[0] if isinstance(a, tuple) else a).shape))
+                return fn(a, *args, **kwargs)
+            return wrapped
+
+        def full_assembly(act):
+            raise AssertionError("full free-kernel assembly")
+
+        monkeypatch.setattr(M.FreeResolventAction, "matrix", full_assembly)
+        for mod, name in ((np.linalg, "slogdet"), (np.linalg, "solve"),
+                          (scipy.linalg, "lu_factor"), (scipy.linalg, "lu_solve")):
+            monkeypatch.setattr(mod, name, record(getattr(mod, name)))
+        BS.log_det(model, z=-0.4 - 2.2j)
+        BS._logdet_derivative(model, -0.4 - 2.2j)
+        assert {name for name, _ in orders} >= {"slogdet", "lu_factor"}
+        assert all(shape[0] == support for _, shape in orders)

@@ -90,6 +90,15 @@ class TestStoneForms:
         with pytest.raises(AdmissibilityError):
             C.stone_form(model, (0.5, 1.5), u, v)
 
+    def test_nonlocal_w_singularity_refused(self):
+        # zero potential, rank-one W with an embedded eigenvalue at lam0 = 2
+        model, _, _ = F.rank_one_embedded_model(lam0=2.0)
+        u, _ = pair_for(model)
+        with pytest.raises(AdmissibilityError):
+            C.stone_form(model, (1.0, 3.3), u, u)
+        with pytest.raises(AdmissibilityError):
+            C.functional_calculus_form(model, (1.0, 3.3), lambda lam: 1.0, u, u)
+
     def test_idempotency_small_well(self, small_well):
         u, v = pair_for(small_well)
         interval = (1.0, 4.0)
@@ -449,4 +458,28 @@ class TestAssemblyCounts:
         assemblies.clear()
         second = C.stone_form(small_well, (1.0, 2.0), u, v, check_regular=False, cache=cache)
         assert assemblies == []
+        assert second == first
+
+    def test_singularity_probe_reuses_the_cache(self, small_well, monkeypatch):
+        u, v = pair_for(small_well)
+        cache = {}
+        first = C.stone_form(small_well, (1.0, 2.0), u, v, cache=cache)
+        assert all(isinstance(val, (float, BS.BoundarySystem)) for val in cache.values())
+        work = []
+        original = M.FreeResolventAction.matrix
+
+        def counting_matrix(act):
+            if act._matrix is None:
+                work.append("assemble")
+            return original(act)
+
+        def counting_svd(*args, **kwargs):
+            work.append("svd")
+            return svd(*args, **kwargs)
+
+        svd = np.linalg.svd
+        monkeypatch.setattr(M.FreeResolventAction, "matrix", counting_matrix)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        second = C.stone_form(small_well, (1.0, 2.0), u, v, cache=cache)
+        assert work == []
         assert second == first

@@ -98,7 +98,11 @@ class TestScanCommand:
     ("potential = none", "potential = piecewise\npieces = 0:1", "model.pieces"),
     ("num_points = 60", "num_points = x", "scan.num_points"),
     ("num_points = 60", "num_points = 60\n\n[run]\nseed = abc", "run.seed"),
-], ids=["tolerances", "pieces", "num_points", "seed"])
+    ("num_points = 60", "num_points = 60\n\n[regularizer]\nnu_infinity = x",
+     "regularizer.nu_infinity"),
+    ("num_points = 60", "num_points = 60\n\n[regularizer]\nsingularities = 1.0",
+     "regularizer.singularities"),
+], ids=["tolerances", "pieces", "num_points", "seed", "nu_infinity", "singularities"])
 def test_malformed_value_exits_2_with_field_path(tmp_path, capsys, old, new, field):
     cfg = write_config(tmp_path, FREE_SCAN.replace(old, new))
     assert cli.main(["scan", "--config", cfg, "--out", str(tmp_path)]) == 2
