@@ -125,8 +125,9 @@ class BoundarySystem:
 
     * ``log_det``: det(Id + K) = det A (the Sylvester / Weinstein-Aronszajn
       identity);
-    * ``solve``: x_S = A^(-1) y_S and x_T = y_T - B x_S; W (Id + K)^(-1)
-      needs x_S alone (``w_solve``, ``resolvent_apply``), hence A alone;
+    * ``w_solve``: W (Id + K)^(-1) sees only x_S = A^(-1) y_S of the
+      solution (x_T = y_T - B x_S is never needed), hence A alone; so
+      does ``resolvent_apply``;
     * ``inverse``: [[A^(-1), 0], [-B A^(-1), I]];
     * ``inverse_columns``: its S columns, which carry all of
       Id - (Id + K)^(-1).
@@ -138,10 +139,10 @@ class BoundarySystem:
     order: ``DETECTION_THRESHOLD`` and ``REGULAR_FLOOR`` are calibrated on
     the smallest singular value of the full Id + K, which the reduced
     block does not give.  When S is every node B is empty; when S is empty
-    (W = 0) det = 1 and the solves are the identity.  On the finite
-    backend K is formed densely and its blocks are sliced from it, and the
-    sample-level methods (``solve``, ``w_solve``, ``resolvent_apply``) do
-    not exist.
+    (W = 0) det = 1, the inverse is the identity and W (Id + K)^(-1) = 0.
+    On the finite backend K is formed densely and its blocks are sliced
+    from it, and the sample-level methods (``w_solve``,
+    ``resolvent_apply``) do not exist.
     """
 
     def __init__(self, model, z=None, lam=None, side=None):
@@ -229,33 +230,20 @@ class BoundarySystem:
         inv[:, self.support] = self.inverse_columns()
         return inv
 
-    def _solve_support(self, y):
-        """x = (Id + K)^(-1) y on S and zero on T (isometric representation)."""
-        x = np.zeros(np.shape(y), dtype=complex)
-        x[self.support] = self.a_solve(y[self.support])
-        return x
-
-    def _sqrtw(self, samples):
-        sw = self.model.grid.sqrtw
-        return sw[:, None] if np.ndim(samples) == 2 else sw
-
-    def solve(self, samples):
-        """(Id + K)^(-1) on grid samples (a vector, or the columns of a matrix).
-
-        K acts in the L2-isometric representation, so the samples are scaled
-        by sqrt(weights) on the way in and back on the way out.
-        """
-        sw = self._sqrtw(samples)
-        y = sw * np.asarray(samples, dtype=complex)
-        x = self._solve_support(y)
-        x[self.rest] = y[self.rest] - self._k_rest() @ x[self.support]
-        return x / sw
-
     def w_solve(self, samples):
-        """W (Id + K)^(-1) on grid samples: W only sees the S part of the
-        solution, so only A is factorized."""
-        sw = self._sqrtw(samples)
-        return self.model.apply_w(self._solve_support(sw * np.asarray(samples)) / sw)
+        """W (Id + K)^(-1) on grid samples (a vector, or the columns of a
+        matrix).  W only sees the S part x_S = A^(-1) y_S of the solution,
+        so only A is factorized.  K acts in the L2-isometric
+        representation, so the samples are scaled by sqrt(weights) on the
+        way in and back on the way out.
+        """
+        sw = self.model.grid.sqrtw
+        if np.ndim(samples) == 2:
+            sw = sw[:, None]
+        y = sw * np.asarray(samples, dtype=complex)
+        x = np.zeros(y.shape, dtype=complex)
+        x[self.support] = self.a_solve(y[self.support])
+        return self.model.apply_w(x / sw)
 
     def resolvent_apply(self, samples):
         """R_H v by the factorized second resolvent identity,

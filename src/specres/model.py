@@ -567,64 +567,46 @@ class FreeResolventAction:
         self.psi_nodes = psi(x)
         self.phi_w = self.phi_nodes * g.weights   # full-panel phi moments
         self.psi_w = self.psi_nodes * g.weights
-        self._partials_of = {}
         self._matrix = None
-
-    # -- partial blocks -----------------------------------------------------
-
-    def _partials(self, panels):
-        """Per-panel matrices (left, right) of int_{a_p}^{x_i} phi l_m and
-        int_{x_i}^{b_p} psi l_m for the given panels, memoized per panel."""
-        new = [int(p) for p in panels if p not in self._partials_of]
-        if new:
-            tl, wbl, tr, wbr = self.grid.partial_tensors()
-            # a run of panels is a view: the n^4-per-panel tensors are not copied
-            run = new == list(range(new[0], new[-1] + 1))
-            sel = slice(new[0], new[-1] + 1) if run else new
-            left = np.einsum("pis,pism->pim", self.phi(tl[sel]), wbl[sel])
-            right = np.einsum("pis,pism->pim", self.psi(tr[sel]), wbr[sel])
-            self._partials_of.update(zip(new, zip(left, right)))
-        return self._partials_of
 
     def matrix(self):
         """Dense sample-to-sample matrix of the action (includes weights)."""
-        if self._matrix is not None:
-            return self._matrix
-        g = self.grid
-        partials = self._partials(range(g.npanels))
-        pidx = g.panel_index
-        below = pidx[None, :] < pidx[:, None]   # source panel strictly left of target
-        above = pidx[None, :] > pidx[:, None]
-        out = np.where(below, np.outer(self.psi_nodes, self.phi_w), 0.0 + 0.0j)
-        out += np.where(above, np.outer(self.phi_nodes, self.psi_w), 0.0 + 0.0j)
-        for q, (left, right) in partials.items():
-            sl = g.panel_slice(q)
-            out[sl, sl] = (self.psi_nodes[sl, None] * left
-                           + self.phi_nodes[sl, None] * right)
-        out *= self.pref
-        self._matrix = out
-        return out
+        if self._matrix is None:
+            idx = np.arange(self.grid.size)
+            self._matrix = self.block(idx, idx)
+        return self._matrix
 
     def block(self, rows, cols):
-        """The block matrix()[rows, cols] for index arrays rows and cols,
-        assembled by the same panel formulas (sliced from the full matrix
-        when that is already assembled)."""
+        """The block matrix()[rows, cols] for increasing index arrays rows
+        and cols (sliced from the full matrix once that is assembled).
+
+        For the rows in panel q, sources in panels left of q give
+        psi(x_i) phi_w[j] and sources right of q give phi(x_i) psi_w[j];
+        sources inside q use the partial integrals int_{a_q}^{x_i} phi l_m
+        and int_{x_i}^{b_q} psi l_m, computed on the run of panels that
+        rows and cols share.
+        """
         if self._matrix is not None:
             return self._matrix[np.ix_(rows, cols)]
         g = self.grid
         row_panel, col_panel = g.panel_index[rows], g.panel_index[cols]
-        out = np.where(col_panel[None, :] < row_panel[:, None],
-                       np.outer(self.psi_nodes[rows], self.phi_w[cols]),
-                       np.outer(self.phi_nodes[rows], self.psi_w[cols]))
         shared = np.intersect1d(row_panel, col_panel)
-        partials = self._partials(shared)
-        for q in shared:
-            left, right = partials[q]
-            r, c = np.flatnonzero(row_panel == q), np.flatnonzero(col_panel == q)
+        if shared.size:
+            run = slice(shared[0], shared[-1] + 1)   # a view: the tensors are not copied
+            tl, wbl, tr, wbr = g.partial_tensors()
+            left = np.einsum("pis,pism->pim", self.phi(tl[run]), wbl[run])
+            right = np.einsum("pis,pism->pim", self.psi(tr[run]), wbr[run])
+        out = np.empty((rows.size, cols.size), dtype=complex)
+        for q in np.unique(row_panel):
+            r = slice(*np.searchsorted(row_panel, (q, q + 1)))
+            c0, c1 = np.searchsorted(col_panel, (q, q + 1))   # cols in panel q
             i = rows[r]
-            li, lj = np.ix_(i - q * g.n, cols[c] - q * g.n)
-            out[np.ix_(r, c)] = (self.psi_nodes[i, None] * left[li, lj]
-                                 + self.phi_nodes[i, None] * right[li, lj])
+            np.multiply.outer(self.psi_nodes[i], self.phi_w[cols[:c0]], out=out[r, :c0])
+            np.multiply.outer(self.phi_nodes[i], self.psi_w[cols[c1:]], out=out[r, c1:])
+            if c1 > c0:
+                li, lj = np.ix_(i - q * g.n, cols[c0:c1] - q * g.n)
+                out[r, c0:c1] = (self.psi_nodes[i, None] * left[q - run.start][li, lj]
+                                 + self.phi_nodes[i, None] * right[q - run.start][li, lj])
         out *= self.pref
         return out
 

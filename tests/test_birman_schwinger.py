@@ -381,6 +381,9 @@ def test_sylvester_cases_cover_every_support_shape():
     assert sizes["finite"] > 0
 
 
+# fixed draws and no example database: tier-1 runs the same points every time
+sylvester_settings = settings(deadline=None, derandomize=True, database=None)
+
 off_axis = st.builds(
     complex,
     st.floats(-5.0, 20.0),
@@ -409,7 +412,7 @@ def _full_k_dz(model, z):
 class TestSylvesterReduction:
     """Everything computed from A = I + K_SS agrees with full-order Id + K."""
 
-    @settings(max_examples=12, deadline=None)
+    @settings(sylvester_settings, max_examples=12)
     @given(z=off_axis)
     def test_log_det_is_det_of_the_support_block(self, name, z):
         model = sylvester_model(name)
@@ -419,7 +422,7 @@ class TestSylvesterReduction:
         assert abs(value - logabs) <= 1e-12 * max(1.0, abs(logabs))
         assert abs(phase - sign) <= 1e-12
 
-    @settings(max_examples=8, deadline=None)
+    @settings(sylvester_settings, max_examples=8)
     @given(z=off_axis)
     def test_logdet_derivative_matches_full_order_trace(self, name, z):
         model = sylvester_model(name)
@@ -427,7 +430,7 @@ class TestSylvesterReduction:
         full = np.trace(inv @ _full_k_dz(model, z))
         assert abs(BS._logdet_derivative(model, z) - full) <= 1e-9 * max(abs(full), 1e-12)
 
-    @settings(max_examples=8, deadline=None)
+    @settings(sylvester_settings, max_examples=8)
     @given(z=off_axis)
     def test_solves_match_full_order_lu(self, name, z):
         model = sylvester_model(name)
@@ -440,9 +443,10 @@ class TestSylvesterReduction:
         g = model.grid
         v = np.stack([M.GaussianBump(center=c, width=0.6)(g.nodes) for c in (0.8, 2.5)],
                      axis=1) + 0.3j
-        full_solve = scipy.linalg.lu_solve(lu, g.sqrtw[:, None] * v) / g.sqrtw[:, None]
-        assert _rel(system.solve(v), full_solve) <= 1e-12
-        assert _rel(system.solve(v[:, 0]), full_solve[:, 0]) <= 1e-12
+        w_full_solve = model.apply_w(
+            scipy.linalg.lu_solve(lu, g.sqrtw[:, None] * v) / g.sqrtw[:, None])
+        assert _rel(system.w_solve(v), w_full_solve) <= 1e-12
+        assert _rel(system.w_solve(v[:, 0]), w_full_solve[:, 0]) <= 1e-12
         c = model.c_values[:, None]
         r0v = system.action.apply(v)
         source = c * model.apply_w(
