@@ -664,7 +664,7 @@ def embedded_eigenvalue_test(state, amp_tol=1e-6):
 # ---------------------------------------------------------------------------
 
 
-def adjoint_consistency(model, lam, rng=None):
+def adjoint_consistency(model, lam):
     """Factorization identity and H vs H* zero-location agreement.
 
     Checks Id = (Id - W (Id + M W)^(-1) M)(Id + W M) with M = C R0 C, and

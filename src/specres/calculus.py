@@ -43,7 +43,6 @@ __all__ = [
     "grid_inner",
     "grid_norm",
     "mode_transform",
-    "free_density",
     "free_form",
     "free_apply",
     "spectral_form",
@@ -98,17 +97,6 @@ def mode_transform(model, samples, k):
     plus = np.exp(-1j * np.outer(k, g.nodes)) @ wu
     minus = np.exp(1j * np.outer(k, g.nodes)) @ wu
     return np.stack([plus, minus], axis=-1)
-
-
-def free_density(model, u, v, lam):
-    """rho0(lam) with <u, (R0(l+i0) - R0(l-i0)) v> = 2 pi i rho0(lam)."""
-    k = math.sqrt(lam)
-    tu = mode_transform(model, u, [k])[0]
-    tv = mode_transform(model, v, [k])[0]
-    if model.backend == "radial":
-        return complex(np.conj(tu) * tv / (math.pi * k))
-    # the +k and -k channels both contribute
-    return complex(np.sum(np.conj(tu) * tv) / (4.0 * math.pi * k))
 
 
 def free_form(model, interval, u, v, f=None, n_k=None):
@@ -244,21 +232,32 @@ def spectral_form(model, interval, u, v, f=None, rtol=1e-4, blowup_scale=None,
 
 
 def _assert_singularity_free(model, interval, cache, floor=bs.REGULAR_FLOOR, n_probe=24):
-    """Refuse an interval on which sigma_min(Id + K) falls below ``floor`` at
-    a probe; the probe values are kept in ``cache`` (floats, not systems)."""
+    """Refuse an interval on which sigma_min(Id + K) falls below ``floor``.
+
+    sigma_min is probed at ``n_probe`` points per side, and each interior
+    local minimum of a side's probes is refined by golden-section search
+    over its two neighbouring gaps to the scan's width 1e-8.  A minimum at
+    an end probe is not refined.  Every value is kept in ``cache`` (floats,
+    not systems) under ("sigma_min", lam, side).
+    """
     a, b = interval
     lams = np.linspace(max(a, 1e-6), b, n_probe)
-    for lam in lams:
-        for side in ("+", "-"):
+    for side in ("+", "-"):
+        def sigma(lam):
             key = ("sigma_min", float(lam), side)
             if key not in cache:
                 cache[key] = bs.sigma_min(model, lam, side)
-            s = cache[key]
-            if s < floor:
+            if cache[key] < floor:
                 raise AdmissibilityError(
                     f"interval [{a}, {b}] is not singularity-free: "
-                    f"sigma_min(Id+K{side}) = {s:.3e} at lam = {lam:.6g}"
+                    f"sigma_min(Id+K{side}) = {cache[key]:.3e} at lam = {lam:.6g}"
                 )
+            return cache[key]
+
+        vals = [sigma(lam) for lam in lams]
+        for i in range(1, n_probe - 1):
+            if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]:
+                bs._golden_min(sigma, lams[i - 1], lams[i + 1], 1e-8)
 
 
 def stone_form(model, interval, u, v, rtol=1e-4, check_regular=True, cache=None):

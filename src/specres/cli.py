@@ -6,25 +6,29 @@ Invocation::
 
 Commands: scan | resonant-state | project | evolve | verify | export.
 
-The config file is INI-style with sections [model], [scan], [tolerances],
-[regularizer], [verify] (see the README for the full schema).  Identical
-config + seed produces byte-identical JSON output apart from the
-wall-clock field.  Exit codes: 0 success, 1 a verify suite ran and one of
-its checks failed, 2 schema violation or unknown suite, 3 inadmissible
+The config file is INI-style with the sections [model], [scan],
+[regularizer], [verify] and [run]; ``specres.cli.FIELDS`` is the schema
+and names every field with its type and bounds.  Identical config + seed
+produces byte-identical JSON output apart from the wall-clock field.
+Exit codes: 0 success, 1 a verify suite ran and one of its checks failed,
+2 schema violation (malformed INI, unknown section or field, malformed or
+out-of-bounds value; the message names <section>.<key>), 3 inadmissible
 range, 4 unwritable destination.
 
-``--threads N`` (or the SPECRES_THREADS environment variable) sizes the
-Python thread pool of the ``scan`` command only.  BLAS threads are limited
-through ``threadpoolctl`` when it is installed and are otherwise left to
-the BLAS environment variables (e.g. OPENBLAS_NUM_THREADS).
+``--threads N`` sizes the Python thread pool of the ``scan`` command only.
+BLAS threads are limited through ``threadpoolctl`` when it is installed
+and are otherwise left to the BLAS environment variables (e.g.
+OPENBLAS_NUM_THREADS).
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import configparser
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -38,6 +42,7 @@ from . import calculus as calc
 from . import model as M
 from . import subspaces as sub
 from .model import AdmissibilityError, ModelError
+from .numerics import LimitSequence, extrapolate_to_zero, gauss_legendre
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -50,20 +55,6 @@ class SchemaError(Exception):
 
 
 @dataclass
-class RunConfig:
-    model: dict
-    scan: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
-    regularizer: dict = field(default_factory=dict)
-    verify: dict = field(default_factory=dict)
-    run: dict = field(default_factory=dict)
-
-    @property
-    def seed(self):
-        return int(self.run.get("seed", self.verify.get("seed", 1234)))
-
-
-@dataclass
 class RunReport:
     command: str
     config: dict
@@ -73,176 +64,196 @@ class RunReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _parse_complex(text, path):
-    try:
-        return complex(str(text).replace(" ", "").replace("i", "j"))
-    except ValueError as exc:
-        raise SchemaError(f"{path}: expected a complex number, got {text!r}") from exc
+def _checked(parse, holds, rule):
+    """``parse`` followed by the bound ``holds(value)``, described as ``rule``."""
+    def checked(text):
+        val = parse(text)
+        if not holds(val):
+            raise ValueError(f"must be {rule}")
+        return val
+    return checked
 
 
-def _parse_float(section, key, path, default=None, positive=False):
-    if key not in section:
-        if default is None:
-            raise SchemaError(f"{path}.{key}: required field missing")
-        return default
+def _one_of(*options):
+    return _checked(str, options.__contains__, "|".join(options))
+
+
+def _boolean(text):
+    return _one_of("true", "false")(text.lower()) == "true"
+
+
+def _integer(text):
+    """An integer, also written as an integral float such as 12.0 or 1e3."""
     try:
-        val = float(section[key])
-    except ValueError as exc:
-        raise SchemaError(f"{path}.{key}: expected a real number") from exc
-    if positive and val <= 0:
-        raise SchemaError(f"{path}.{key}: must be positive, got {val}")
-    return val
+        return int(text)
+    except ValueError:
+        return int(_checked(float, float.is_integer, "an integer")(text))
+
+
+def _entries(form, *parts, sep=";"):
+    """A ``sep``-separated list of entries ``p1:p2:...`` parsed by ``parts``;
+    an entry of one part is its bare value."""
+    def parse(text):
+        out = []
+        for chunk in filter(None, (c.strip() for c in text.split(sep))):
+            try:
+                vals = tuple(p(t) for p, t in zip(parts, chunk.split(":"), strict=True))
+            except ValueError:
+                raise ValueError(f"expected entries {form}, got {chunk!r}") from None
+            out.append(vals if len(vals) > 1 else vals[0])
+        return tuple(out)
+    return parse
+
+
+_real = _checked(float, math.isfinite, "finite")
+# written with i or j, e.g. -2-0.2i or (1+3j)
+_complex = _checked(lambda text: complex(text.replace(" ", "").replace("i", "j")),
+                    cmath.isfinite, "finite")
+_positive_real = _checked(_real, lambda v: v > 0, "positive")
+_positive_int = _checked(_integer, lambda v: v > 0, "positive")
+_count = _checked(_integer, lambda v: v >= 0, "non-negative")
+
+#: The config schema, section -> field -> parser.  A parser takes the raw
+#: text and returns the typed value or raises ValueError with the reason.
+#: Geometry fields that a config leaves out keep the defaults of the model
+#: constructors; other defaults sit at their one use below.
+FIELDS = {
+    "model": {
+        "backend": _one_of("radial", "line1d", "finite"),
+        "potential": _one_of("none", "square_well", "piecewise"),
+        "v0": _complex,
+        "well_radius": _positive_real,
+        "pieces": _checked(_entries("a:b:v", _real, _real, _complex),
+                           lambda ps: ps and all(a < b for a, b, _ in ps),
+                           "non-empty, each entry with a < b"),
+        "weight_s": _positive_real,
+        "length": _positive_real,
+        "half_length": _positive_real,
+        "panels": _positive_int,
+        "nodes_per_panel": _positive_int,
+        "dissipative": _one_of("auto", "true", "false"),
+        "kind": _one_of("seeded_random", "complex_symmetric", "diag"),
+        "size": _positive_int,
+        "diag": _checked(_entries("z1, z2, ...", _complex, sep=","), len, "non-empty"),
+    },
+    "scan": {
+        "lambda_min": _real,
+        "lambda_max": _real,
+        "num_points": _positive_int,
+        "detection_threshold": _checked(_real, lambda v: 0 < v < 0.5, "in (0, 0.5)"),
+        "estimate_orders": _boolean,
+        "lambda_star": _real,
+        "side": _one_of("+", "-"),
+        "t_max": _positive_real,
+    },
+    "regularizer": {
+        "z0": _complex,
+        "singularities": _entries("lam:nu", _real, _count),
+        "nu_infinity": _count,
+        "eigenvalue": _complex,
+    },
+    # the suites are registered below, with their code
+    "verify": {"suite": lambda text: _one_of(*VERIFY_SUITES)(text), "seed": _count},
+    "run": {"seed": _count},
+}
 
 
 def load_config(path):
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise SchemaError(f"config file {path!r} not found or unreadable")
-    if "model" not in parser:
-        raise SchemaError("model: section missing")
-    cfg = RunConfig(
-        model=dict(parser["model"]),
-        scan=dict(parser["scan"]) if "scan" in parser else {},
-        tolerances=dict(parser["tolerances"]) if "tolerances" in parser else {},
-        regularizer=dict(parser["regularizer"]) if "regularizer" in parser else {},
-        verify=dict(parser["verify"]) if "verify" in parser else {},
-        run=dict(parser["run"]) if "run" in parser else {},
-    )
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg):
-    m = cfg.model
-    backend = m.get("backend")
-    if backend not in ("radial", "line1d", "finite"):
-        raise SchemaError(f"model.backend: must be radial|line1d|finite, got {backend!r}")
-    if backend in ("radial", "line1d"):
-        s = _parse_float(m, "weight_s", "model", default=1.5 if backend == "radial" else 1.0)
-        if s <= 0:
-            raise SchemaError(f"model.weight_s: must be positive, got {s}")
-        pot = m.get("potential", "none")
-        if pot not in ("none", "square_well", "piecewise"):
-            raise SchemaError(f"model.potential: unknown kind {pot!r}")
-        if pot == "square_well":
-            _parse_complex(m.get("v0", "0"), "model.v0")
-            _parse_float(m, "well_radius", "model", default=1.0, positive=True)
-        _parse_float(m, "panels", "model", default=12.0, positive=True)
-        _parse_float(m, "nodes_per_panel", "model", default=16.0, positive=True)
-        if m.get("dissipative", "auto") not in ("auto", "true", "false"):
-            raise SchemaError("model.dissipative: must be auto|true|false")
-    else:
-        _parse_float(m, "size", "model", default=8.0, positive=True)
-    for section, name in ((cfg.run, "run"), (cfg.verify, "verify")):
-        if "seed" in section:
+    """(values, text) of a config file: section -> field -> parsed value,
+    and section -> field -> raw text, for every section of ``FIELDS``."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except OSError as exc:
+        raise SchemaError(f"cannot read the config file: {exc}") from None
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise SchemaError(f"malformed config file: {exc}") from None
+    values = {name: {} for name in FIELDS}
+    for name in parser.sections():
+        if name not in FIELDS:
+            paths = [f"{name}.{key}" for key in parser[name]] or [name]
+            raise SchemaError(f"{paths[0]}: unknown section [{name}]; "
+                              f"sections are {', '.join(FIELDS)}")
+        for key, raw in parser[name].items():
+            if key not in FIELDS[name]:
+                raise SchemaError(f"{name}.{key}: unknown field")
             try:
-                int(section["seed"])
+                values[name][key] = FIELDS[name][key](raw)
             except ValueError as exc:
-                raise SchemaError(
-                    f"{name}.seed: expected an integer, got {section['seed']!r}") from exc
-    for key in ("detection_threshold",):
-        if key in cfg.scan:
-            thr = _parse_float(cfg.scan, key, "scan", positive=True)
-            if not (0 < thr < 0.5):
-                raise SchemaError(f"scan.{key}: must lie in (0, 0.5)")
-    for key in cfg.tolerances:
-        _parse_float(cfg.tolerances, key, "tolerances", positive=True)
-    _regularizer_terms(cfg.regularizer)
+                raise SchemaError(f"{name}.{key} = {raw!r}: {exc}") from None
+    if "backend" not in values["model"]:
+        raise SchemaError("model.backend: required field missing")
+    return values, {name: dict(parser[name]) if parser.has_section(name) else {}
+                    for name in FIELDS}
+
+
+def _seed(cfg):
+    return cfg["run"].get("seed", cfg["verify"].get("seed", 1234))
+
+
+def _given(section, **keys):
+    """Keyword arguments ``arg=section[key]`` for the keys that are set."""
+    return {arg: section[key] for arg, key in keys.items() if key in section}
+
+
+def _finite_model(m, seed):
+    """The finite model of a [model] section; seeded kinds draw from ``seed``."""
+    kind = m.get("kind", "seeded_random")
+    if kind == "diag":
+        diag = m.get("diag", (1.0, 2.0))
+        h0 = np.diag([d.real for d in diag]).astype(complex)
+        w = np.diag([complex(0, d.imag) for d in diag])
+        return M.finite_model(h0, np.ones(len(diag)), w)
+    n = m.get("size", 8)
+    rng = np.random.default_rng(seed)
+    if kind == "seeded_random":
+        h0 = rng.standard_normal((n, n))
+        h0 = (h0 + h0.T) / 2
+        c = 0.5 + rng.random(n)
+        w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return M.finite_model(h0.astype(complex), c, 0.3 * w)
+    # complex_symmetric: a is drawn before h0
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    w = (a + a.T) / 2
+    h0 = rng.standard_normal((n, n))
+    h0 = (h0 + h0.T) / 2
+    return M.finite_model(h0.astype(complex), np.ones(n), 0.4 * w)
 
 
 def build_model(cfg):
-    m = cfg.model
-    backend = m["backend"]
-    if backend == "finite":
-        n = int(float(m.get("size", 8)))
-        kind = m.get("kind", "seeded_random")
-        rng = np.random.default_rng(cfg.seed)
-        if kind == "diag":
-            diag = [_parse_complex(t, "model.diag")
-                    for t in m.get("diag", "1, 2").split(",")]
-            n = len(diag)
-            h0 = np.diag([d.real for d in diag]).astype(complex)
-            w = np.diag([complex(0, d.imag) for d in diag])
-            return M.finite_model(h0, np.ones(n), w)
-        if kind == "seeded_random":
-            h0 = rng.standard_normal((n, n))
-            h0 = (h0 + h0.T) / 2
-            c = 0.5 + rng.random(n)
-            w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            return M.finite_model(h0.astype(complex), c, 0.3 * w)
-        if kind == "complex_symmetric":
-            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            w = (a + a.T) / 2
-            h0 = rng.standard_normal((n, n))
-            h0 = (h0 + h0.T) / 2
-            return M.finite_model(h0.astype(complex), np.ones(n), 0.4 * w)
-        raise SchemaError(f"model.kind: unknown finite kind {kind!r}")
-    pot_kind = m.get("potential", "none")
-    if pot_kind == "none":
+    m = cfg["model"]
+    if m["backend"] == "finite":
+        return _finite_model(m, _seed(cfg))
+    kind = m.get("potential", "none")
+    if kind == "square_well":
+        pot = M.square_well(m.get("v0", 0j), **_given(m, radius="well_radius"))
+    elif kind == "piecewise":
+        if "pieces" not in m:
+            raise SchemaError("model.pieces: required by potential = piecewise")
+        pieces = m["pieces"]
+        pot = M.PotentialSpec(pieces=pieces, support=(min(p[0] for p in pieces),
+                                                      max(p[1] for p in pieces)))
+    else:
         pot = M.PotentialSpec()
-    elif pot_kind == "square_well":
-        pot = M.square_well(_parse_complex(m.get("v0", "0"), "model.v0"),
-                            float(m.get("well_radius", 1.0)))
+    grid = _given(m, s="weight_s", panels="panels", nodes_per_panel="nodes_per_panel")
+    if m["backend"] == "radial":
+        model = M.radial_model(pot, **grid, **_given(m, length="length"))
     else:
-        pieces = []
-        for chunk in m.get("pieces", "").split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            try:
-                a, b, v = chunk.split(":")
-                pieces.append((float(a), float(b), _parse_complex(v, "model.pieces")))
-            except ValueError as exc:
-                raise SchemaError(
-                    f"model.pieces: expected entries a:b:v, got {chunk!r}") from exc
-        if not pieces:
-            raise SchemaError("model.pieces: piecewise potential needs entries a:b:v")
-        support = (min(p[0] for p in pieces), max(p[1] for p in pieces))
-        pot = M.PotentialSpec(pieces=tuple(pieces), support=support)
-    kwargs = dict(
-        s=float(m.get("weight_s", 1.5 if backend == "radial" else 1.0)),
-        panels=int(float(m.get("panels", 12))),
-        nodes_per_panel=int(float(m.get("nodes_per_panel", 16))),
-    )
-    if backend == "radial":
-        model = M.radial_model(pot, length=float(m.get("length", 14.0)), **kwargs)
-    else:
-        model = M.line_model(pot, half_length=float(m.get("half_length", 12.0)), **kwargs)
-    declared = m.get("dissipative", "auto")
-    if declared == "true" and not model.dissipative:
+        model = M.line_model(pot, **grid, **_given(m, half_length="half_length"))
+    if m.get("dissipative") == "true" and not model.dissipative:
         raise SchemaError(
             "model.dissipative: declared dissipative but W2 has a negative part"
         )
     return model
 
 
-def _regularizer_terms(r):
-    """(z0, ((lam, nu), ...), nu_infinity) of a [regularizer] section."""
-    z0 = _parse_complex(r.get("z0", "1+3j"), "regularizer.z0")
-    sing = []
-    for chunk in r.get("singularities", "").split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            lam, nu = chunk.split(":")
-            sing.append((float(lam), int(nu)))
-        except ValueError as exc:
-            raise SchemaError(
-                f"regularizer.singularities: expected lam:nu entries, got {chunk!r}") from exc
-    try:
-        nu_inf = int(r.get("nu_infinity", 0))
-    except ValueError as exc:
-        raise SchemaError(
-            f"regularizer.nu_infinity: expected an integer, got {r['nu_infinity']!r}") from exc
-    return z0, tuple(sing), nu_inf
-
-
 def build_regularizer(cfg, model):
-    if not cfg.regularizer:
+    r = cfg["regularizer"]
+    if not r:
         return None
-    reg = calc.Regularizer(*_regularizer_terms(cfg.regularizer))
+    reg = calc.Regularizer(r.get("z0", 1 + 3j), r.get("singularities", ()),
+                           r.get("nu_infinity", 0))
     reg.validate(model)
     return reg
 
@@ -307,18 +318,17 @@ def write_curve_csv(times, norms, path):
 
 def cmd_scan(cfg, threads):
     model = build_model(cfg)
-    s = cfg.scan
-    lam_min = _parse_float(s, "lambda_min", "scan", default=1e-3)
-    lam_max = _parse_float(s, "lambda_max", "scan", default=25.0)
+    s = cfg["scan"]
+    lam_min, lam_max = s.get("lambda_min", 1e-3), s.get("lambda_max", 25.0)
     if not (0 <= lam_min < lam_max):
         raise AdmissibilityError(f"scan range [{lam_min}, {lam_max}] is empty or negative")
-    n = int(_parse_float(s, "num_points", "scan", default=300.0, positive=True))
-    thr = float(s.get("detection_threshold", bs.DETECTION_THRESHOLD))
+    n = s.get("num_points", 300)
+    thr = s.get("detection_threshold", bs.DETECTION_THRESHOLD)
     grid = np.linspace(lam_min, lam_max, n)
     profile = bs.sigma_profile(model, grid, threads=threads)
     reports = bs.classify_minima(
         model, grid, profile, detection_threshold=thr,
-        estimate_orders=s.get("estimate_orders", "false").lower() == "true",
+        estimate_orders=s.get("estimate_orders", False),
     )
     step = max(1, n // 64)
     sigma_grid = [
@@ -334,11 +344,10 @@ def cmd_scan(cfg, threads):
 
 def cmd_resonant_state(cfg, threads):
     model = build_model(cfg)
-    s = cfg.scan
-    thr = float(s.get("detection_threshold", bs.DETECTION_THRESHOLD))
+    s = cfg["scan"]
+    thr = s.get("detection_threshold", bs.DETECTION_THRESHOLD)
     if "lambda_star" in s:
-        lam_star = _parse_float(s, "lambda_star", "scan")
-        side = s.get("side", "+")
+        lam_star, side = s["lambda_star"], s.get("side", "+")
     else:
         result = cmd_scan(cfg, threads)
         if not result["detected"]:
@@ -373,9 +382,8 @@ def cmd_project(cfg, threads):
                 "idempotency": proj.idempotency, "commutation": proj.commutation,
             })
         return {"projections": out}
-    reg = cfg.regularizer
-    lam = _parse_complex(reg.get("eigenvalue", "-2-0.2j"), "regularizer.eigenvalue") \
-        if reg else None
+    reg = cfg["regularizer"]
+    lam = reg.get("eigenvalue", -2 - 0.2j) if reg else None
     if lam is None:
         roots = bs.locate_eigenvalues(model)
         if not roots:
@@ -390,13 +398,12 @@ def cmd_evolve(cfg, threads):
     model = build_model(cfg)
     if model.backend != "finite":
         raise AdmissibilityError("evolution curves run on the finite backend")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(_seed(cfg))
     n = model.size
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    s = cfg.scan
-    t_max = _parse_float(s, "t_max", "scan", default=20.0)
-    n_t = int(_parse_float(s, "num_points", "scan", default=201.0, positive=True))
-    curve = sub.evolve_norm_curve(model, u, np.linspace(0.0, t_max, n_t))
+    s = cfg["scan"]
+    times = np.linspace(0.0, s.get("t_max", 20.0), s.get("num_points", 201))
+    curve = sub.evolve_norm_curve(model, u, times)
     return {
         "classification": curve.classification,
         "rate": curve.rate,
@@ -409,8 +416,7 @@ def cmd_evolve(cfg, threads):
 
 def _verify_projections(cfg, model, rng):
     if model.backend != "finite":
-        model = build_model(RunConfig(model={"backend": "finite", "size": "6"},
-                                      run={"seed": str(cfg.seed)}))
+        model = _finite_model({"size": 6}, _seed(cfg))
     distinct = calc.distinct_eigenvalues(np.linalg.eigvals(model.h), tol=1e-6)
     checks = []
     projs = []
@@ -433,23 +439,17 @@ def _verify_projections(cfg, model, rng):
 
 def _verify_stone(cfg, model, rng):
     if model.backend == "finite":
-        model = build_model(RunConfig(model={
-            "backend": "radial", "potential": "square_well", "v0": "0.3-0.2j",
-            "weight_s": "1.5", "length": "14.0"}))
+        model = M.radial_model(M.square_well(0.3 - 0.2j))
     g = model.grid
     u = M.GaussianBump(center=3.0, width=0.6)(g.nodes)
     v = M.GaussianBump(center=2.5, width=0.8)(g.nodes)
     interval = (1.0, 4.0)
     form = calc.stone_form(model, interval, u, v)
-    from .numerics import LimitSequence, extrapolate_to_zero
-
+    rule = gauss_legendre(48, *interval)
     eps = np.geomspace(0.1, 0.1 / 2**4, 5)
     direct = []
     for e in eps:
         rule_vals = []
-        from .numerics import gauss_legendre
-
-        rule = gauss_legendre(48, *interval)
         for lam in rule.nodes:
             plus, _, _ = bs.resolvent_H_apply(model, v, z=lam + 1j * e)
             minus, _, _ = bs.resolvent_H_apply(model, v, z=lam - 1j * e)
@@ -463,8 +463,7 @@ def _verify_stone(cfg, model, rng):
 
 def _verify_resolution(cfg, model, rng):
     if model.backend == "finite":
-        model = build_model(RunConfig(model={"backend": "radial", "potential": "none",
-                                             "weight_s": "1.5", "length": "14.0"}))
+        model = M.radial_model(M.PotentialSpec())
     reg = build_regularizer(cfg, model) or calc.Regularizer(
         complex(1.0, 3.0), (), 0)
     prof_u = M.GaussianBump(center=3.0, width=0.6)
@@ -499,11 +498,7 @@ def _verify_ads(cfg, model, rng):
 
 
 def _verify_ac(cfg, model, rng):
-    if model.backend != "finite":
-        fin = build_model(RunConfig(model={"backend": "finite", "size": "6"},
-                                    run={"seed": str(cfg.seed)}))
-    else:
-        fin = model
+    fin = model if model.backend == "finite" else _finite_model({"size": 6}, _seed(cfg))
     u = rng.standard_normal(fin.size) + 1j * rng.standard_normal(fin.size)
     try:
         sub.ac_certificate(fin, u=u)
@@ -516,9 +511,7 @@ def _verify_ac(cfg, model, rng):
 
 def _verify_dissipative(cfg, model, rng):
     if model.backend == "finite" or not model.dissipative:
-        model = build_model(RunConfig(model={
-            "backend": "radial", "potential": "square_well", "v0": "-2j",
-            "weight_s": "1.5", "length": "14.0"}))
+        model = M.radial_model(M.square_well(-2j))
     rep = bs.dissipative_audit(model, lam_range=(1e-3, 25.0), n_grid=150)
     return [{"name": "no_outgoing_singularities", "value": rep["outgoing_sigma_min"],
              "tol": 1e-2, "passed": rep["passed"] and rep["outgoing_sigma_min"] >= 1e-2}]
@@ -526,8 +519,7 @@ def _verify_dissipative(cfg, model, rng):
 
 def _verify_bounds(cfg, model, rng):
     if model.backend == "finite":
-        model = build_model(RunConfig(model={"backend": "radial", "potential": "none",
-                                             "weight_s": "1.5", "length": "14.0"}))
+        model = M.radial_model(M.PotentialSpec())
     eps = np.geomspace(1e-1, 1e-4, 10)
     rep = bs.epsilon_bounds_check(model, 4.0, eps)
     e0 = rep.exponents["r0c"]["exponent"]
@@ -553,12 +545,10 @@ VERIFY_SUITES = {
 
 
 def cmd_verify(cfg, threads):
-    suite = cfg.verify.get("suite")
-    if suite not in VERIFY_SUITES:
-        raise SchemaError(
-            f"verify.suite: unknown suite {suite!r}; choose from {sorted(VERIFY_SUITES)}"
-        )
-    rng = np.random.default_rng(cfg.seed)
+    suite = cfg["verify"].get("suite")
+    if suite is None:
+        raise SchemaError(f"verify.suite: required, one of {'|'.join(VERIFY_SUITES)}")
+    rng = np.random.default_rng(_seed(cfg))
     model = build_model(cfg)
     checks = VERIFY_SUITES[suite](cfg, model, rng)
     return {"suite": suite, "checks": checks,
@@ -570,11 +560,7 @@ def cmd_export(cfg, threads, report_path=None, fmt="json", out_dir="."):
         payload = json.load(fh)
     base = os.path.join(out_dir, "export")
     if fmt == "json":
-        path = base + ".json"
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-        return {"written": [path]}
+        return {"written": [write_json(payload, base + ".json")]}
     written = []
     results = payload.get("results", {})
     if "detected" in results:
@@ -605,16 +591,11 @@ def main(argv=None):
     parser.add_argument("--config", required=False)
     parser.add_argument("--out", default=".")
     parser.add_argument("--format", choices=["json", "csv"], default="json")
-    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     parser.add_argument("--report", default=None, help="input report for export")
     args = parser.parse_args(argv)
 
     threads = args.threads
-    env_threads = os.environ.get("SPECRES_THREADS")
-    if env_threads:
-        threads = int(env_threads)
-    if threads is None:
-        threads = os.cpu_count() or 1
     try:
         from threadpoolctl import threadpool_limits
 
@@ -633,10 +614,8 @@ def main(argv=None):
         else:
             if not args.config:
                 raise SchemaError("missing --config <path>")
-            cfg = load_config(args.config)
+            cfg, cfg_dict = load_config(args.config)
             results = COMMANDS[args.command](cfg, threads)
-            cfg_dict = {k: getattr(cfg, k) for k in
-                        ("model", "scan", "tolerances", "regularizer", "verify", "run")}
     except SchemaError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -36,7 +36,6 @@ __all__ = [
     "MetricWeight",
     "PotentialSpec",
     "FactorizedPerturbation",
-    "ConjugationJ",
     "PanelGrid",
     "OperatorModel",
     "GaussianBump",
@@ -166,24 +165,11 @@ class FactorizedPerturbation:
     """W with V = CWC, split W = W1 - i W2 into multiplication parts."""
 
     w_values: np.ndarray
-    sup_w: float
     dissipative: bool
-
-    @property
-    def w1(self):
-        return self.w_values.real
 
     @property
     def w2(self):
         return -self.w_values.imag
-
-
-@dataclass(frozen=True)
-class ConjugationJ:
-    """Complex conjugation on coordinates: J u = conj(u)."""
-
-    def __call__(self, u):
-        return np.conj(u)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +228,7 @@ class PanelGrid:
         gaps = np.diff(self.nodes)
         lead = self.nodes[0] - self.lo
         trail = self.hi - self.nodes[-1]
-        return float(max(gaps.max(), 2 * lead, 2 * trail))
+        return float(max(gaps.max(initial=0.0), 2 * lead, 2 * trail))
 
     def panel_slice(self, p):
         return slice(p * self.n, (p + 1) * self.n)
@@ -754,10 +740,7 @@ def factorize_potential(potential, weight, x=None):
             "W = V/c^2 unbounded: sigma = %.3g < 2 s = %.3g; |W| trend tail %s"
             % (potential.sigma, 2 * weight.s, np.array2string(trend[-4:], precision=2))
         )
-    w2 = -w.imag
-    sup_w = float(np.max(np.abs(w))) if w.size else 0.0
-    dissipative = bool(np.min(w2) >= -1e-12)
-    return FactorizedPerturbation(w, sup_w, dissipative)
+    return FactorizedPerturbation(w, bool(np.min(-w.imag) >= -1e-12))
 
 
 def lap_supremum_estimate(model, z_grid):
@@ -844,13 +827,14 @@ def kato_smoothness_check(model, u_samples, k_max=8.0, n_k=240, c0_estimate=None
     return ratio, float(c0_estimate)
 
 
-def conjugation_check(model, j=ConjugationJ(), rng=None):
+def conjugation_check(model, rng=None):
     """Residuals of the conjugation identities on sampled vectors.
 
     Checks J^2 = Id, <Ju, Jv> = <v, u>, J H0 = H0 J, JC = CJ and JW = W* J.
     Failures are report entries, not exceptions.
     """
     rng = rng or np.random.default_rng(0)
+    j = np.conj  # J, complex conjugation on coordinates
     report = {}
     if model.backend == "finite":
         n = model.size

@@ -254,8 +254,8 @@ def _default_witnesses(model, rng, count=20):
     return vs
 
 
-def ac_certificate(model, u=None, w=None, witnesses=None, method="auto",
-                   reg=None, seed=7, lam_max=None, t_max=60.0):
+def ac_certificate(model, u=None, w=None, witnesses=None, reg=None, seed=7,
+                   lam_max=None, t_max=60.0):
     """Certify u in M(H): int |<e^{-itH} u, v>|^2 dt <= c_u ||v||^2.
 
     Continuum backends use the boundary-jump integral

@@ -99,6 +99,13 @@ class TestStoneForms:
         with pytest.raises(AdmissibilityError):
             C.functional_calculus_form(model, (1.0, 3.3), lambda lam: 1.0, u, u)
 
+    def test_singularity_between_probes_refused(self):
+        # on (1, 3) the probes next to lam0 = 2 read sigma_min = 0.016 > REGULAR_FLOOR
+        model, _, _ = F.rank_one_embedded_model(lam0=2.0)
+        u, _ = pair_for(model)
+        with pytest.raises(AdmissibilityError):
+            C.stone_form(model, (1.0, 3.0), u, u)
+
     def test_idempotency_small_well(self, small_well):
         u, v = pair_for(small_well)
         interval = (1.0, 4.0)

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specres import cli
 
@@ -75,6 +77,12 @@ class TestScanCommand:
             "lambda_max = 9.0", "lambda_max = 1e6"))
         assert cli.main(["scan", "--config", cfg, "--out", str(tmp_path)]) == 3
 
+    def test_single_node_grid_exits_3(self, tmp_path):
+        # one panel of one node: the grid has no gap between nodes
+        cfg = write_config(tmp_path, FREE_SCAN.replace(
+            "length = 14.0", "length = 14.0\npanels = 1\nnodes_per_panel = 1"))
+        assert cli.main(["scan", "--config", cfg, "--out", str(tmp_path)]) == 3
+
     def test_unwritable_destination_exits_4(self, tmp_path):
         cfg = write_config(tmp_path, FREE_SCAN)
         target = tmp_path / "blocked"
@@ -102,11 +110,65 @@ class TestScanCommand:
      "regularizer.nu_infinity"),
     ("num_points = 60", "num_points = 60\n\n[regularizer]\nsingularities = 1.0",
      "regularizer.singularities"),
-], ids=["tolerances", "pieces", "num_points", "seed", "nu_infinity", "singularities"])
+    ("length = 14.0", "length = abc", "model.length"),
+    ("backend = radial", "backend = line1d\nhalf_length = zz", "model.half_length"),
+    ("length = 14.0", "length = 14.0\nnodes_per_panel = 0.5", "model.nodes_per_panel"),
+    ("potential = none", "potential = %(foo)s", "model.potential"),
+    ("length = 14.0", "length = 14.0\npanels = 2.5", "model.panels"),
+    ("num_points = 60", "num_points = 60\nestimate_orders = yes", "scan.estimate_orders"),
+    ("[scan]", "[Scan]", "Scan.lambda_min"),
+    ("num_points = 60", "num_points = 60\nt_max = -5", "scan.t_max"),
+    ("length = 14.0", "length = -3", "model.length"),
+    ("potential = none", "potential = piecewise\npieces = 1:0:-2", "model.pieces"),
+], ids=["tolerances", "pieces", "num_points", "seed", "nu_infinity", "singularities",
+        "length", "half_length", "nodes_per_panel", "interpolation", "panels",
+        "estimate_orders", "section_case", "t_max", "negative_length", "reversed_piece"])
 def test_malformed_value_exits_2_with_field_path(tmp_path, capsys, old, new, field):
     cfg = write_config(tmp_path, FREE_SCAN.replace(old, new))
     assert cli.main(["scan", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    FREE_SCAN.replace("[model]\n", ""),
+    FREE_SCAN.replace("weight_s = 1.5", "weight_s = 1.5\nweight_s = 2.0"),
+    FREE_SCAN + "\n[scan]\nside = +\n",
+], ids=["no_section_header", "duplicate_key", "duplicate_section"])
+def test_malformed_ini_exits_2(tmp_path, text):
+    cfg = write_config(tmp_path, text)
+    assert cli.main(["scan", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True)
+VALUES = st.sampled_from(["1", "-3", "0", "2.5", "12.0", "1e400", "nan", "1+2i", "(1-2j)",
+                          "TRUE", "radial", "+", "0:1:2", "1:2; 3:x", ""]) | st.text(
+    st.characters(blacklist_categories=("Cs",)), max_size=16)
+
+
+@st.composite
+def config_texts(draw):
+    lines = [draw(VALUES)]
+    for section in draw(st.lists(st.sampled_from(sorted(cli.FIELDS)) | NAMES, max_size=4)):
+        lines.append(f"[{section}]")
+        known = sorted(cli.FIELDS.get(section, ()))
+        keys = st.sampled_from(known) | NAMES if known else NAMES
+        lines += [f"{key} = {draw(VALUES)}" for key in draw(st.lists(keys, max_size=5))]
+    return "\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def ini_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("property") / "run.ini"
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(text=config_texts())
+def test_config_text_parses_or_raises_schema_error(ini_path, text):
+    ini_path.write_text(text, encoding="utf-8")
+    try:
+        cli.load_config(str(ini_path))
+    except cli.SchemaError:
+        pass
 
 
 class TestVerifyCommand:
