@@ -133,12 +133,13 @@ class BoundarySystem:
       Id - (Id + K)^(-1).
 
     K_SS and K_TS are assembled from the blocks R0[S, S] and R0[T, S] of the
-    free kernel, so the full N x N kernel is assembled only when a caller
-    applies R0 to arbitrary vectors (``action.apply``); later blocks are
-    then sliced from it.  ``k``, ``sigma_min`` and ``svd`` stay at full
-    order: ``DETECTION_THRESHOLD`` and ``REGULAR_FLOOR`` are calibrated on
-    the smallest singular value of the full Id + K, which the reduced
-    block does not give.  When S is every node B is empty; when S is empty
+    free kernel, and ``action.apply`` applies R0 through panel moments, so
+    the full N x N free kernel is assembled only for ``k``, ``sigma_min``,
+    ``svd`` and ``model.weighted_matrix``; later blocks are then sliced
+    from it.  ``k``, ``sigma_min`` and ``svd`` stay at full order:
+    ``DETECTION_THRESHOLD`` and ``REGULAR_FLOOR`` are calibrated on the
+    smallest singular value of the full Id + K, which the reduced block
+    does not give.  When S is every node B is empty; when S is empty
     (W = 0) det = 1, the inverse is the identity and W (Id + K)^(-1) = 0.
     On the finite backend K is formed densely and its blocks are sliced
     from it, and the sample-level methods (``w_solve``,

@@ -113,6 +113,14 @@ _positive_real = _checked(_real, lambda v: v > 0, "positive")
 _positive_int = _checked(_integer, lambda v: v > 0, "positive")
 _count = _checked(_integer, lambda v: v >= 0, "non-negative")
 
+
+def _grid_count(most):
+    """A positive integer at most ``most``.  A model allocates N x N kernels
+    and, on the continuum, P n^3 partial-integral tensors, so the grid is
+    bounded: 64 panels of at most 64 nodes, or a finite model of size 4096."""
+    return _checked(_positive_int, lambda v: v <= most, f"at most {most}")
+
+
 #: The config schema, section -> field -> parser.  A parser takes the raw
 #: text and returns the typed value or raises ValueError with the reason.
 #: Geometry fields that a config leaves out keep the defaults of the model
@@ -129,11 +137,11 @@ FIELDS = {
         "weight_s": _positive_real,
         "length": _positive_real,
         "half_length": _positive_real,
-        "panels": _positive_int,
-        "nodes_per_panel": _positive_int,
+        "panels": _grid_count(64),
+        "nodes_per_panel": _grid_count(64),
         "dissipative": _one_of("auto", "true", "false"),
         "kind": _one_of("seeded_random", "complex_symmetric", "diag"),
-        "size": _positive_int,
+        "size": _grid_count(4096),
         "diag": _checked(_entries("z1, z2, ...", _complex, sep=","), len, "non-empty"),
     },
     "scan": {

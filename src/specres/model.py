@@ -15,10 +15,13 @@ Three backends:
 Both continuum backends are discretized on panel Gauss-Legendre grids with
 panel edges aligned to the breakpoints of the potential.  The free-resolvent
 kernels are "triangular separable", G(x, y) = pref * phi(min) * psi(max),
-which lets us assemble application matrices that are exact on panelwise
-polynomials: the kernel crease on the diagonal never degrades the
-quadrature because cumulative integrals are split exactly at the
-evaluation point.
+which makes R0 exact on panelwise polynomials: the kernel crease on the
+diagonal never degrades the quadrature because cumulative integrals are
+split exactly at the evaluation point.  ``FreeResolventAction`` applies R0
+to vectors through prefix and suffix sums of panel moments plus in-panel
+partial integrals, O(N n) per vector for N nodes and n nodes per panel,
+without forming the N x N matrix; that matrix, or any block of it, is
+assembled only when a caller asks for the entries.
 """
 
 from __future__ import annotations
@@ -234,8 +237,8 @@ class PanelGrid:
         return slice(p * self.n, (p + 1) * self.n)
 
     def panel_of(self, x):
-        p = int(np.searchsorted(self.edges, x, side="right")) - 1
-        return min(max(p, 0), self.npanels - 1)
+        """Index of the panel holding x (a point or an array of points)."""
+        return np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, self.npanels - 1)
 
     def to_reference(self, p, x):
         a, b = self.edges[p], self.edges[p + 1]
@@ -527,6 +530,14 @@ def _phi_psi(backend, k):
 # ---------------------------------------------------------------------------
 
 
+def _contract(values, weights):
+    """sum_s values[p, i, s] weights[p, i, s, m] for complex values and real
+    weights, as one real batched matmul on the stacked real and imaginary
+    parts (cheaper than a complex-by-real einsum)."""
+    parts = np.stack((values.real, values.imag), axis=2) @ weights
+    return parts[:, :, 0] + 1j * parts[:, :, 1]
+
+
 class FreeResolventAction:
     """R0(z) (or its boundary value) as an action on grid samples.
 
@@ -536,7 +547,11 @@ class FreeResolventAction:
 
     is assembled from full-panel Gauss sums plus partial integrals inside
     the panel containing x; the split at x is exact, so the diagonal crease
-    of the kernel costs nothing.
+    of the kernel costs nothing.  ``apply`` and ``evaluate`` run on panel
+    moments in O(N n) per vector and never form the N x N matrix; ``block``
+    forms only the entries asked for, and ``matrix`` is the block over all
+    nodes.  All three read one memo of in-panel partial integrals, filled
+    only on the panels asked for.
     """
 
     def __init__(self, model, k):
@@ -554,6 +569,27 @@ class FreeResolventAction:
         self.phi_w = self.phi_nodes * g.weights   # full-panel phi moments
         self.psi_w = self.psi_nodes * g.weights
         self._matrix = None
+        self._left = self._right = None
+        self._run = None   # the panels [start, stop) the partials cover
+
+    def _partials(self, start, stop):
+        """The in-panel partial integrals left[p, i, m] = int_{a_p}^{x_i}
+        phi l_m and right[p, i, m] = int_{x_i}^{b_p} psi l_m, as (P, n, n)
+        arrays valid on the panels [start, stop) (and on any run computed
+        before: the memo grows to the smallest run covering both)."""
+        g = self.grid
+        if self._run is None:
+            self._left = np.empty((g.npanels, g.n, g.n), dtype=complex)
+            self._right = np.empty_like(self._left)
+            self._run = (start, start)
+        lo, hi = self._run
+        for a, b in ((min(start, lo), lo), (hi, max(stop, hi))):
+            if a < b:
+                tl, wbl, tr, wbr = g.partial_tensors()
+                self._left[a:b] = _contract(self.phi(tl[a:b]), wbl[a:b])
+                self._right[a:b] = _contract(self.psi(tr[a:b]), wbr[a:b])
+        self._run = (min(start, lo), max(stop, hi))
+        return self._left, self._right
 
     def matrix(self):
         """Dense sample-to-sample matrix of the action (includes weights)."""
@@ -568,9 +604,8 @@ class FreeResolventAction:
 
         For the rows in panel q, sources in panels left of q give
         psi(x_i) phi_w[j] and sources right of q give phi(x_i) psi_w[j];
-        sources inside q use the partial integrals int_{a_q}^{x_i} phi l_m
-        and int_{x_i}^{b_q} psi l_m, computed on the run of panels that
-        rows and cols share.
+        sources inside q use the partial integrals, needed only on the run
+        of panels that rows and cols share.
         """
         if self._matrix is not None:
             return self._matrix[np.ix_(rows, cols)]
@@ -578,10 +613,7 @@ class FreeResolventAction:
         row_panel, col_panel = g.panel_index[rows], g.panel_index[cols]
         shared = np.intersect1d(row_panel, col_panel)
         if shared.size:
-            run = slice(shared[0], shared[-1] + 1)   # a view: the tensors are not copied
-            tl, wbl, tr, wbr = g.partial_tensors()
-            left = np.einsum("pis,pism->pim", self.phi(tl[run]), wbl[run])
-            right = np.einsum("pis,pism->pim", self.psi(tr[run]), wbr[run])
+            left, right = self._partials(shared[0], shared[-1] + 1)
         out = np.empty((rows.size, cols.size), dtype=complex)
         for q in np.unique(row_panel):
             r = slice(*np.searchsorted(row_panel, (q, q + 1)))
@@ -591,53 +623,77 @@ class FreeResolventAction:
             np.multiply.outer(self.phi_nodes[i], self.psi_w[cols[c1:]], out=out[r, c1:])
             if c1 > c0:
                 li, lj = np.ix_(i - q * g.n, cols[c0:c1] - q * g.n)
-                out[r, c0:c1] = (self.psi_nodes[i, None] * left[q - run.start][li, lj]
-                                 + self.phi_nodes[i, None] * right[q - run.start][li, lj])
+                out[r, c0:c1] = (self.psi_nodes[i, None] * left[q][li, lj]
+                                 + self.phi_nodes[i, None] * right[q][li, lj])
         out *= self.pref
         return out
 
+    def _moments(self, samples):
+        """Samples as panels cols[p, j, m], with before[p], the phi moments
+        of the panels left of panel p, and after[p], the psi moments of
+        panel p and those right of it (p = 0..P: before[P] and after[0]
+        are the totals).
+
+        ``after`` is summed from the right, never taken as total - prefix:
+        for Im k > 0 the psi moments decay along the grid, and the
+        difference would cancel every digit of the small ones."""
+        g = self.grid
+        cols = samples.reshape(g.npanels, g.n, -1)
+        phi_m = np.einsum("pj,pjm->pm", self.phi_w.reshape(g.npanels, g.n), cols)
+        psi_m = np.einsum("pj,pjm->pm", self.psi_w.reshape(g.npanels, g.n), cols)
+        before = np.zeros((g.npanels + 1, cols.shape[2]), dtype=complex)
+        np.cumsum(phi_m, axis=0, out=before[1:])
+        after = np.zeros_like(before)
+        after[:-1] = np.cumsum(psi_m[::-1], axis=0)[::-1]
+        return cols, before, after
+
     def apply(self, samples):
-        return self.matrix() @ np.asarray(samples, dtype=complex)
+        """R0 g on the grid for samples g (a vector, or the columns of a
+        matrix): exactly ``matrix() @ samples`` up to rounding, in O(N n)
+        per column and without forming the N x N matrix."""
+        samples = np.asarray(samples, dtype=complex)
+        g = self.grid
+        cols, before, after = self._moments(samples)
+        left, right = self._partials(0, g.npanels)
+        shape = (g.npanels, g.n, 1)
+        out = self.psi_nodes.reshape(shape) * (before[:-1, None, :] + left @ cols)
+        out += self.phi_nodes.reshape(shape) * (after[1:, None, :] + right @ cols)
+        out *= self.pref
+        return out.reshape(samples.shape)
 
     # -- arbitrary points and exterior data ----------------------------------
 
     def evaluate(self, samples, points):
-        """(R0 g)(x) at arbitrary points, exterior points included."""
+        """(R0 g)(x) at arbitrary points, exterior points included.
+
+        Inside the grid the partial integrals over the panel of x run on
+        the Lagrange interpolant of the samples there; the other panels
+        enter through the prefix and suffix moments of ``apply``."""
         g = self.grid
         samples = np.asarray(samples, dtype=complex)
         points = np.atleast_1d(np.asarray(points, dtype=float))
+        cols, before, after = (a[..., 0] for a in self._moments(samples))
+        out = np.empty(points.shape, dtype=complex)
+        above, below = points >= g.hi, points <= g.lo
+        out[above] = self.psi(points[above]) * before[-1]
+        out[below] = self.phi(points[below]) * after[0]
+        inside = ~(above | below)
+        x = points[inside]
+        p = g.panel_of(x)
         sub = gauss_legendre(g.n, -1.0, 1.0)
-        phi_cum = np.concatenate(
-            [[0.0], np.cumsum([self.phi_w[g.panel_slice(p)] @ samples[g.panel_slice(p)]
-                               for p in range(g.npanels)])]
-        )
-        psi_total = self.psi_w @ samples
-        psi_cum = np.concatenate(
-            [[0.0], np.cumsum([self.psi_w[g.panel_slice(p)] @ samples[g.panel_slice(p)]
-                               for p in range(g.npanels)])]
-        )
-        out = np.zeros(points.shape, dtype=complex)
-        for j, x in enumerate(points):
-            if x >= g.hi:
-                out[j] = self.pref * self.psi(x) * phi_cum[-1]
-                continue
-            if x <= g.lo:
-                out[j] = self.pref * self.phi(x) * psi_total
-                continue
-            p = g.panel_of(x)
-            a, b = g.edges[p], g.edges[p + 1]
-            seg = samples[g.panel_slice(p)]
-            mid, half = 0.5 * (a + x), 0.5 * (x - a)
-            pts = mid + half * sub.nodes
-            basis = g.lagrange_values(g.to_reference(p, pts))
-            phi_part = (half * sub.weights * self.phi(pts)) @ (basis @ seg)
-            mid, half = 0.5 * (x + b), 0.5 * (b - x)
-            pts = mid + half * sub.nodes
-            basis = g.lagrange_values(g.to_reference(p, pts))
-            psi_part = (half * sub.weights * self.psi(pts)) @ (basis @ seg)
-            cum_left = phi_cum[p] + phi_part
-            cum_right = (psi_total - psi_cum[p + 1]) + psi_part
-            out[j] = self.pref * (self.psi(x) * cum_left + self.phi(x) * cum_right)
+
+        def partial(f, lo, hi):
+            # int_lo^hi f(t) g(t) dt by an n-point rule on the interpolant
+            half = 0.5 * (hi - lo)[:, None]
+            pts = 0.5 * (lo + hi)[:, None] + half * sub.nodes
+            basis = g.lagrange_values(g.to_reference(p[:, None], pts).ravel())
+            interp = np.einsum("xsm,xm->xs", basis.reshape(x.size, g.n, g.n), cols[p])
+            return np.sum(half * sub.weights * f(pts) * interp, axis=1)
+
+        a, b = g.edges[p], g.edges[p + 1]
+        out[inside] = (self.psi(x) * (before[p] + partial(self.phi, a, x))
+                       + self.phi(x) * (after[p + 1] + partial(self.psi, x, b)))
+        out *= self.pref
         return out
 
     def outgoing_amplitude(self, samples):

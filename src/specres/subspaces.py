@@ -401,7 +401,7 @@ def _jump_terms(model, lam, cw):
     for s in ("+", "-"):
         act = systems[s].action
         second[s] = act.apply(c * model.apply_w(c * r0[s]))
-        _, corr = systems[s].resolvent_apply(cw)
+        corr = c * systems[s].w_solve(c * r0[s])   # the source of resolvent_apply(cw)
         third[s] = act.apply(c * model.apply_w(c * act.apply(corr)))
     # R_H = R0 - R0 V R0 + R0 V R_H V R0, difference minus-plus
     return (

@@ -481,3 +481,19 @@ class TestSupportReduction:
         BS._logdet_derivative(model, -0.4 - 2.2j)
         assert {name for name, _ in orders} >= {"slogdet", "lu_factor"}
         assert all(shape[0] == support for _, shape in orders)
+
+    def test_determinant_computes_partials_on_the_support_panels_only(self, monkeypatch):
+        model = M.radial_model(M.square_well(-25.0 - 4.0j))
+        support_panels = np.unique(model.grid.panel_index[model.support_mask()])
+        assert support_panels.size < model.grid.npanels
+        contracted = []
+        contract = M._contract
+
+        def counting_contract(values, weights):
+            contracted.append(values.shape[0])   # panels in the run
+            return contract(values, weights)
+
+        monkeypatch.setattr(M, "_contract", counting_contract)
+        BS.log_det(model, z=-0.4 - 2.2j)
+        # the left and the right partials, each over the panels of S once
+        assert contracted == [support_panels.size] * 2

@@ -445,8 +445,9 @@ class TestResolventL2Budget:
 
 class TestAssemblyCounts:
     def test_boundary_systems_share_their_kernel_assembly(self, small_well, monkeypatch):
-        # one free-kernel assembly per R_H application, and none at all for
-        # a Stone form whose boundary systems are already in the cache
+        # no full free-kernel assembly for an R_H application (R0 is applied
+        # through panel moments, Id + K through its support blocks), and
+        # none for a Stone form whose boundary systems are already cached
         assemblies = []
         original = M.FreeResolventAction.matrix
 
@@ -458,7 +459,7 @@ class TestAssemblyCounts:
         monkeypatch.setattr(M.FreeResolventAction, "matrix", counting_matrix)
         u, v = pair_for(small_well)
         BS.resolvent_H_apply(small_well, v, lam=2.0, side="+")
-        assert len(assemblies) == 1
+        assert len(assemblies) == 0
 
         cache = {}
         first = C.stone_form(small_well, (1.0, 2.0), u, v, check_regular=False, cache=cache)

@@ -120,9 +120,14 @@ class TestScanCommand:
     ("num_points = 60", "num_points = 60\nt_max = -5", "scan.t_max"),
     ("length = 14.0", "length = -3", "model.length"),
     ("potential = none", "potential = piecewise\npieces = 1:0:-2", "model.pieces"),
+    ("length = 14.0", "length = 14.0\nsize = 1e300", "model.size"),
+    ("length = 14.0", "length = 14.0\nsize = 4097", "model.size"),
+    ("length = 14.0", "length = 14.0\npanels = 65", "model.panels"),
+    ("length = 14.0", "length = 14.0\nnodes_per_panel = 1e6", "model.nodes_per_panel"),
 ], ids=["tolerances", "pieces", "num_points", "seed", "nu_infinity", "singularities",
         "length", "half_length", "nodes_per_panel", "interpolation", "panels",
-        "estimate_orders", "section_case", "t_max", "negative_length", "reversed_piece"])
+        "estimate_orders", "section_case", "t_max", "negative_length", "reversed_piece",
+        "huge_size", "size_over_bound", "panels_over_bound", "nodes_per_panel_over_bound"])
 def test_malformed_value_exits_2_with_field_path(tmp_path, capsys, old, new, field):
     cfg = write_config(tmp_path, FREE_SCAN.replace(old, new))
     assert cli.main(["scan", "--config", cfg, "--out", str(tmp_path)]) == 2

@@ -1,8 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from specres import model as M
 from specres.model import AdmissibilityError, ModelError
@@ -113,6 +116,91 @@ class TestResolventAction:
             f = act.apply(cu)
             rhs = float((free_radial.grid.weights @ (np.conj(u) * free_radial.c_values * f)).imag) / eps
             assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
+ACTION_MODELS = {
+    "radial": lambda: M.radial_model(M.square_well(-2.0 - 0.5j)),
+    "line1d": lambda: M.line_model(M.square_well(-2.0 - 0.5j)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def action_model(name):
+    return ACTION_MODELS[name]()
+
+
+# real, negative real, complex and imaginary wavenumbers, Im k up to 5
+wavenumbers = st.one_of(
+    st.floats(0.05, 6.0),
+    st.floats(-6.0, -0.05),
+    st.builds(complex, st.floats(-6.0, 6.0), st.floats(0.01, 5.0)),
+    st.floats(0.01, 5.0).map(lambda t: 1j * t),
+    st.just(0.0),
+).map(complex)
+
+# fixed draws and no example database: tier-1 runs the same points every time
+action_settings = settings(deadline=None, derandomize=True, database=None, max_examples=40)
+
+
+def _samples(model, seed, columns):
+    rng = np.random.default_rng(seed)
+    shape = (model.size,) if columns == 0 else (model.size, columns)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _normwise(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("name", sorted(ACTION_MODELS))
+class TestPanelMomentApply:
+    """``apply`` and ``evaluate`` run on panel moments, never on matrix()."""
+
+    @action_settings
+    @given(k=wavenumbers, seed=st.integers(0, 2**32 - 1), columns=st.integers(0, 3))
+    def test_apply_matches_the_assembled_matrix(self, name, k, seed, columns):
+        model = action_model(name)
+        assume(k != 0 or model.backend == "radial")   # the line kernel has no k = 0
+        f = _samples(model, seed, columns)
+        out = M.FreeResolventAction(model, k).apply(f)
+        assert out.shape == f.shape
+        assert _normwise(out, M.FreeResolventAction(model, k).matrix() @ f) <= 1e-12
+
+    @action_settings
+    @given(k=wavenumbers, seed=st.integers(0, 2**32 - 1))
+    def test_evaluate_at_the_nodes_is_apply(self, name, k, seed):
+        # samples that are not compactly supported: a suffix moment taken as
+        # total - prefix loses every digit once Im k >> 0
+        model = action_model(name)
+        assume(k != 0 or model.backend == "radial")
+        act = M.FreeResolventAction(model, k)
+        f = _samples(model, seed, 0)
+        assert _normwise(act.evaluate(f, model.grid.nodes), act.apply(f)) <= 1e-12
+
+    @pytest.mark.parametrize("k", [1.7, -0.4 + 2.0j])
+    def test_blocks_are_bitwise_slices_of_the_matrix(self, name, k):
+        model = action_model(name)
+        full = M.FreeResolventAction(model, k).matrix()
+        act = M.FreeResolventAction(model, k)
+        idx = np.arange(model.size)
+        support, rest = idx[20:70], np.setdiff1d(idx, idx[20:70])
+        f = _samples(model, 0, 2)
+        # partials filled piecewise: a run, the run's complement, then all
+        for rows, cols in ((support, support), (rest, support), (idx[150:], idx[:40])):
+            assert np.array_equal(act.block(rows, cols), full[np.ix_(rows, cols)])
+        act.apply(f)
+        assert np.array_equal(act.matrix(), full)
+
+    def test_apply_forms_no_matrix(self, name, monkeypatch):
+        def full_assembly(act):
+            raise AssertionError("N x N free-kernel assembly")
+
+        monkeypatch.setattr(M.FreeResolventAction, "matrix", full_assembly)
+        model = action_model(name)
+        act = M.FreeResolventAction(model, 1.3 + 0.2j)
+        act.apply(_samples(model, 1, 0))
+        act.apply(_samples(model, 2, 3))
+        act.evaluate(_samples(model, 3, 0), [-20.0, 0.5, 3.0, 20.0])
 
 
 class TestFactorization:
