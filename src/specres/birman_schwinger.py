@@ -30,6 +30,7 @@ smallest singular value of the full Id + K, which A does not share.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -88,27 +89,30 @@ class SingularBoundaryError(ModelError):
 
 
 def _k_from_action(model, act):
+    """K = sqrt(w) C R0 C W / sqrt(w) on the grid: one multiply of the free
+    kernel by the outer product of the row and column scales, with W in
+    the column scale when it is a multiplication."""
     g = model.grid
-    c = model.c_values
-    # scaled in place: every N x N temporary is fresh memory to page in
-    k = c[:, None] * act.matrix()
-    k *= c[None, :]
-    k = model.right_apply_w(k)
-    k *= g.sqrtw[:, None]
-    k /= g.sqrtw[None, :]
+    rows = model.c_values * g.sqrtw
+    if model.w_sample_matrix is None:
+        return act.matrix() * np.outer(rows, model.c_values * model.w_values / g.sqrtw)
+    k = model.right_apply_w(act.matrix() * np.outer(rows, model.c_values))
+    k /= g.sqrtw
     return k
 
 
 def _k_block(model, act, rows, support):
-    """K[rows, S] from the free-kernel block R0[rows, S] (S the support of W),
-    scaled in the order of ``_k_from_action``, so its entries are the same."""
+    """K[rows, S] (S the support of W) in one pass of ``act.block``, with
+    rows scaled by c sqrt(w) and columns by c W / sqrt(w); a nonlocal W is
+    applied to the block scaled by c, and sqrt(w) divided out after."""
     g = model.grid
     c = model.c_values
-    k = c[rows, None] * act.block(rows, support)
-    k *= c[None, support]
-    k = model.right_apply_w(k, support)
-    k *= g.sqrtw[rows, None]
-    k /= g.sqrtw[None, support]
+    row_scale = c[rows] * g.sqrtw[rows]
+    if model.w_sample_matrix is None:
+        col_scale = c[support] * model.w_values[support] / g.sqrtw[support]
+        return act.block(rows, support, row_scale, col_scale)
+    k = model.right_apply_w(act.block(rows, support, row_scale, c[support]), support)
+    k /= g.sqrtw[support]
     return k
 
 
@@ -132,11 +136,12 @@ class BoundarySystem:
     * ``inverse_columns``: its S columns, which carry all of
       Id - (Id + K)^(-1).
 
-    K_SS and K_TS are assembled from the blocks R0[S, S] and R0[T, S] of the
-    free kernel, and ``action.apply`` applies R0 through panel moments, so
-    the full N x N free kernel is assembled only for ``k``, ``sigma_min``,
-    ``svd`` and ``model.weighted_matrix``; later blocks are then sliced
-    from it.  ``k``, ``sigma_min`` and ``svd`` stay at full order:
+    K_SS and K_TS are each written in one pass by ``action.block`` from
+    the separable factors of the free kernel, pre-scaled by the weights of
+    K, and ``action.apply`` applies R0 through panel moments, so the full
+    N x N free kernel is assembled only for ``k``, ``sigma_min``, ``svd``
+    and ``model.weighted_matrix``; blocks never read it.  ``k``,
+    ``sigma_min`` and ``svd`` stay at full order:
     ``DETECTION_THRESHOLD`` and ``REGULAR_FLOOR`` are calibrated on the
     smallest singular value of the full Id + K, which the reduced block
     does not give.  When S is every node B is empty; when S is empty
@@ -144,6 +149,11 @@ class BoundarySystem:
     On the finite backend K is formed densely and its blocks are sliced
     from it, and the sample-level methods (``w_solve``,
     ``resolvent_apply``) do not exist.
+
+    ``mirror`` is the system at the mirror point, (lam, -/+) for (lam, +/-)
+    and conj z for z.  H0 is real, so its free action is
+    ``action.conjugate()``, which shares this system's evaluation of the
+    free kernel; K, A and the LU of A are its own, because W is complex.
     """
 
     def __init__(self, model, z=None, lam=None, side=None):
@@ -185,6 +195,15 @@ class BoundarySystem:
         if self._k_ts is None:
             self._k_ts = self._k_rows(self.rest)
         return self._k_ts
+
+    def mirror(self):
+        """The system at the mirror point on the conjugate free action."""
+        if self.action is None:
+            return BoundarySystem(self.model, z=self.z.conjugate())
+        other = copy.copy(self)
+        other._lu = other._k_ss = other._k_ts = None
+        other.action = self.action.conjugate()
+        return other
 
     def _a(self):
         return self.k_support() + np.eye(self.support.size)
@@ -426,10 +445,16 @@ def _golden_min(f, a, b, tol):
     return x, f(x)
 
 
+def _sigma_pair(model, lam):
+    """sigma_min(Id + K(lam, +)) and sigma_min(Id + K(lam, -)), the minus
+    side on the mirror of the plus side's free kernel."""
+    plus = BoundarySystem(model, lam=lam, side="+")
+    return plus.sigma_min(), plus.mirror().sigma_min()
+
+
 def classify_point(model, lam, detection_threshold=DETECTION_THRESHOLD):
     """SpectralPointReport at a single admissible lam (no refinement)."""
-    sp = sigma_min(model, lam, "+")
-    sm = sigma_min(model, lam, "-")
+    sp, sm = _sigma_pair(model, lam)
     out = sp < detection_threshold
     inc = sm < detection_threshold
     if out and inc:
@@ -447,8 +472,9 @@ def sigma_profile(model, lam_grid, threads=None):
     """sigma_min(Id + K(lam, +/-)) at every point of a scan grid, by side.
 
     The grid must start on the admissible boundary and end within the
-    energy the model grid resolves.  ``threads`` > 1 spreads the points
-    over a pool of Python threads.
+    energy the model grid resolves.  Both sides of a point are one task,
+    sharing one free kernel; ``threads`` > 1 spreads the points over a pool
+    of Python threads.
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
     for lam in (lam_grid[0], lam_grid[-1]):
@@ -459,15 +485,15 @@ def sigma_profile(model, lam_grid, threads=None):
             f"scan range exceeds grid resolution: lam_max {lam_grid[-1]:.3g} > {limit:.3g}"
         )
 
-    def values_for(side):
-        if threads and threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
+    if threads and threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                return np.array(list(ex.map(lambda l: sigma_min(model, l, side), lam_grid)))
-        return np.array([sigma_min(model, l, side) for l in lam_grid])
-
-    return {"+": values_for("+"), "-": values_for("-")}
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            pairs = list(ex.map(lambda l: _sigma_pair(model, l), lam_grid))
+    else:
+        pairs = [_sigma_pair(model, l) for l in lam_grid]
+    plus, minus = np.array(pairs).T
+    return {"+": plus, "-": minus}
 
 
 def scan_singularities(model, lam_grid, detection_threshold=DETECTION_THRESHOLD,
@@ -477,7 +503,8 @@ def scan_singularities(model, lam_grid, detection_threshold=DETECTION_THRESHOLD,
 
     Local minima of either side falling below ``candidate_floor`` are
     refined by golden-section search to a bracket of width
-    ``refine_width``; refined minima below ``detection_threshold`` are
+    ``refine_width``, over their two neighbouring gaps (over the one gap
+    of a minimum at an end of the grid); refined minima below ``detection_threshold`` are
     reported.  A point singular on both sides is tested for square
     integrability of its resonant state and promoted to
     ``embedded_eigenvalue`` when the outgoing tail amplitude vanishes.
@@ -497,9 +524,11 @@ def classify_minima(model, lam_grid, profile, detection_threshold=DETECTION_THRE
     candidates = []
     for side in ("+", "-"):
         v = profile[side]
-        for i in range(1, len(v) - 1):
-            if v[i] <= v[i - 1] and v[i] <= v[i + 1] and v[i] < candidate_floor:
-                candidates.append((side, lam_grid[i - 1], lam_grid[i + 1]))
+        # a minimum at an end point has one neighbour and brackets one gap
+        for i in range(len(v)):
+            lo, hi = max(i - 1, 0), min(i + 1, len(v) - 1)
+            if lo < hi and v[i] <= v[lo] and v[i] <= v[hi] and v[i] < candidate_floor:
+                candidates.append((side, lam_grid[lo], lam_grid[hi]))
 
     reports = []
     seen = []
@@ -878,9 +907,8 @@ def threshold_equivalence_check(model, detection_threshold=DETECTION_THRESHOLD):
         )
     if model.weight.kind == "power" and model.weight.s <= 1.0:
         raise ModelError("threshold work needs weight exponent s > 1 (sigma > 2)")
-    sp = sigma_min(model, 0.0, "+")
-    sm = sigma_min(model, 0.0, "-")
     rep = classify_point(model, 0.0, detection_threshold)
+    sp, sm = rep.sigma_min_plus, rep.sigma_min_minus
     return {
         "sigma_min_plus": sp,
         "sigma_min_minus": sm,

@@ -185,11 +185,13 @@ def _adaptive(func, a, b, rtol=1e-4, max_depth=12, blowup_scale=None, _depth=0):
 
 
 def _boundary_system(model, lam, side, cache):
-    """The BoundarySystem at (lam, side), shared through ``cache``."""
-    key = (lam, side)
-    if key not in cache:
-        cache[key] = bs.BoundarySystem(model, lam=lam, side=side)
-    return cache[key]
+    """The BoundarySystem at (lam, side), shared through ``cache``; both
+    sides at lam are cached together, the minus side the mirror of the
+    plus side."""
+    if (lam, side) not in cache:
+        plus = bs.BoundarySystem(model, lam=lam, side="+")
+        cache[(lam, "+")], cache[(lam, "-")] = plus, plus.mirror()
+    return cache[(lam, side)]
 
 
 def _correction_pairing(model, lam, side, u, v, cache):
@@ -234,30 +236,38 @@ def spectral_form(model, interval, u, v, f=None, rtol=1e-4, blowup_scale=None,
 def _assert_singularity_free(model, interval, cache, floor=bs.REGULAR_FLOOR, n_probe=24):
     """Refuse an interval on which sigma_min(Id + K) falls below ``floor``.
 
-    sigma_min is probed at ``n_probe`` points per side, and each interior
-    local minimum of a side's probes is refined by golden-section search
-    over its two neighbouring gaps to the scan's width 1e-8.  A minimum at
-    an end probe is not refined.  Every value is kept in ``cache`` (floats,
-    not systems) under ("sigma_min", lam, side).
+    sigma_min is probed at ``n_probe`` points, both sides of a probe from
+    one free kernel, and each interior local minimum of a side's probes is
+    refined by golden-section search over its two neighbouring gaps to the
+    scan's width 1e-8.  A minimum at an end probe is not refined.  Every
+    value is kept in ``cache`` (floats, not systems) under
+    ("sigma_min", lam, side).
     """
     a, b = interval
     lams = np.linspace(max(a, 1e-6), b, n_probe)
-    for side in ("+", "-"):
-        def sigma(lam):
-            key = ("sigma_min", float(lam), side)
-            if key not in cache:
-                cache[key] = bs.sigma_min(model, lam, side)
-            if cache[key] < floor:
-                raise AdmissibilityError(
-                    f"interval [{a}, {b}] is not singularity-free: "
-                    f"sigma_min(Id+K{side}) = {cache[key]:.3e} at lam = {lam:.6g}"
-                )
-            return cache[key]
 
-        vals = [sigma(lam) for lam in lams]
+    def sigma(lam, side):
+        key = ("sigma_min", float(lam), side)
+        if key not in cache:
+            cache[key] = bs.sigma_min(model, lam, side)
+        if cache[key] < floor:
+            raise AdmissibilityError(
+                f"interval [{a}, {b}] is not singularity-free: "
+                f"sigma_min(Id+K{side}) = {cache[key]:.3e} at lam = {lam:.6g}"
+            )
+        return cache[key]
+
+    vals = {"+": [], "-": []}
+    for lam in lams:
+        plus, minus = (("sigma_min", float(lam), side) for side in vals)
+        if plus not in cache or minus not in cache:
+            cache[plus], cache[minus] = bs._sigma_pair(model, lam)
+        for side in vals:
+            vals[side].append(sigma(lam, side))
+    for side, v in vals.items():
         for i in range(1, n_probe - 1):
-            if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]:
-                bs._golden_min(sigma, lams[i - 1], lams[i + 1], 1e-8)
+            if v[i] <= v[i - 1] and v[i] <= v[i + 1]:
+                bs._golden_min(lambda lam: sigma(lam, side), lams[i - 1], lams[i + 1], 1e-8)
 
 
 def stone_form(model, interval, u, v, rtol=1e-4, check_regular=True, cache=None):
@@ -278,9 +288,9 @@ def stone_apply(model, interval, v, rtol=1e-4, points=None):
 
     def vec_integrand(k):
         lam = k * k
+        plus = bs.BoundarySystem(model, lam=lam, side="+")
         pieces = []
-        for side, sgn in (("+", 1.0), ("-", -1.0)):
-            system = bs.BoundarySystem(model, lam=lam, side=side)
+        for system, sgn in ((plus, 1.0), (plus.mirror(), -1.0)):
             _, src = system.resolvent_apply(v)
             pieces.append(sgn * system.action.evaluate(src, pts))
         return -(pieces[0] + pieces[1]) / (2j * math.pi) * 2.0 * k
@@ -419,13 +429,16 @@ def regularized_calculus_form(model, interval, rf, u, v, rtol=1e-4, cache=None):
 
 
 def _batched_forms(model, z, pairs):
-    """F_j(z) = <u_j, R_H(z) v_j> for all test pairs at one complex z."""
-    rhv, _ = bs.BoundarySystem(model, z=z).resolvent_apply(
-        np.stack([v for _, v in pairs], axis=1))
+    """F_j(z) and F_j(conj z), F_j = <u_j, R_H(.) v_j> for all test pairs,
+    from the system at z and its mirror."""
+    system = bs.BoundarySystem(model, z=z)
+    vs = np.stack([v for _, v in pairs], axis=1)
     w = model.grid.weights
-    out = np.empty(len(pairs), dtype=complex)
-    for j, (u, _) in enumerate(pairs):
-        out[j] = np.sum(w * np.conj(u) * rhv[:, j])
+    out = []
+    for s in (system, system.mirror()):
+        rhv, _ = s.resolvent_apply(vs)
+        out.append(np.array([np.sum(w * np.conj(u) * rhv[:, j])
+                             for j, (u, _) in enumerate(pairs)]))
     return out
 
 
@@ -490,10 +503,8 @@ def stone_product_forms(model, interval1, interval2, pairs,
     eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=float)
     results = np.empty((eps_arr.size, len(pairs)), dtype=complex)
     for ie, eps in enumerate(eps_arr):
-        fp = np.stack([_batched_forms(model, complex(x, eps), pairs)
-                       for x in samp.nodes])          # (n_sample, P)
-        fm = np.stack([_batched_forms(model, complex(x, -eps), pairs)
-                       for x in samp.nodes])
+        forms = [_batched_forms(model, complex(x, eps), pairs) for x in samp.nodes]
+        fp, fm = (np.stack(f) for f in zip(*forms))   # (n_sample, P) each
         interp_p = BarycentricInterpolator(samp.nodes, fp)
         interp_m = BarycentricInterpolator(samp.nodes, fm)
         total = np.zeros(len(pairs), dtype=complex)
@@ -768,8 +779,9 @@ def resolution_residual(model, reg, pairs, lam_max=100.0, rtol=1e-4,
 
         def integrand(k):
             lam = k * k
-            plus, _, _ = bs.resolvent_H_apply(model, v, lam=lam, side="+")
-            minus, _, _ = bs.resolvent_H_apply(model, v, lam=lam, side="-")
+            system = bs.BoundarySystem(model, lam=lam, side="+")
+            plus, _ = system.resolvent_apply(v)
+            minus, _ = system.mirror().resolvent_apply(v)
             jump = grid_inner(model, u, plus - minus)
             return complex(reg(lam)) * jump / (2j * math.pi) * 2.0 * k
 

@@ -549,9 +549,13 @@ class FreeResolventAction:
     the panel containing x; the split at x is exact, so the diagonal crease
     of the kernel costs nothing.  ``apply`` and ``evaluate`` run on panel
     moments in O(N n) per vector and never form the N x N matrix; ``block``
-    forms only the entries asked for, and ``matrix`` is the block over all
-    nodes.  All three read one memo of in-panel partial integrals, filled
-    only on the panels asked for.
+    forms only the entries asked for, scaled on both sides if asked, and
+    ``matrix`` is the unscaled block over all nodes.  All three read one
+    memo of in-panel partial integrals, filled only on the panels asked for.
+
+    H0 is real, so the kernel at the mirror wavenumber -conj(k) (lam - i0
+    for lam + i0, conj z for z) is the complex conjugate of this one;
+    ``conjugate`` returns that action without a second kernel evaluation.
     """
 
     def __init__(self, model, k):
@@ -571,6 +575,45 @@ class FreeResolventAction:
         self._matrix = None
         self._left = self._right = None
         self._run = None   # the panels [start, stop) the partials cover
+        self._source = None   # the action this one mirrors, if any
+
+    def conjugate(self):
+        """The action at -conj(k), sharing this one's kernel evaluation.
+
+        The mirror's phi, psi, pref and moment weights are the conjugates of
+        these.  It takes the conjugate of the matrix if it is already
+        assembled, and later reads the conjugates of whatever partials or
+        matrix this action has or computes on its request, so it never
+        evaluates phi or psi on the partial tensors; its blocks are bitwise
+        the conjugates of this action's.  The mirror holds this action, not
+        the other way round, so the pair forms no reference cycle.  The
+        mirror of a mirror is its source."""
+        if self._source is not None:
+            return self._source
+        mirror = object.__new__(FreeResolventAction)
+        mirror.model, mirror.grid, mirror.k = self.model, self.grid, -self.k.conjugate()
+        phi, psi = self.phi, self.psi
+        mirror.phi = lambda t: np.conj(phi(t))
+        mirror.psi = lambda t: np.conj(psi(t))
+        mirror.pref = np.conj(self.pref)
+        for name in ("phi_nodes", "psi_nodes", "phi_w", "psi_w"):
+            setattr(mirror, name, np.conj(getattr(self, name)))
+        mirror._matrix = None if self._matrix is None else np.conj(self._matrix)
+        mirror._left = mirror._right = mirror._run = None
+        mirror._source = self
+        return mirror
+
+    def _fill(self, a, b):
+        """Fill the partials memo on the panels [a, b): contract phi and psi
+        on the partial tensors, or, in a mirror, conjugate the source's."""
+        if self._source is not None:
+            left, right = self._source._partials(a, b)
+            np.conj(left[a:b], out=self._left[a:b])
+            np.conj(right[a:b], out=self._right[a:b])
+            return
+        tl, wbl, tr, wbr = self.grid.partial_tensors()
+        self._left[a:b] = _contract(self.phi(tl[a:b]), wbl[a:b])
+        self._right[a:b] = _contract(self.psi(tr[a:b]), wbr[a:b])
 
     def _partials(self, start, stop):
         """The in-panel partial integrals left[p, i, m] = int_{a_p}^{x_i}
@@ -585,47 +628,55 @@ class FreeResolventAction:
         lo, hi = self._run
         for a, b in ((min(start, lo), lo), (hi, max(stop, hi))):
             if a < b:
-                tl, wbl, tr, wbr = g.partial_tensors()
-                self._left[a:b] = _contract(self.phi(tl[a:b]), wbl[a:b])
-                self._right[a:b] = _contract(self.psi(tr[a:b]), wbr[a:b])
+                self._fill(a, b)
         self._run = (min(start, lo), max(stop, hi))
         return self._left, self._right
 
     def matrix(self):
-        """Dense sample-to-sample matrix of the action (includes weights)."""
+        """Dense sample-to-sample matrix of the action (includes weights);
+        a mirror conjugates its source's."""
         if self._matrix is None:
-            idx = np.arange(self.grid.size)
-            self._matrix = self.block(idx, idx)
+            if self._source is not None:
+                self._matrix = np.conj(self._source.matrix())
+            else:
+                idx = np.arange(self.grid.size)
+                self._matrix = self.block(idx, idx)
         return self._matrix
 
-    def block(self, rows, cols):
-        """The block matrix()[rows, cols] for increasing index arrays rows
-        and cols (sliced from the full matrix once that is assembled).
+    def block(self, rows, cols, row_scale=None, col_scale=None):
+        """diag(row_scale) matrix()[rows, cols] diag(col_scale) for
+        increasing index arrays rows and cols (a scale left out is 1).
 
         For the rows in panel q, sources in panels left of q give
-        psi(x_i) phi_w[j] and sources right of q give phi(x_i) psi_w[j];
-        sources inside q use the partial integrals, needed only on the run
-        of panels that rows and cols share.
+        psi(x_i) phi_w[j] and sources right of q give phi(x_i) psi_w[j]:
+        one outer product of the pre-scaled factors, and a second one
+        written where the source panel lies right of the row panel.
+        Sources inside q read the partial integrals, needed only on the run
+        of panels that rows and cols share, in one gather.  The pass never
+        reads the memoized matrix, so each entry has the same bits whatever
+        else has been assembled.
         """
-        if self._matrix is not None:
-            return self._matrix[np.ix_(rows, cols)]
         g = self.grid
+        psi_r = self.pref * self.psi_nodes[rows]
+        phi_r = self.pref * self.phi_nodes[rows]
+        phi_c, psi_c = self.phi_w[cols], self.psi_w[cols]
+        if row_scale is not None:
+            psi_r *= row_scale
+            phi_r *= row_scale
+        if col_scale is not None:
+            phi_c = phi_c * col_scale
+            psi_c = psi_c * col_scale
         row_panel, col_panel = g.panel_index[rows], g.panel_index[cols]
-        shared = np.intersect1d(row_panel, col_panel)
-        if shared.size:
-            left, right = self._partials(shared[0], shared[-1] + 1)
-        out = np.empty((rows.size, cols.size), dtype=complex)
-        for q in np.unique(row_panel):
-            r = slice(*np.searchsorted(row_panel, (q, q + 1)))
-            c0, c1 = np.searchsorted(col_panel, (q, q + 1))   # cols in panel q
-            i = rows[r]
-            np.multiply.outer(self.psi_nodes[i], self.phi_w[cols[:c0]], out=out[r, :c0])
-            np.multiply.outer(self.phi_nodes[i], self.psi_w[cols[c1:]], out=out[r, c1:])
-            if c1 > c0:
-                li, lj = np.ix_(i - q * g.n, cols[c0:c1] - q * g.n)
-                out[r, c0:c1] = (self.psi_nodes[i, None] * left[q][li, lj]
-                                 + self.phi_nodes[i, None] * right[q][li, lj])
-        out *= self.pref
+        out = np.multiply.outer(psi_r, phi_c)
+        np.multiply.outer(phi_r, psi_c, out=out,
+                          where=col_panel[None, :] > row_panel[:, None])
+        i, j = np.nonzero(col_panel[None, :] == row_panel[:, None])
+        if i.size:
+            q = row_panel[i]
+            left, right = self._partials(q[0], q[-1] + 1)   # q is sorted
+            li, lj = rows[i] - q * g.n, cols[j] - q * g.n
+            inside = psi_r[i] * left[q, li, lj] + phi_r[i] * right[q, li, lj]
+            out[i, j] = inside if col_scale is None else inside * col_scale[j]
         return out
 
     def _moments(self, samples):
@@ -855,8 +906,7 @@ def kato_smoothness_check(model, u_samples, k_max=8.0, n_k=240, c0_estimate=None
         plus = FreeResolventAction(model, boundary_wavenumber(lam, "+"))
         f = plus.apply(u)
         wplus = float(g.weights @ (model.c_values**2 * np.abs(f) ** 2))
-        minus = FreeResolventAction(model, boundary_wavenumber(lam, "-"))
-        fm = minus.apply(u)
+        fm = plus.conjugate().apply(u)
         wminus = float(g.weights @ (model.c_values**2 * np.abs(fm) ** 2))
         vals[i] = (wplus + wminus) * 2.0 * k  # dl = 2k dk
     total = float(rule.weights @ vals)

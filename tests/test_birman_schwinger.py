@@ -134,6 +134,18 @@ class TestScan:
         for side in ("+", "-"):
             assert np.array_equal(threaded[side], serial[side])
 
+    def test_minima_at_the_ends_of_the_grid_are_refined(self):
+        # the zero at 24.96 lies in the last gap of one grid and in the
+        # first gap of the other, where the end point is the profile minimum
+        model = M.radial_model(M.square_well(F.tune_outgoing_resonance(24.96)))
+        for grid, end in ((np.linspace(24.5, 25.0, 6), -1), (np.linspace(24.955, 25.3, 6), 0)):
+            profile = BS.sigma_profile(model, grid)
+            assert np.argmin(profile["+"]) == end % grid.size
+            assert profile["+"][end] < BS.REGULAR_FLOOR
+            reports = BS.classify_minima(model, grid, profile)
+            assert [r.kind for r in reports] == ["outgoing_singularity"]
+            assert abs(reports[0].lam - 24.96) <= 1e-6
+
     def test_fredholm_consistency(self, tuned_well):
         # |det(Id+K)| and sigma_min vanish at the same refined location
         model, _ = tuned_well
@@ -497,3 +509,46 @@ class TestSupportReduction:
         BS.log_det(model, z=-0.4 - 2.2j)
         # the left and the right partials, each over the panels of S once
         assert contracted == [support_panels.size] * 2
+
+
+MIRROR_CASES = [(name, point) for name in sorted(SYLVESTER_CASES)
+                for point in ({"z": 3.0 + 0.7j}, {"z": -1.5 - 2.0j},
+                              {"lam": 2.0, "side": "+"}, {"lam": 5.5, "side": "-"})
+                if "z" in point or name != "finite"]
+
+
+@pytest.mark.parametrize("name, point", MIRROR_CASES)
+def test_mirror_system_matches_a_fresh_system(name, point):
+    # the other side, or conj z, on the conjugate free action: its own K and LU
+    model = sylvester_model(name)
+    if "z" in point:
+        other = {"z": np.conj(point["z"])}
+    else:
+        other = {"lam": point["lam"], "side": "-" if point["side"] == "+" else "+"}
+    system = BS.BoundarySystem(model, **point)
+    system.sigma_min()   # the free kernel exists before the mirror is made
+    mirror, fresh = system.mirror(), BS.BoundarySystem(model, **other)
+    assert abs(mirror.sigma_min() - fresh.sigma_min()) <= 1e-12 * fresh.sigma_min()
+    (value, phase), (ref_value, ref_phase) = mirror.log_det(), fresh.log_det()
+    assert abs(value - ref_value) <= 1e-12 * max(1.0, abs(ref_value))
+    assert abs(phase - ref_phase) <= 1e-12
+    if model.backend == "finite":
+        return
+    v = M.GaussianBump(center=1.2, width=0.6)(model.grid.nodes) + 0.3j
+    assert _rel(mirror.w_solve(v), fresh.w_solve(v)) <= 1e-12
+    assert np.array_equal(mirror.action.matrix(), np.conj(system.action.matrix()))
+
+
+@pytest.mark.parametrize("name", ["radial_well", "line_well", "gaussian_bump", "rank_one"])
+@pytest.mark.parametrize("point", [{"z": 3.0 + 0.7j}, {"lam": 2.0, "side": "-"}])
+def test_k_blocks_are_slices_of_the_full_k(name, point):
+    # one pass of the scaled block (W in the column scale, or applied after
+    # for the nonlocal W of rank_one) against the full K of _k_from_action
+    model = sylvester_model(name)
+    system = BS.BoundarySystem(model, **point)
+    k = system.k
+    s, t = system.support, system.rest
+    assert _rel(system.k_support(), k[np.ix_(s, s)]) <= 1e-14
+    if t.size:
+        assert _rel(BS._k_block(model, system.action, t, s), k[np.ix_(t, s)]) <= 1e-14
+    assert not k[:, t].any()

@@ -468,6 +468,25 @@ class TestAssemblyCounts:
         assert assemblies == []
         assert second == first
 
+    def test_sigma_profile_assembles_one_kernel_per_point(self, small_well, monkeypatch):
+        # the minus side of each point reads the conjugate of the plus side's
+        # free kernel
+        assemblies = []
+        original = M.FreeResolventAction.matrix
+
+        def counting_matrix(act):
+            if act._matrix is None:
+                assemblies.append(act.k)
+            return original(act)
+
+        monkeypatch.setattr(M.FreeResolventAction, "matrix", counting_matrix)
+        grid = np.linspace(0.5, 4.0, 7)
+        profile = BS.sigma_profile(small_well, grid)
+        assert len(assemblies) == grid.size
+        for side in ("+", "-"):
+            assert np.allclose(profile[side], [BS.sigma_min(small_well, lam, side)
+                                               for lam in grid], rtol=1e-12, atol=0.0)
+
     def test_singularity_probe_reuses_the_cache(self, small_well, monkeypatch):
         u, v = pair_for(small_well)
         cache = {}

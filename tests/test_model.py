@@ -191,6 +191,17 @@ class TestPanelMomentApply:
         act.apply(f)
         assert np.array_equal(act.matrix(), full)
 
+    @pytest.mark.parametrize("k", [1.7, -0.4 + 2.0j])
+    def test_scaled_block_is_the_scaled_slice(self, name, k):
+        model = action_model(name)
+        act = M.FreeResolventAction(model, k)
+        rng = np.random.default_rng(3)
+        idx = np.arange(model.size)
+        rows, cols = idx[30:], idx[10:90]
+        r, c = rng.random(rows.size) + 0.5, rng.random(cols.size) + 0.5j
+        scaled = r[:, None] * act.block(rows, cols) * c[None, :]
+        assert _normwise(act.block(rows, cols, r, c), scaled) <= 1e-15
+
     def test_apply_forms_no_matrix(self, name, monkeypatch):
         def full_assembly(act):
             raise AssertionError("N x N free-kernel assembly")
@@ -201,6 +212,68 @@ class TestPanelMomentApply:
         act.apply(_samples(model, 1, 0))
         act.apply(_samples(model, 2, 3))
         act.evaluate(_samples(model, 3, 0), [-20.0, 0.5, 3.0, 20.0])
+
+
+def _outputs(act, samples, rows, cols, points):
+    """Every kind of output of an action, in a fixed order."""
+    return (act.apply(samples), act.block(rows, cols), act.matrix(),
+            act.evaluate(samples[:, 0], points))
+
+
+@pytest.mark.parametrize("name", sorted(ACTION_MODELS))
+class TestMirrorAction:
+    """``conjugate`` is the action at -conj(k), from its source's kernel evaluation."""
+
+    @action_settings
+    @given(k=wavenumbers, seed=st.integers(0, 2**32 - 1),
+           filled=st.sampled_from(["before", "after", "by_mirror"]))
+    def test_conjugate_is_the_action_at_the_mirror_wavenumber(self, name, k, seed, filled):
+        model = action_model(name)
+        assume(k != 0 or model.backend == "radial")
+        f = _samples(model, seed, 2)
+        idx = np.arange(model.size)
+        rows, cols = idx[20:70], idx[60:150]
+        points = [model.grid.lo - 1.0, 0.5, 3.0, model.grid.hi + 1.0]
+        source = M.FreeResolventAction(model, k)
+        if filled == "before":   # partials and matrix exist when the mirror is made
+            source.apply(f)
+            source.matrix()
+        mirror = source.conjugate()
+        if filled == "after":    # the source fills its memo once the mirror exists
+            source.block(rows, cols)
+            source.matrix()
+        fresh = M.FreeResolventAction(model, -np.conj(k))
+        assert mirror.k == fresh.k and mirror.conjugate() is source
+        for got, want in zip(_outputs(mirror, f, rows, cols, points),
+                             _outputs(fresh, f, rows, cols, points)):
+            assert got.shape == want.shape
+            assert _normwise(got, want) <= 1e-14
+        # what the mirror asked of its source (by_mirror: everything) leaves it exact
+        unmirrored = M.FreeResolventAction(model, k)
+        for got, want in zip(_outputs(source, f, rows, cols, points),
+                             _outputs(unmirrored, f, rows, cols, points)):
+            assert _normwise(got, want) <= 1e-14
+
+    def test_the_pair_evaluates_the_kernel_once(self, name, monkeypatch):
+        contracted = []
+        contract = M._contract
+
+        def counting_contract(values, weights):
+            contracted.append(values.shape[0])
+            return contract(values, weights)
+
+        monkeypatch.setattr(M, "_contract", counting_contract)
+        model = action_model(name)
+        source = M.FreeResolventAction(model, 1.3 + 0.2j)
+        mirror = source.conjugate()
+        mirror.apply(_samples(model, 1, 0))
+        source.apply(_samples(model, 2, 0))
+        full = source.matrix()
+        # the left and right partials over every panel, computed by the source
+        assert contracted == [model.grid.npanels] * 2
+        assert np.array_equal(mirror.matrix(), np.conj(full))
+        assert np.array_equal(mirror.block(np.arange(9), np.arange(5, 40)),
+                              np.conj(full[:9, 5:40]))
 
 
 class TestFactorization:

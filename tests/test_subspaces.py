@@ -170,6 +170,35 @@ class TestACCertificates:
         assert cert.c_u > 0
         assert cert.terms["third_plus"] > 0
 
+    def test_witness_pairing_matches_the_node_by_node_loop(self, small_well):
+        # the certificate pairs each witness with every jump term in one
+        # product; the reference pairs them one term and one node at a time
+        g = small_well.grid
+        w = M.GaussianBump(center=3.0, width=0.5)(g.nodes)
+        witnesses = [M.GaussianBump(center=c, width=0.6)(g.nodes) for c in (2.0, 3.5)]
+        cert = S.ac_certificate(small_well, w=w, witnesses=witnesses)
+        rule = gauss_legendre(cert.diagnostics["n_k"], 1e-3,
+                              math.sqrt(cert.diagnostics["lam_max"]))
+        cw = small_well.c_values * w
+        names = ["free", "second_minus", "second_plus", "third_minus", "third_plus"]
+        rows = [S._jump_terms(small_well, k * k, cw) for k in rule.nodes]
+        values, terms = [], dict.fromkeys(names, 0.0)
+        for v in witnesses:
+            nv2 = abs(C.grid_inner(small_well, v, v))
+            total, per_term = 0.0, dict.fromkeys(names, 0.0)
+            for k, wk, row in zip(rule.nodes, rule.weights, rows):
+                pairs = [C.grid_inner(small_well, t, v) for t in row]
+                wgt = wk * 2.0 * k / (2.0 * math.pi)
+                total += wgt * abs(sum(pairs)) ** 2
+                for name, p in zip(names, pairs):
+                    per_term[name] += wgt * abs(p) ** 2
+            values.append(total / nv2)
+            for name in names:
+                terms[name] = max(terms[name], per_term[name] / nv2)
+        assert cert.witness_values == pytest.approx(values, rel=1e-12)
+        for name in names:
+            assert cert.terms[name] == pytest.approx(terms[name], rel=1e-12)
+
 
 class TestACEquality:
     def test_diag_model_all_refused(self):
