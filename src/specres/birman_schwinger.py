@@ -77,6 +77,12 @@ DETECTION_THRESHOLD = 1e-4
 #: sigma_min floor certifying a regular point (quadrature-noise margin)
 REGULAR_FLOOR = 1e-2
 
+#: width of the golden-section bracket to which a candidate minimum is refined
+REFINE_WIDTH = 1e-8
+
+#: refined minima closer than this are one singularity, reported once
+MERGE_WIDTH = 10 * REFINE_WIDTH
+
 
 class SingularBoundaryError(ModelError):
     """Id + K is numerically singular: lam sits at (or next to) a
@@ -496,28 +502,29 @@ def sigma_profile(model, lam_grid, threads=None):
     return {"+": plus, "-": minus}
 
 
-def scan_singularities(model, lam_grid, detection_threshold=DETECTION_THRESHOLD,
-                       refine_width=1e-8, estimate_orders=False, threads=None,
-                       candidate_floor=REGULAR_FLOOR):
+def scan_singularities(model, lam_grid, detection_threshold=DETECTION_THRESHOLD):
     """Scan sigma_min(Id + K(lam, +/-)) and classify refined minima.
 
-    Local minima of either side falling below ``candidate_floor`` are
+    Local minima of either side falling below ``REGULAR_FLOOR`` are
     refined by golden-section search to a bracket of width
-    ``refine_width``, over their two neighbouring gaps (over the one gap
-    of a minimum at an end of the grid); refined minima below ``detection_threshold`` are
-    reported.  A point singular on both sides is tested for square
-    integrability of its resonant state and promoted to
+    ``REFINE_WIDTH``, over their two neighbouring gaps (over the one gap
+    of a minimum at an end of the grid); refined minima below
+    ``detection_threshold`` are reported.  Refined minima closer than
+    ``MERGE_WIDTH`` (1e-7) are one singularity: two distinct singularities
+    closer than that are reported once.  A point singular on both sides is
+    tested for square integrability of its resonant state and promoted to
     ``embedded_eigenvalue`` when the outgoing tail amplitude vanishes.
+    ``classify_minima`` classifies a ``sigma_profile`` the caller computed
+    (with a thread pool, say), and estimates orders on request.
     """
-    return classify_minima(model, lam_grid, sigma_profile(model, lam_grid, threads),
-                           detection_threshold, refine_width, estimate_orders,
-                           candidate_floor)
+    return classify_minima(model, lam_grid, sigma_profile(model, lam_grid),
+                           detection_threshold)
 
 
 def classify_minima(model, lam_grid, profile, detection_threshold=DETECTION_THRESHOLD,
-                    refine_width=1e-8, estimate_orders=False,
-                    candidate_floor=REGULAR_FLOOR):
-    """The reports of ``scan_singularities`` from a ``sigma_profile`` result."""
+                    estimate_orders=False):
+    """The reports of ``scan_singularities`` from a ``sigma_profile`` result;
+    refined minima closer than ``MERGE_WIDTH`` (1e-7) merge into one."""
     if not (0 < detection_threshold < 0.5):
         raise ModelError("detection threshold must lie in (0, 0.5)")
     lam_grid = np.asarray(lam_grid, dtype=float)
@@ -527,16 +534,16 @@ def classify_minima(model, lam_grid, profile, detection_threshold=DETECTION_THRE
         # a minimum at an end point has one neighbour and brackets one gap
         for i in range(len(v)):
             lo, hi = max(i - 1, 0), min(i + 1, len(v) - 1)
-            if lo < hi and v[i] <= v[lo] and v[i] <= v[hi] and v[i] < candidate_floor:
+            if lo < hi and v[i] <= v[lo] and v[i] <= v[hi] and v[i] < REGULAR_FLOOR:
                 candidates.append((side, lam_grid[lo], lam_grid[hi]))
 
     reports = []
     seen = []
     for side, a, b in candidates:
-        lam_star, val = _golden_min(lambda l: sigma_min(model, l, side), a, b, refine_width)
+        lam_star, val = _golden_min(lambda l: sigma_min(model, l, side), a, b, REFINE_WIDTH)
         if val >= detection_threshold:
             continue
-        if any(abs(lam_star - s) < 10 * refine_width for s in seen):
+        if any(abs(lam_star - s) < MERGE_WIDTH for s in seen):
             continue
         seen.append(lam_star)
         rep = classify_point(model, lam_star, detection_threshold)
@@ -673,7 +680,7 @@ def _tail_fit(model, act, source):
     return a, rel
 
 
-def embedded_eigenvalue_test(state, amp_tol=1e-6):
+def embedded_eigenvalue_test(state):
     """'eigenvalue' when the outgoing tail amplitude vanishes (state in L2),
     'resonance' otherwise."""
     scale = state.psi_norm
@@ -681,12 +688,13 @@ def embedded_eigenvalue_test(state, amp_tol=1e-6):
         raise ModelError("degenerate resonant state")
     if state.lam < 0:
         return "eigenvalue"  # resolvent-set kernel: the tail decays by construction
-    if state.tail_fit_relerr > 0.5 and abs(state.tail_amplitude) > amp_tol * scale:
+    vanishes = abs(state.tail_amplitude) <= 1e-6 * scale
+    if state.tail_fit_relerr > 0.5 and not vanishes:
         raise ModelError(
             f"tail fit failed (relative misfit {state.tail_fit_relerr:.2f}); "
             "grid too short to classify"
         )
-    return "eigenvalue" if abs(state.tail_amplitude) <= amp_tol * scale else "resonance"
+    return "eigenvalue" if vanishes else "resonance"
 
 
 # ---------------------------------------------------------------------------
@@ -722,8 +730,7 @@ def adjoint_consistency(model, lam):
     }
 
 
-def dissipative_audit(model, lam_range=(1e-3, 25.0), n_grid=300,
-                      detection_threshold=DETECTION_THRESHOLD):
+def dissipative_audit(model, lam_range=(1e-3, 25.0), n_grid=300):
     """Dissipative structure checks (requires W2 >= 0).
 
     Continuum: (a) the outgoing scan of H is empty whenever the outgoing
@@ -759,13 +766,13 @@ def dissipative_audit(model, lam_range=(1e-3, 25.0), n_grid=300,
     grid_lam = np.linspace(lam_range[0], lam_range[1], n_grid)
     profile = sigma_profile(model, grid_lam)
     report["outgoing_sigma_min"] = float(profile["+"].min())
-    out_scan = classify_minima(model, grid_lam, profile, detection_threshold)
+    out_scan = classify_minima(model, grid_lam, profile)
     outgoing = [r for r in out_scan
                 if r.kind in ("outgoing_singularity", "both", "embedded_eigenvalue")]
     report["outgoing_detected"] = [r.as_record() for r in outgoing]
 
     sa_model = _self_adjoint_part(model)
-    sa_scan = scan_singularities(sa_model, grid_lam, detection_threshold)
+    sa_scan = scan_singularities(sa_model, grid_lam)
     sa_out = [r for r in sa_scan
               if r.kind in ("outgoing_singularity", "both", "embedded_eigenvalue")]
     report["self_adjoint_outgoing_detected"] = [r.as_record() for r in sa_out]
@@ -775,7 +782,7 @@ def dissipative_audit(model, lam_range=(1e-3, 25.0), n_grid=300,
         raise ModelError("W2 ratios are implemented for multiplication W only")
     w2_ratios = []
     for r in incoming:
-        st = r.state or resonant_state(model, r.lam, "-", detection_threshold)
+        st = r.state or resonant_state(model, r.lam, "-")
         w2_vec = (-model.w_values.imag) * st.phi
         g = model.grid
         num = math.sqrt(float(g.weights @ np.abs(w2_vec) ** 2))
@@ -840,7 +847,7 @@ class BoundsReport:
     identity_relative_error: float
 
 
-def epsilon_bounds_check(model, lam, eps_samples, profile=None):
+def epsilon_bounds_check(model, lam, eps_samples):
     """Power-law bounds of the resolvent near the boundary.
 
     Fits the eps-exponents of ||R0(lam + i eps) C|| (expected 1/2 on the
@@ -848,7 +855,7 @@ def epsilon_bounds_check(model, lam, eps_samples, profile=None):
     R_H(lam +/- i eps) (expected <= 1), and verifies the exact norm
     identity ||R0(lam + i eps) C u||^2 = Im <u, C R0(lam + i eps) C u>/eps
     with both sides computed along independent paths (tail-corrected
-    L2 norm vs weighted pairing).
+    L2 norm vs weighted pairing) for a fixed Gaussian u.
     """
     from .model import GaussianBump
 
@@ -856,10 +863,8 @@ def epsilon_bounds_check(model, lam, eps_samples, profile=None):
     if eps_samples.size < 4:
         raise ModelError("need at least 4 eps samples")
     g = model.grid
-    if profile is None:
-        mid = 0.5 * (g.lo + g.hi)
-        profile = GaussianBump(center=mid if model.backend == "line1d" else 3.0, width=0.5)
-    u = profile(g.nodes)
+    mid = 0.5 * (g.lo + g.hi)
+    u = GaussianBump(center=mid if model.backend == "line1d" else 3.0, width=0.5)(g.nodes)
 
     r0c_norms, rh_norms = [], []
     id_err = 0.0
@@ -894,7 +899,7 @@ def epsilon_bounds_check(model, lam, eps_samples, profile=None):
     )
 
 
-def threshold_equivalence_check(model, detection_threshold=DETECTION_THRESHOLD):
+def threshold_equivalence_check(model):
     """At the radial threshold lam = 0 the two sides coincide.
 
     The zero-energy kernel min(r, r') is real, so K+(0) = K-(0) exactly and
@@ -907,7 +912,7 @@ def threshold_equivalence_check(model, detection_threshold=DETECTION_THRESHOLD):
         )
     if model.weight.kind == "power" and model.weight.s <= 1.0:
         raise ModelError("threshold work needs weight exponent s > 1 (sigma > 2)")
-    rep = classify_point(model, 0.0, detection_threshold)
+    rep = classify_point(model, 0.0)
     sp, sm = rep.sigma_min_plus, rep.sigma_min_minus
     return {
         "sigma_min_plus": sp,
@@ -929,7 +934,7 @@ def _logdet_derivative(model, z):
 
 
 def locate_eigenvalues(model, re_range=(-10.0, 30.0), im_range=(-6.0, 6.0),
-                       n_re=24, n_im=13, newton_tol=1e-11, max_newton=40):
+                       n_re=24, n_im=13):
     """Eigenvalues of H off the essential spectrum, det(Id + K(z)) = 0.
 
     Seeds come from local minima of log|det| on a coarse rectangular grid
@@ -955,13 +960,13 @@ def locate_eigenvalues(model, re_range=(-10.0, 30.0), im_range=(-6.0, 6.0),
     for z in seeds:
         zn = z
         ok = False
-        for _ in range(max_newton):
+        for _ in range(40):
             d = _logdet_derivative(model, zn)
             if d == 0:
                 break
             step = -1.0 / d
             zn = zn + step
-            if abs(step) < newton_tol * max(1.0, abs(zn)):
+            if abs(step) < 1e-11 * max(1.0, abs(zn)):
                 ok = True
                 break
         if not ok or not (re_range[0] - 1 < zn.real < re_range[1] + 1):

@@ -1,20 +1,17 @@
 """Spectral projections and the (regularized) functional calculus.
 
-Forms on continuum backends are evaluated along two independent routes:
-
-* a boundary-exact route using the factorized representation
+Forms on continuum backends are evaluated by a boundary-exact route using
+the factorized representation
 
       1_I(H) = 1_I(H0) - (1/2 pi i) int_I [ R0(l+i0) C W (Id+K+)^(-1) C R0(l+i0)
                                           - R0(l-i0) C W (Id+K-)^(-1) C R0(l-i0) ] dl
 
-  whose free term is the explicit spectral measure of H0 and whose
-  correction term is localized on the support of W (so compactly
-  supported test vectors never see a grid truncation);
-
-* a direct route that evaluates the smoothed Stone integral at finite
-  eps through resolvent applications at complex energies, followed by
-  extrapolation (the eps -> 0 error carries an eps*log(eps) term from the
-  interval endpoints, so the extrapolation basis includes it).
+whose free term is the explicit spectral measure of H0 and whose
+correction term is localized on the support of W (so compactly supported
+test vectors never see a grid truncation).  The independent direct route,
+the smoothed Stone integral at finite eps through resolvent applications
+at complex energies followed by extrapolation to eps = 0, is the check
+that ``specres verify`` (suite ``stone``) and the tests run against it.
 
 Products of two spectral projections reduce, via the first resolvent
 identity R_H(z) R_H(z') = (R_H(z) - R_H(z'))/(z - z'), to scalar samples
@@ -61,6 +58,11 @@ __all__ = [
     "resolution_residual",
     "dunford_contour_check",
 ]
+
+
+#: largest condition number of the J-bilinear Gram matrix phi^T phi of an
+#: eigenspace basis for which J-orthonormalization is trusted
+J_GRAM_CONDITION_MAX = 1e8
 
 
 class IntegrandBlowupError(ModelError):
@@ -121,28 +123,22 @@ def free_form(model, interval, u, v, f=None, n_k=None):
     return complex((1.0 / (2.0 * math.pi)) * (rule.weights @ vals))
 
 
-def free_apply(model, interval, v, f=None, n_k=None, points=None):
-    """[f 1_I](H0) v sampled on the grid (or at given points)."""
+def free_apply(model, interval, v):
+    """1_I(H0) v sampled on the grid."""
     a, b = interval
     ka, kb = math.sqrt(max(a, 0.0)), math.sqrt(max(b, 0.0))
-    pts = model.grid.nodes if points is None else np.asarray(points, dtype=float)
+    pts = model.grid.nodes
     if kb <= ka:
         return np.zeros(pts.shape, dtype=complex)
-    n_k = n_k or max(64, int(40 * (kb - ka)))
-    rule = gauss_legendre(n_k, ka, kb)
+    rule = gauss_legendre(max(64, int(40 * (kb - ka))), ka, kb)
     tv = mode_transform(model, v, rule.nodes)
-    fw = np.ones(rule.nodes.size, dtype=complex)
-    if f is not None:
-        fw = np.asarray([f(k * k) for k in rule.nodes], dtype=complex)
     if model.backend == "radial":
         basis = np.sin(np.outer(rule.nodes, pts))
-        return (2.0 / math.pi) * ((rule.weights * fw * tv) @ basis)
+        return (2.0 / math.pi) * ((rule.weights * tv) @ basis)
     plus = np.exp(1j * np.outer(rule.nodes, pts))
     minus = np.exp(-1j * np.outer(rule.nodes, pts))
-    amp = rule.weights * fw
-    return (1.0 / (2.0 * math.pi)) * (
-        (amp * tv[:, 0]) @ plus + (amp * tv[:, 1]) @ minus
-    )
+    w = rule.weights
+    return (1.0 / (2.0 * math.pi)) * ((w * tv[:, 0]) @ plus + (w * tv[:, 1]) @ minus)
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +205,7 @@ def _correction_pairing(model, lam, side, u, v, cache):
     return complex(np.sum(model.grid.weights * np.conj(left) * wsol))
 
 
-def spectral_form(model, interval, u, v, f=None, rtol=1e-4, blowup_scale=None,
-                  cache=None):
+def spectral_form(model, interval, u, v, f=None, blowup_scale=None, cache=None):
     """<u, [f 1_I](H) v> by the boundary-exact representation."""
     a, b = interval
     if not (a < b):
@@ -229,28 +224,29 @@ def spectral_form(model, interval, u, v, f=None, rtol=1e-4, blowup_scale=None,
         return -fval(lam) * (tp - tm) / (2j * math.pi) * 2.0 * k
 
     ka, kb = math.sqrt(max(a, 0.0)), math.sqrt(b)
-    corr = _adaptive(integrand, ka, kb, rtol=rtol, blowup_scale=blowup_scale)
+    corr = _adaptive(integrand, ka, kb, blowup_scale=blowup_scale)
     return free + complex(corr)
 
 
-def _assert_singularity_free(model, interval, cache, floor=bs.REGULAR_FLOOR, n_probe=24):
-    """Refuse an interval on which sigma_min(Id + K) falls below ``floor``.
+def _assert_singularity_free(model, interval, cache):
+    """Refuse an interval on which sigma_min(Id + K) falls below
+    ``bs.REGULAR_FLOOR``.
 
-    sigma_min is probed at ``n_probe`` points, both sides of a probe from
-    one free kernel, and each interior local minimum of a side's probes is
-    refined by golden-section search over its two neighbouring gaps to the
-    scan's width 1e-8.  A minimum at an end probe is not refined.  Every
-    value is kept in ``cache`` (floats, not systems) under
+    sigma_min is probed at equispaced points, both sides of a probe from one
+    free kernel, and each interior local minimum of a side's probes is refined
+    by golden-section search over its two neighbouring gaps to the scan's
+    width ``bs.REFINE_WIDTH``.  A minimum at an end probe is not refined.
+    Every value is kept in ``cache`` (floats, not systems) under
     ("sigma_min", lam, side).
     """
     a, b = interval
-    lams = np.linspace(max(a, 1e-6), b, n_probe)
+    lams = np.linspace(max(a, 1e-6), b, 24)
 
     def sigma(lam, side):
         key = ("sigma_min", float(lam), side)
         if key not in cache:
             cache[key] = bs.sigma_min(model, lam, side)
-        if cache[key] < floor:
+        if cache[key] < bs.REGULAR_FLOOR:
             raise AdmissibilityError(
                 f"interval [{a}, {b}] is not singularity-free: "
                 f"sigma_min(Id+K{side}) = {cache[key]:.3e} at lam = {lam:.6g}"
@@ -265,24 +261,22 @@ def _assert_singularity_free(model, interval, cache, floor=bs.REGULAR_FLOOR, n_p
         for side in vals:
             vals[side].append(sigma(lam, side))
     for side, v in vals.items():
-        for i in range(1, n_probe - 1):
+        for i in range(1, len(lams) - 1):
             if v[i] <= v[i - 1] and v[i] <= v[i + 1]:
-                bs._golden_min(lambda lam: sigma(lam, side), lams[i - 1], lams[i + 1], 1e-8)
+                bs._golden_min(lambda lam: sigma(lam, side), lams[i - 1], lams[i + 1],
+                               bs.REFINE_WIDTH)
 
 
-def stone_form(model, interval, u, v, rtol=1e-4, check_regular=True, cache=None):
+def stone_form(model, interval, u, v, check_regular=True, cache=None):
     """<u, 1_I(H) v> for a closed singularity-free interval."""
-    cache = {} if cache is None else cache
-    if check_regular and not model.w_is_zero:
-        _assert_singularity_free(model, interval, cache)
-    return spectral_form(model, interval, u, v, f=None, rtol=rtol, cache=cache)
+    return functional_calculus_form(model, interval, None, u, v, check_regular, cache)
 
 
-def stone_apply(model, interval, v, rtol=1e-4, points=None):
-    """1_I(H) v sampled on the grid (or at arbitrary points)."""
+def stone_apply(model, interval, v):
+    """1_I(H) v sampled on the grid."""
     a, b = interval
-    pts = model.grid.nodes if points is None else np.asarray(points, dtype=float)
-    out = free_apply(model, interval, v, points=points)
+    pts = model.grid.nodes
+    out = free_apply(model, interval, v)
     if model.w_is_zero:
         return out
 
@@ -295,17 +289,16 @@ def stone_apply(model, interval, v, rtol=1e-4, points=None):
             pieces.append(sgn * system.action.evaluate(src, pts))
         return -(pieces[0] + pieces[1]) / (2j * math.pi) * 2.0 * k
 
-    corr = _adaptive(vec_integrand, math.sqrt(max(a, 0.0)), math.sqrt(b), rtol=rtol)
+    corr = _adaptive(vec_integrand, math.sqrt(max(a, 0.0)), math.sqrt(b))
     return out + corr
 
 
-def functional_calculus_form(model, interval, f, u, v, rtol=1e-4,
-                             check_regular=True, cache=None):
-    """<u, f(H) 1_I v> for bounded continuous f on I."""
+def functional_calculus_form(model, interval, f, u, v, check_regular=True, cache=None):
+    """<u, f(H) 1_I v> for bounded continuous f on I (f = None: 1_I)."""
     cache = {} if cache is None else cache
     if check_regular and not model.w_is_zero:
         _assert_singularity_free(model, interval, cache)
-    return spectral_form(model, interval, u, v, f=f, rtol=rtol, cache=cache)
+    return spectral_form(model, interval, u, v, f=f, cache=cache)
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +336,14 @@ class Regularizer:
     def tilde(self, z):
         return self(z) / (complex(z) - self.z0)
 
-    def validate(self, model, min_sigma=1e-6):
+    def validate(self, model):
         if model.backend == "finite":
             evals = np.linalg.eigvals(model.h)
             if np.min(np.abs(evals - self.z0)) < 1e-8:
                 raise ModelError("z0 collides with an eigenvalue of H")
             return True
         s = bs.BoundarySystem(model, z=self.z0).sigma_min()
-        if s < min_sigma:
+        if s < 1e-6:
             raise ModelError(
                 f"z0 not certified in the resolvent set: sigma_min = {s:.3e}"
             )
@@ -392,7 +385,7 @@ class RegularizedFunction:
         return val
 
 
-def regularized_calculus_form(model, interval, rf, u, v, rtol=1e-4, cache=None):
+def regularized_calculus_form(model, interval, rf, u, v, cache=None):
     """<u, (h g 1_I)(H) v> with a certified norm-bound report.
 
     The integrand h(l) [C R_H C W-form] must stay bounded on I even across
@@ -412,8 +405,7 @@ def regularized_calculus_form(model, interval, rf, u, v, rtol=1e-4, cache=None):
         probe_vals.append(abs(complex(rf(lam))) * abs(tp))
     blow = 1e6 * max(np.median(probe_vals), 1e-12) / max(norm_u * norm_v, 1e-300)
     val = spectral_form(
-        model, interval, u, v, f=rf, rtol=rtol,
-        blowup_scale=blow * norm_u * norm_v, cache=cache,
+        model, interval, u, v, f=rf, blowup_scale=blow * norm_u * norm_v, cache=cache,
     )
     g_inf = 1.0
     if rf.g is not None:
@@ -442,7 +434,7 @@ def _batched_forms(model, z, pairs):
     return out
 
 
-def _inner_nodes(interval, lam, eps, n_coarse=14):
+def _inner_nodes(interval, lam, eps):
     """Inner quadrature on ``interval``: coarse panels away from mu = lam
     plus panels refined geometrically toward lam down to the Lorentzian
     scale eps."""
@@ -451,11 +443,11 @@ def _inner_nodes(interval, lam, eps, n_coarse=14):
     lo, hi = max(a, lam - win), min(b, lam + win)
     nodes, weights = [], []
     if lo >= hi:  # lam far outside: one coarse rule suffices
-        r = gauss_legendre(4 * n_coarse, a, b)
+        r = gauss_legendre(56, a, b)
         return r.nodes, r.weights
     for s0, s1 in ((a, lo), (hi, b)):
         if s1 - s0 > 1e-12:
-            r = gauss_legendre(n_coarse, s0, s1)
+            r = gauss_legendre(14, s0, s1)
             nodes.append(r.nodes)
             weights.append(r.weights)
     edges = {lo, hi}
@@ -478,9 +470,7 @@ def _inner_nodes(interval, lam, eps, n_coarse=14):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def stone_product_forms(model, interval1, interval2, pairs,
-                        eps_list=(0.2, 0.1, 0.05, 0.025), n_outer=32,
-                        n_sample=110, f1=None, f2=None):
+def stone_product_forms(model, interval1, interval2, pairs, f1=None, f2=None):
     """<u, 1_{I1}(H) 1_{I2}(H) v> for several test pairs at once.
 
     Expands Delta R_H(l) Delta R_H(m) with the first resolvent identity,
@@ -498,13 +488,13 @@ def stone_product_forms(model, interval1, interval2, pairs,
     pairs = [(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
              for u, v in pairs]
     hull = (min(interval1[0], interval2[0]), max(interval1[1], interval2[1]))
-    samp = gauss_legendre(n_sample, hull[0] - 0.05, hull[1] + 0.05)
-    outer = gauss_legendre(n_outer, *interval1)
-    eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=float)
+    samp = gauss_legendre(110, hull[0] - 0.05, hull[1] + 0.05)
+    outer = gauss_legendre(32, *interval1)
+    eps_arr = np.array([0.2, 0.1, 0.05, 0.025])
     results = np.empty((eps_arr.size, len(pairs)), dtype=complex)
     for ie, eps in enumerate(eps_arr):
         forms = [_batched_forms(model, complex(x, eps), pairs) for x in samp.nodes]
-        fp, fm = (np.stack(f) for f in zip(*forms))   # (n_sample, P) each
+        fp, fm = (np.stack(f) for f in zip(*forms))   # (110, P) each
         interp_p = BarycentricInterpolator(samp.nodes, fp)
         interp_m = BarycentricInterpolator(samp.nodes, fm)
         total = np.zeros(len(pairs), dtype=complex)
@@ -528,20 +518,18 @@ def stone_product_forms(model, interval1, interval2, pairs,
         [np.ones_like(eps_arr), eps_arr * np.log(eps_arr), eps_arr, eps_arr**2],
         axis=1,
     )
-    ncoef = min(basis.shape[1], eps_arr.size)
-    coef, *_ = np.linalg.lstsq(basis[:, :ncoef], results, rcond=None)
+    coef, *_ = np.linalg.lstsq(basis, results, rcond=None)
     return [complex(c) for c in coef[0]]
 
 
-def stone_product_form(model, interval1, interval2, u, v, **kw):
+def stone_product_form(model, interval1, interval2, u, v):
     """Single-pair convenience wrapper around ``stone_product_forms``."""
-    return stone_product_forms(model, interval1, interval2, [(u, v)], **kw)[0]
+    return stone_product_forms(model, interval1, interval2, [(u, v)])[0]
 
 
-def spectral_product_form(model, interval1, interval2, u, v, f1=None, f2=None, **kw):
+def spectral_product_form(model, interval1, interval2, u, v, f1=None, f2=None):
     """<u, [f1 1_{I1}](H) [f2 1_{I2}](H) v> (weighted product form)."""
-    return stone_product_forms(model, interval1, interval2, [(u, v)],
-                               f1=f1, f2=f2, **kw)[0]
+    return stone_product_forms(model, interval1, interval2, [(u, v)], f1=f1, f2=f2)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +566,7 @@ class SpectralProjection:
         return self.matrix @ u
 
 
-def riesz_projection(model, lam, radius, n_nodes=64):
+def riesz_projection(model, lam, radius):
     """Riesz projection (1/2 pi i) contour-int (z - H)^(-1) dz around lam.
 
     Finite backend: dense matrix with idempotency/commutation/rank checks
@@ -586,6 +574,7 @@ def riesz_projection(model, lam, radius, n_nodes=64):
     Continuum: winding-validated rank plus a vector action; the returned
     projection carries ``diagnostics['trace']`` from contour quadrature.
     """
+    n_nodes = 64
     theta = 2.0 * math.pi * (np.arange(n_nodes) + 0.5) / n_nodes
     zs = lam + radius * np.exp(1j * theta)
     dz = 1j * radius * np.exp(1j * theta) * (2.0 * math.pi / n_nodes)
@@ -632,14 +621,15 @@ def riesz_projection(model, lam, radius, n_nodes=64):
     )
 
 
-def embedded_projection(model, lam, eigenbasis, gram_condition_max=1e8):
+def embedded_projection(model, lam, eigenbasis):
     """Projection onto Ker((H-lam)^m) from the J-bilinear form.
 
     ``eigenbasis`` columns span the generalized eigenspace; the projection
     is Pi u = sum <J phi_k, u> phi_k in a J-orthonormalized basis, which
     exists exactly when the symmetric bilinear Gram matrix phi_i^T phi_j
-    is nondegenerate.  Degenerate J-forms are refused with the condition
-    number (isotropic eigenvectors are the pathological case).
+    is nondegenerate.  Degenerate J-forms (Gram condition number above
+    ``J_GRAM_CONDITION_MAX``) are refused with the condition number
+    (isotropic eigenvectors are the pathological case).
     """
     if model.backend != "finite":
         raise ModelError("embedded projections need the finite backend basis")
@@ -649,7 +639,7 @@ def embedded_projection(model, lam, eigenbasis, gram_condition_max=1e8):
     gram = phi.T @ phi  # bilinear: <J phi_i, phi_j> = phi_i^T phi_j
     svals = np.linalg.svd(gram, compute_uv=False)
     cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
-    if not np.isfinite(cond) or cond > gram_condition_max:
+    if not np.isfinite(cond) or cond > J_GRAM_CONDITION_MAX:
         raise ModelError(
             f"degenerate J-form on the eigenspace (Gram condition {cond:.3e}); "
             "no commuting projection exists"
@@ -727,24 +717,14 @@ def apply_h(model, samples, d2_profile=None):
 def regularizer_apply(model, reg, samples, d2_profile=None):
     """r(H) v = R_H(z0)^m prod (H - lam_j)^(nu_j) v."""
     reg.validate(model)
-    v = np.asarray(samples, dtype=complex)
-    if model.backend == "finite":
-        n = model.size
-        h = model.h
-    out = v.copy()
+    out = np.asarray(samples, dtype=complex).copy()
     first = True
     for lam, nu in reg.singularities:
         for _ in range(nu):
-            if model.backend == "finite":
-                out = h @ out - lam * out
-            else:
-                out = apply_h(model, out, d2_profile=d2_profile if first else None) - lam * out
+            out = apply_h(model, out, d2_profile=d2_profile if first else None) - lam * out
             first = False
     for _ in range(reg.total_order):
-        if model.backend == "finite":
-            out = np.linalg.solve(h - reg.z0 * np.eye(n), out)
-        else:
-            out, _, _ = bs.resolvent_H_apply(model, out, z=reg.z0)
+        out, _, _ = bs.resolvent_H_apply(model, out, z=reg.z0)
     return out
 
 
@@ -845,10 +825,9 @@ class ContourSpec:
         return out
 
 
-def contour_for_finite(model, eps=0.05, radius=0.2):
+def contour_for_finite(model):
     distinct = distinct_eigenvalues(np.linalg.eigvals(model.h), tol=1e-8)
-    circles = tuple((e, radius) for e in distinct)
-    return ContourSpec(eps=eps, circles=circles)
+    return ContourSpec(eps=0.05, circles=tuple((e, 0.2) for e in distinct))
 
 
 def dunford_contour_check(model, reg, contour=None):

@@ -346,7 +346,8 @@ def cmd_scan(cfg, threads):
     return {
         "detected": [r.as_record() for r in reports],
         "sigma_samples": sigma_grid,
-        "grid": {"min": lam_min, "max": lam_max, "points": n, "threshold": thr},
+        "grid": {"min": lam_min, "max": lam_max, "points": n, "threshold": thr,
+                 "merge_width": bs.MERGE_WIDTH},
     }
 
 
@@ -459,9 +460,9 @@ def _verify_stone(cfg, model, rng):
     for e in eps:
         rule_vals = []
         for lam in rule.nodes:
-            plus, _, _ = bs.resolvent_H_apply(model, v, z=lam + 1j * e)
-            minus, _, _ = bs.resolvent_H_apply(model, v, z=lam - 1j * e)
-            rule_vals.append(calc.grid_inner(model, u, plus - minus))
+            # F(lam +/- i e), F = <u, R_H v>, from one system and its mirror
+            plus, minus = calc._batched_forms(model, complex(lam, e), [(u, v)])
+            rule_vals.append(plus[0] - minus[0])
         direct.append(rule.weights @ np.asarray(rule_vals) / (2j * np.pi))
     ext, err, _ = extrapolate_to_zero(LimitSequence(eps, direct, order=3))
     rel = abs(ext - form) / max(abs(form), 1e-300)

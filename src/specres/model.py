@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import NumericsError, gauss_legendre
+from .numerics import gauss_legendre
 
 __all__ = [
     "ModelError",
@@ -354,12 +354,11 @@ class OperatorModel:
             self.grid = grid
             x = grid.nodes
             self.c_values = weight(x)
-            self.v_values = potential(x)
-            self.perturbation = factorize_potential(potential, weight, x)
-            self.w_values = self.perturbation.w_values
+            perturbation = factorize_potential(potential, weight, x)
+            self.w_values = perturbation.w_values
             self.w_sample_matrix = (None if w_sample_matrix is None
                                     else np.asarray(w_sample_matrix, dtype=complex))
-            self.dissipative = self.perturbation.dissipative and self.w_sample_matrix is None
+            self.dissipative = perturbation.dissipative and self.w_sample_matrix is None
             self.size = grid.size
         else:
             raise ModelError(f"unknown backend {backend!r}")
@@ -387,8 +386,8 @@ class OperatorModel:
 
     # -- continuum helpers ----------------------------------------------------
 
-    def admissible(self, lam, side=None):
-        """True when (lam, side) has a boundary kernel for this backend."""
+    def admissible(self, lam):
+        """True when lam has boundary kernels (both sides) for this backend."""
         if self.backend == "finite":
             return False
         if self.backend == "line1d":
@@ -884,21 +883,22 @@ def lap_supremum_estimate(model, z_grid):
     return float(norms[idx]), z_grid[idx], diverging, norms
 
 
-def kato_smoothness_check(model, u_samples, k_max=8.0, n_k=240, c0_estimate=None):
+def kato_smoothness_check(model, u_samples):
     """Frequency-side relative smoothness of C with respect to H0.
 
     ratio = int (||C R0(l-i0)u||^2 + ||C R0(l+i0)u||^2) dl / (2 pi ||u||^2),
     integrated in the k = sqrt(l) variable.  The Kato bound guarantees
-    ratio <= c0^2; c0 may be supplied (e.g. from ``lap_supremum_estimate``)
-    or is estimated here from sup ||C Im R0 C||.
+    ratio <= c0^2; (ratio, c0) is returned, c0 estimated from
+    sup ||C Im R0 C||.
     """
     if model.backend == "finite":
         raise AdmissibilityError("Kato smoothness diagnostics need a continuum backend")
+    k_max, n_k = 8.0, 240
     u = np.asarray(u_samples, dtype=complex)
     g = model.grid
     norm_u2 = float(g.weights @ np.abs(u) ** 2)
     if norm_u2 == 0.0:
-        return 0.0, c0_estimate if c0_estimate else 0.0
+        return 0.0, 0.0
     rule = gauss_legendre(n_k, 1e-6, k_max)
     vals = np.empty(rule.nodes.size)
     for i, k in enumerate(rule.nodes):
@@ -920,26 +920,24 @@ def kato_smoothness_check(model, u_samples, k_max=8.0, n_k=240, c0_estimate=None
         neg_vals[i] = 2.0 * float(g.weights @ (model.c_values**2 * np.abs(f) ** 2)) * 2.0 * m
     total += float(neg_rule.weights @ neg_vals)
     ratio = total / (2.0 * math.pi * norm_u2)
-    if c0_estimate is None:
-        # Kato smoothness constant: c0^2 = 2 sup ||C Im R0(z) C||; the sup
-        # of the harmonic extension is attained on the boundary, so scan
-        # the boundary Im parts on a dense lam grid
-        sup_im = 0.0
-        for lam in np.concatenate([np.linspace(1e-4, 4.0, 48),
-                                   np.linspace(4.0, k_max**2, 24)]):
-            m = build_weighted_free_resolvent(model, lam=lam, side="+")
-            sup_im = max(sup_im, float(np.linalg.norm((m - m.conj().T) / 2j, 2)))
-        c0_estimate = math.sqrt(2.0 * sup_im)
-    return ratio, float(c0_estimate)
+    # Kato smoothness constant: c0^2 = 2 sup ||C Im R0(z) C||; the sup of
+    # the harmonic extension is attained on the boundary, so scan the
+    # boundary Im parts on a dense lam grid
+    sup_im = 0.0
+    for lam in np.concatenate([np.linspace(1e-4, 4.0, 48),
+                               np.linspace(4.0, k_max**2, 24)]):
+        m = build_weighted_free_resolvent(model, lam=lam, side="+")
+        sup_im = max(sup_im, float(np.linalg.norm((m - m.conj().T) / 2j, 2)))
+    return ratio, float(math.sqrt(2.0 * sup_im))
 
 
-def conjugation_check(model, rng=None):
-    """Residuals of the conjugation identities on sampled vectors.
+def conjugation_check(model):
+    """Residuals of the conjugation identities on seeded sample vectors.
 
     Checks J^2 = Id, <Ju, Jv> = <v, u>, J H0 = H0 J, JC = CJ and JW = W* J.
     Failures are report entries, not exceptions.
     """
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     j = np.conj  # J, complex conjugation on coordinates
     report = {}
     if model.backend == "finite":

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .calculus import grid_inner, grid_norm
+from .calculus import J_GRAM_CONDITION_MAX, grid_inner, grid_norm, mode_transform
 from .model import ModelError
+from .numerics import gauss_legendre
 from . import birman_schwinger as bs
 
 __all__ = [
@@ -49,14 +50,17 @@ class EvolutionCurve:
 def evolve_norm_curve(model, u, t_grid):
     """||e^{-itH} u|| on a time grid with a fitted decay classification.
 
-    Finite backend only.  Growing modes that overflow truncate the curve
-    (flagged).  Classification is a least-squares fit of log||.|| against
+    Finite backend only, on at least 4 time points.  Growing modes that
+    overflow truncate the curve (flagged); a curve cut below 4 points is
+    "growing".  Classification is a least-squares fit of log||.|| against
     {1, t} and {1, t, log(1+t)} on the tail of the curve.
     """
     if model.backend != "finite":
         raise ModelError("evolution curves need the finite backend")
     u = np.asarray(u, dtype=complex)
     t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.size < 4:
+        raise ModelError(f"the decay fit needs at least 4 time points, got {t_grid.size}")
     h = model.h
     # propagate by stepping (Jordan-safe); uniform grids reuse one factor
     steps = np.diff(t_grid)
@@ -145,14 +149,14 @@ def generalized_eigenspace(h, selector):
     return z[:, :sdim]
 
 
-def ads_basis(model, sign, horizon=None, tol=1e-6, ambiguity_band=1e-8):
+def ads_basis(model, sign):
     """Numerically-decaying subspace at t -> +/- infinity by stepped
     evolution with QR renormalization.
 
     The frame is evolved by the inverse group (decaying directions grow
     there) in steps short enough to stay overflow-free; the accumulated
-    per-direction growth identifies vectors with ||e^{-iTH} u|| <= tol
-    ||u|| at the horizon T = 50/gap.  Compared against the Schur
+    per-direction growth identifies the vectors that have decayed below a
+    fixed tolerance at the horizon T = 50/gap.  Compared against the Schur
     eigenspace with Im(lambda) of the matching sign.
     """
     if model.backend != "finite":
@@ -162,30 +166,29 @@ def ads_basis(model, sign, horizon=None, tol=1e-6, ambiguity_band=1e-8):
     h = model.h
     n = h.shape[0]
     lam = np.linalg.eigvals(h)
+    band, decay = 1e-8, -math.log(1e-6)   # decay: growth of a kept direction
     noise = 1e-10 * max(1.0, float(np.linalg.norm(h, 2)))
-    if np.any((np.abs(lam.imag) > noise) & (np.abs(lam.imag) < ambiguity_band)):
+    if np.any((np.abs(lam.imag) > noise) & (np.abs(lam.imag) < band)):
         raise ModelError(
             "eigenvalues within 1e-8 of the real axis: decay classification ambiguous"
         )
     want_im_negative = sign == "+"
-    target = (lam.imag < -ambiguity_band) if want_im_negative else (lam.imag > ambiguity_band)
-    complex_eigs = lam[np.abs(lam.imag) >= ambiguity_band]
+    target = (lam.imag < -band) if want_im_negative else (lam.imag > band)
+    complex_eigs = lam[np.abs(lam.imag) >= band]
     label = "ads_plus" if sign == "+" else "ads_minus"
     if complex_eigs.size == 0 or not np.any(target):
         # Lyapunov regime: verify no direction decays over a default horizon
-        _, growth = _stepped_frame(h, sign, horizon=50.0)
+        _, growth = _stepped_frame(h, lam, sign, 50.0)
         max_growth = float(np.max(growth))
         return SubspaceBasis(
             label, np.zeros((n, 0), dtype=complex), None,
             {"max_accumulated_growth": max_growth,
-             "decaying_found": bool(max_growth >= -math.log(tol))},
+             "decaying_found": bool(max_growth >= decay)},
         )
     gap = float(np.min(np.abs(complex_eigs.imag)))
-    horizon = horizon or 50.0 / gap
-    q, growth = _stepped_frame(h, sign, horizon)
-    keep = growth >= -math.log(tol)
-    vectors = q[:, keep]
-    band = ambiguity_band
+    horizon = 50.0 / gap
+    q, growth = _stepped_frame(h, lam, sign, horizon)
+    vectors = q[:, growth >= decay]
     oracle = generalized_eigenspace(
         h, (lambda x: x.imag < -band) if want_im_negative else (lambda x: x.imag > band)
     )
@@ -199,8 +202,7 @@ def ads_basis(model, sign, horizon=None, tol=1e-6, ambiguity_band=1e-8):
     )
 
 
-def _step_generator(h, sign, horizon):
-    lam = np.linalg.eigvals(h)
+def _step_generator(h, lam, sign, horizon):
     max_im = max(np.max(np.abs(lam.imag)), 1e-12)
     t_step = min(3.0 / max_im, horizon)
     n_steps = max(1, int(math.ceil(horizon / t_step)))
@@ -210,9 +212,9 @@ def _step_generator(h, sign, horizon):
     return b, n_steps
 
 
-def _stepped_frame(h, sign, horizon):
+def _stepped_frame(h, lam, sign, horizon):
     n = h.shape[0]
-    b, n_steps = _step_generator(h, sign, horizon)
+    b, n_steps = _step_generator(h, lam, sign, horizon)
     q = np.eye(n, dtype=complex)
     growth = np.zeros(n)
     for _ in range(n_steps):
@@ -237,16 +239,16 @@ class ACCertificate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _default_witnesses(model, rng, count=20):
+def _default_witnesses(model, rng):
     if model.backend == "finite":
         n = model.size
-        vs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(count)]
+        vs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(20)]
         vs += [e for e in np.eye(n, dtype=complex)]
         return vs
     x = model.grid.nodes
     span = model.grid.hi - model.grid.lo
     vs = []
-    for _ in range(count):
+    for _ in range(20):
         center = model.grid.lo + span * (0.15 + 0.6 * rng.random())
         width = 0.3 + 0.7 * rng.random()
         mod = 3.0 * rng.standard_normal()
@@ -254,8 +256,7 @@ def _default_witnesses(model, rng, count=20):
     return vs
 
 
-def ac_certificate(model, u=None, w=None, witnesses=None, reg=None, seed=7,
-                   lam_max=None, t_max=60.0):
+def ac_certificate(model, u=None, w=None, witnesses=None, reg=None):
     """Certify u in M(H): int |<e^{-itH} u, v>|^2 dt <= c_u ||v||^2.
 
     Continuum backends use the boundary-jump integral
@@ -266,16 +267,16 @@ def ac_certificate(model, u=None, w=None, witnesses=None, reg=None, seed=7,
     supplied; r and Pi_p trivial when H has no singularities or
     eigenvalues); the five resolvent-expansion constituents are reported
     separately.  Finite point-spectrum models refuse every u != 0: some
-    time correlation fails to decay.
+    time correlation fails to decay.  Witnesses left out are seeded.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     if model.backend == "finite":
         u = np.asarray(u, dtype=complex)
         if np.linalg.norm(u) == 0.0:
             return ACCertificate(0.0, [], "time_domain")
         witnesses = witnesses or _default_witnesses(model, rng)
         h = model.h
-        ts = np.linspace(-t_max, t_max, 481)
+        ts = np.linspace(-60.0, 60.0, 481)
         dt = ts[1] - ts[0]
         # Jordan-safe propagation by stepping from t = 0 both ways
         i0 = ts.size // 2
@@ -340,21 +341,16 @@ def ac_certificate(model, u=None, w=None, witnesses=None, reg=None, seed=7,
     witnesses = witnesses or _default_witnesses(model, rng)
     rfun = (lambda lam: 1.0) if reg is None else reg
     g = model.grid
-    if lam_max is None:
-        # spectral content of C w sets the integration range
-        from .calculus import mode_transform
-
-        ks = np.linspace(0.05, math.sqrt(model.max_scan_energy()), 120)
-        amps = np.abs(mode_transform(model, cw, ks))
-        if amps.ndim > 1:
-            amps = amps.sum(axis=-1)
-        k_hi = ks[min(np.searchsorted(np.cumsum(amps**2), 0.999999 * np.sum(amps**2)),
-                      ks.size - 1)]
-        lam_max = float(max(4.0, (1.3 * k_hi) ** 2))
+    # spectral content of C w sets the integration range
+    ks = np.linspace(0.05, math.sqrt(model.max_scan_energy()), 120)
+    amps = np.abs(mode_transform(model, cw, ks))
+    if amps.ndim > 1:
+        amps = amps.sum(axis=-1)
+    k_hi = ks[min(np.searchsorted(np.cumsum(amps**2), 0.999999 * np.sum(amps**2)),
+                  ks.size - 1)]
+    lam_max = float(max(4.0, (1.3 * k_hi) ** 2))
 
     n_k = 180
-    from .numerics import gauss_legendre
-
     rule = gauss_legendre(n_k, 1e-3, math.sqrt(lam_max))
     term_names = ["free", "second_minus", "second_plus", "third_minus", "third_plus"]
     term_sums = dict.fromkeys(term_names, 0.0)
@@ -407,19 +403,19 @@ def _jump_terms(model, lam, cw):
     )
 
 
-def ac_equality_check(model, frame_size=None, seed=11):
+def ac_equality_check(model):
     """Degenerate-case consistency on finite point-spectrum models.
 
     When the point spectrum spans everything, H_ac must vanish: every
-    nonzero frame vector is refused.  Isotropic eigenvectors (J-degenerate
+    nonzero vector of a seeded frame is refused.  Isotropic eigenvectors (J-degenerate
     blocks) are detected and flagged as the known pathological case where
     the orthogonal-complement characterization is not expected.
     """
     if model.backend != "finite":
         raise ModelError("the equality check runs on finite models")
     n = model.size
-    rng = np.random.default_rng(seed)
-    frame_size = frame_size or min(n, 6)
+    rng = np.random.default_rng(11)
+    frame_size = min(n, 6)
     h = model.h
     refused = 0
     for _ in range(frame_size):
@@ -455,7 +451,7 @@ def ac_equality_check(model, frame_size=None, seed=11):
 # ---------------------------------------------------------------------------
 
 
-def j_decomposition_report(model, tol=1e-8):
+def j_decomposition_report(model):
     """H = ads_plus + ads_minus + bound (+ ac complement) with J-orthogonality.
 
     Needs JH = H*J, i.e. a complex-symmetric H on the finite backend.  The
@@ -481,7 +477,7 @@ def j_decomposition_report(model, tol=1e-8):
         gram = b0.T @ b0
         sv = np.linalg.svd(gram, compute_uv=False)
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
-        if cond > 1e8:
+        if cond > J_GRAM_CONDITION_MAX:
             raise ModelError(
                 f"degenerate J-form on the bound-state block (condition {cond:.3e})"
             )
@@ -498,8 +494,8 @@ def j_decomposition_report(model, tol=1e-8):
         "dimensions": {k: int(v.shape[1]) for k, v in blocks.items()},
         "completeness_sigma_min": sigma,
         "max_cross_bilinear": cross,
-        "complete": sigma >= tol,
-        "j_orthogonal": cross <= tol,
+        "complete": sigma >= 1e-8,
+        "j_orthogonal": cross <= 1e-8,
         "eigenvalues": [complex(x) for x in np.sort_complex(lam)],
         "bases": blocks,
     }

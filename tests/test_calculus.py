@@ -124,6 +124,18 @@ class TestStoneForms:
         prod = C.stone_product_form(small_well, (1.0, 2.0), (3.0, 5.0), u, v)
         assert abs(prod) <= 2e-3
 
+    def test_batched_forms_match_separate_resolvent_applications(self, small_well):
+        # the mirror pair of `specres verify` (suite stone) against one
+        # resolvent application at z and one at conj z
+        u, v = pair_for(small_well)
+        for z in (2.3 + 0.1j, 1.0 + 0.00625j, -0.5 + 2.0j):
+            fp, fm = C._batched_forms(small_well, z, [(u, v), (v, u)])
+            for j, (a, b) in enumerate([(u, v), (v, u)]):
+                for got, point in ((fp[j], z), (fm[j], z.conjugate())):
+                    ref = C.grid_inner(small_well, a,
+                                       BS.resolvent_H_apply(small_well, b, z=point)[0])
+                    assert abs(got - ref) <= 1e-14 * abs(ref)
+
 
 class TestFunctionalCalculus:
     def test_constant_reduces_to_stone(self, small_well):

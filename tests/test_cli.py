@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specres import birman_schwinger as bs
 from specres import cli
 
 
@@ -66,6 +67,12 @@ class TestScanCommand:
         assert detected[0]["class"] == "outgoing_singularity"
         header = (tmp_path / "scan.csv").read_text().splitlines()[0]
         assert header == "lambda,sigma_min_plus,sigma_min_minus,class,nu"
+
+    def test_report_states_the_merge_width(self, tmp_path):
+        cfg = write_config(tmp_path, FREE_SCAN.replace("num_points = 60", "num_points = 8"))
+        assert cli.main(["scan", "--config", cfg, "--out", str(tmp_path)]) == 0
+        grid = json.loads((tmp_path / "scan_report.json").read_text())["results"]["grid"]
+        assert grid["merge_width"] == 10 * bs.REFINE_WIDTH == 1e-7
 
     def test_malformed_weight_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, FREE_SCAN.replace("weight_s = 1.5",
@@ -194,6 +201,20 @@ seed = 1234
         for check in rep["results"]["checks"]:
             assert check["passed"]
 
+    def test_stone_suite_passes(self, tmp_path):
+        cfg = write_config(tmp_path, """
+[model]
+backend = radial
+potential = square_well
+v0 = 0.3-0.2i
+
+[verify]
+suite = stone
+""")
+        assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+        check, = json.loads((tmp_path / "verify_report.json").read_text())["results"]["checks"]
+        assert check["name"] == "stone_boundary_vs_smoothed" and check["value"] <= 1e-5
+
     def test_bounds_suite_passes(self, tmp_path):
         cfg = write_config(tmp_path, FREE_SCAN + "\n[verify]\nsuite = bounds\n")
         assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -234,6 +255,20 @@ seed = 7
         lines = (tmp_path / "evolve.csv").read_text().splitlines()
         assert lines[0] == "t,norm"
         assert len(lines) == 52
+
+    def test_evolve_on_three_time_points_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, """
+[model]
+backend = finite
+kind = diag
+diag = 1, 2
+
+[scan]
+num_points = 3
+""")
+        assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "at least 4 time points" in capsys.readouterr().err
+        assert not (tmp_path / "evolve_report.json").exists()
 
     def test_export_round_trip(self, tmp_path):
         cfg = write_config(tmp_path, FREE_SCAN)

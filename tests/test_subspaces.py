@@ -50,6 +50,14 @@ class TestEvolutionCurves:
         assert curve.classification == "growing"
         assert curve.truncated
 
+    def test_short_time_grid_refused(self):
+        # three points fit no decay; a norm-preserving H read "growing" here
+        model = M.finite_model(np.diag([1.0, 2.0]), np.ones(2), np.zeros((2, 2)))
+        with pytest.raises(ModelError, match="at least 4 time points"):
+            S.evolve_norm_curve(model, np.ones(2), np.linspace(0.0, 10.0, 3))
+        curve = S.evolve_norm_curve(model, np.ones(2), np.linspace(0.0, 10.0, 4))
+        assert curve.classification == "bounded"
+
 
 class TestAdsBasis:
     def test_diagonal_model(self):
