@@ -23,9 +23,26 @@ det(Id + K) = det A (the Sylvester / Weinstein-Aronszajn identity) and
 z-derivatives, solves, R_H applications and inverses are computed from
 A, which has order |S| (16 of 192 nodes for a unit square well on the
 default radial grid), and from the N x |S| column block of the free
-kernel.  The singular values (sigma_min, the resonant-state SVD) stay at
-full order N, because the detection thresholds are calibrated on the
-smallest singular value of the full Id + K, which A does not share.
+kernel.  The smallest singular value comes from the same two blocks: with
+a thin QR B = Q R, Id + K is unitarily equivalent to
+M = [[A, 0], [R, I]] (order |S| + min(|S|, |T|) <= 2|S|) direct-summed
+with the identity on range(Q)^perp, which is not empty when |T| > |S|, so
+
+    sigma_min(Id + K) = min(sigma_min(M), 1)   when |T| > |S|,
+                        sigma_min(M)           when 0 < |T| <= |S|,
+                        sigma_min(A)           when T is empty,
+                        1                      when S is empty (W = 0).
+
+M(0, y) = (0, y), so sigma_min(M) <= 1 whenever T is not empty and the
+first case is sigma_min(M) as well.  This is exact, so
+``DETECTION_THRESHOLD`` and ``REGULAR_FLOOR`` keep their meaning.
+
+The module-level ``sigma_min`` and the resonant-state SVD
+(``BoundarySystem.svd``) stay at full order N.  The first is the
+assembled reference the tests compare against, and the layer that
+``bench/test_bench.py::test_tracer_records_the_layers_of_one_sigma_min_and_restores_them``
+traces; the second runs about once per detection, and its right singular
+vector is the resonant state.
 """
 
 from __future__ import annotations
@@ -130,8 +147,8 @@ class BoundarySystem:
 
         Id + K = [[A, 0], [B, I]],   A = I + K_SS,   B = K_TS.
 
-    Everything but K itself and the singular values is computed from the
-    LU factors of the |S| x |S| block A:
+    Everything but K itself and ``svd`` is computed from the blocks A and
+    B, most of it from the LU factors of A:
 
     * ``log_det``: det(Id + K) = det A (the Sylvester / Weinstein-Aronszajn
       identity);
@@ -140,21 +157,24 @@ class BoundarySystem:
       does ``resolvent_apply``;
     * ``inverse``: [[A^(-1), 0], [-B A^(-1), I]];
     * ``inverse_columns``: its S columns, which carry all of
-      Id - (Id + K)^(-1).
+      Id - (Id + K)^(-1);
+    * ``sigma_min``: with a thin QR B = Q R, Id + K is unitarily
+      equivalent to M = [[A, 0], [R, I]] plus the identity on
+      range(Q)^perp, so sigma_min(Id + K) is min(sigma_min(M), 1) when
+      |T| > |S| and sigma_min(M) when |T| <= |S|, both sigma_min(M)
+      because M(0, y) = (0, y); M has order at most 2|S| and is A when
+      T is empty.
 
     K_SS and K_TS are each written in one pass by ``action.block`` from
     the separable factors of the free kernel, pre-scaled by the weights of
     K, and ``action.apply`` applies R0 through panel moments, so the full
-    N x N free kernel is assembled only for ``k``, ``sigma_min``, ``svd``
-    and ``model.weighted_matrix``; blocks never read it.  ``k``,
-    ``sigma_min`` and ``svd`` stay at full order:
-    ``DETECTION_THRESHOLD`` and ``REGULAR_FLOOR`` are calibrated on the
-    smallest singular value of the full Id + K, which the reduced block
-    does not give.  When S is every node B is empty; when S is empty
-    (W = 0) det = 1, the inverse is the identity and W (Id + K)^(-1) = 0.
-    On the finite backend K is formed densely and its blocks are sliced
-    from it, and the sample-level methods (``w_solve``,
-    ``resolvent_apply``) do not exist.
+    N x N free kernel is assembled only for ``k``, ``svd`` and
+    ``model.weighted_matrix``; blocks never read it.  ``k`` and ``svd``
+    stay at full order (``svd`` gives the resonant state).  When S is
+    empty (W = 0) det = 1, sigma_min = 1, the inverse is the identity and
+    W (Id + K)^(-1) = 0.  On the finite backend K is formed densely and
+    its blocks are sliced from it, and the sample-level methods
+    (``w_solve``, ``resolvent_apply``) do not exist.
 
     ``mirror`` is the system at the mirror point, (lam, -/+) for (lam, +/-)
     and conj z for z.  H0 is real, so its free action is
@@ -225,8 +245,21 @@ class BoundarySystem:
         return self._lu
 
     def sigma_min(self):
-        """Smallest singular value of Id + K."""
-        return float(np.linalg.svd(self._id_plus_k(), compute_uv=False)[-1])
+        """Smallest singular value of Id + K, from A and the triangular
+        factor R of a thin QR of B = K_TS, at order |S| + min(|S|, |T|)
+        (M = A when T is empty)."""
+        s = self.support.size
+        if s == 0:
+            return 1.0
+        r = np.linalg.qr(self._k_rest(), mode="r")
+        p = r.shape[0]
+        m = np.zeros((s + p, s + p), dtype=complex)
+        m[:s, :s] = self._a()
+        m[s:, :s] = r
+        m[s:, s:] = np.eye(p)
+        # the unit block bounds sigma_min(M) by 1, the identity on
+        # range(Q)^perp when |T| > |S| changes nothing
+        return float(np.linalg.svd(m, compute_uv=False)[-1])
 
     def svd(self):
         """Full SVD (u, s, vh) of Id + K; vh[-1] spans its numerical kernel."""
@@ -330,7 +363,13 @@ def bs_operator(model, lam, side):
 
 
 def sigma_min(model, lam, side):
-    return BoundarySystem(model, lam=lam, side=side).sigma_min()
+    """Smallest singular value of the assembled N x N Id + K(lam, side).
+
+    The full-order reference for ``BoundarySystem.sigma_min``, which gives
+    the same value at order at most 2|S|; production paths use that one.
+    """
+    system = BoundarySystem(model, lam=lam, side=side)
+    return float(np.linalg.svd(system._id_plus_k(), compute_uv=False)[-1])
 
 
 def log_det(model, z=None, lam=None, side=None):
@@ -540,7 +579,8 @@ def classify_minima(model, lam_grid, profile, detection_threshold=DETECTION_THRE
     reports = []
     seen = []
     for side, a, b in candidates:
-        lam_star, val = _golden_min(lambda l: sigma_min(model, l, side), a, b, REFINE_WIDTH)
+        lam_star, val = _golden_min(
+            lambda l: BoundarySystem(model, lam=l, side=side).sigma_min(), a, b, REFINE_WIDTH)
         if val >= detection_threshold:
             continue
         if any(abs(lam_star - s) < MERGE_WIDTH for s in seen):

@@ -245,7 +245,7 @@ def _assert_singularity_free(model, interval, cache):
     def sigma(lam, side):
         key = ("sigma_min", float(lam), side)
         if key not in cache:
-            cache[key] = bs.sigma_min(model, lam, side)
+            cache[key] = bs.BoundarySystem(model, lam=lam, side=side).sigma_min()
         if cache[key] < bs.REGULAR_FLOOR:
             raise AdmissibilityError(
                 f"interval [{a}, {b}] is not singularity-free: "

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specres import birman_schwinger as BS
+from specres import calculus as C
 from specres import families as F
 from specres import model as M
 from specres.model import AdmissibilityError, ModelError
@@ -370,6 +371,7 @@ SYLVESTER_CASES = {
     "radial_well": lambda: M.radial_model(M.square_well(-25.0 - 4.0j), **SMALL_GRID),
     "line_well": lambda: M.line_model(M.square_well(-3.0 - 1.0j), **SMALL_GRID),
     "gaussian_bump": lambda: M.radial_model(GAUSSIAN_BUMP, **SMALL_GRID),
+    "wide_well": lambda: M.radial_model(M.square_well(-3.0 - 1.0j, 10.0), **SMALL_GRID),
     "rank_one": lambda: F.rank_one_embedded_model(**SMALL_GRID)[0],
     "free": lambda: M.radial_model(M.PotentialSpec(), **SMALL_GRID),
     "finite": lambda: F.random_spectrum_model(np.random.default_rng(5))[0],
@@ -387,6 +389,8 @@ def test_sylvester_cases_cover_every_support_shape():
     for name in ("radial_well", "line_well"):
         assert 0 < sizes[name] < sylvester_model(name).size
     assert sizes["gaussian_bump"] == sylvester_model("gaussian_bump").size
+    # fewer nodes off the support than on it: the QR of K_TS is wide
+    assert 0 < sylvester_model("wide_well").size - sizes["wide_well"] < sizes["wide_well"]
     # the nonlocal W: zero w_values, support from the sample matrix
     assert sizes["rank_one"] > 0 and not sylvester_model("rank_one").w_values.any()
     assert sizes["free"] == 0
@@ -467,6 +471,35 @@ class TestSylvesterReduction:
         assert _rel(src, source) <= 1e-12
         assert _rel(rhv, r0v - system.action.apply(source)) <= 1e-12
 
+    @settings(sylvester_settings, max_examples=8)
+    @given(z=off_axis)
+    def test_sigma_min_matches_full_order(self, name, z):
+        # the order-2|S| value from A and the QR of K_TS against the SVD of
+        # the assembled Id + K, off the axis, on both sides of the boundary,
+        # and on mirror systems
+        model = sylvester_model(name)
+
+        def full(**point):
+            if "lam" in point:
+                return BS.sigma_min(model, point["lam"], point["side"])
+            id_plus_k = np.eye(model.size) + BS.bs_matrix(model, **point)
+            return float(np.linalg.svd(id_plus_k, compute_uv=False)[-1])
+
+        def check(system, **point):
+            value, ref = system.sigma_min(), full(**point)
+            assert abs(value - ref) <= max(1e-12 * ref, 1e-14)
+
+        system = BS.BoundarySystem(model, z=z)
+        check(system, z=z)
+        check(system.mirror(), z=z.conjugate())
+        if model.backend == "finite":
+            return
+        lam = abs(z)
+        for side, other in (("+", "-"), ("-", "+")):
+            system = BS.BoundarySystem(model, lam=lam, side=side)
+            check(system, lam=lam, side=side)
+            check(system.mirror(), lam=lam, side=other)
+
 
 class TestSupportReduction:
     def test_determinant_work_has_the_order_of_the_support(self, monkeypatch):
@@ -510,6 +543,44 @@ class TestSupportReduction:
         # the left and the right partials, each over the panels of S once
         assert contracted == [support_panels.size] * 2
 
+    def test_sigma_min_paths_run_at_the_order_of_the_support(self, tuned_well, monkeypatch):
+        # no assembled free kernel and no SVD above order 2|S| in the scan,
+        # the point classification, the golden refinement or the calculus
+        # probe; the resonant state is a full-order SVD by design, stubbed
+        model, _ = tuned_well
+        support = np.count_nonzero(model.support_mask())
+        assert 2 * support < model.size
+        orders = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            orders.append(min(a.shape))
+            return svd(a, *args, **kwargs)
+
+        def full_assembly(act):
+            raise AssertionError("full free-kernel assembly")
+
+        states = []
+        monkeypatch.setattr(M.FreeResolventAction, "matrix", full_assembly)
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        monkeypatch.setattr(BS, "resonant_state", lambda *args: states.append(args))
+        grid = np.linspace(0.3, 3.0, 28)
+        profile = BS.sigma_profile(model, grid)
+        assert BS.classify_point(model, 2.0).kind == "regular"
+        reports = BS.classify_minima(model, grid, profile)
+        assert [r.kind for r in reports] == ["outgoing_singularity"]
+        assert abs(reports[0].lam - 1.0) <= 1e-6
+        assert len(states) == 1
+        C._assert_singularity_free(model, (2.0, 6.0), {})
+        assert orders and max(orders) <= 2 * support
+        # the exact zero of the rank-one embedded eigenvalue (S is every node)
+        embedded, _, _ = F.rank_one_embedded_model(lam0=2.0)
+        reduced = [BS.BoundarySystem(embedded, lam=2.0, side=side).sigma_min()
+                   for side in ("+", "-")]
+        monkeypatch.undo()
+        reference = [BS.sigma_min(embedded, 2.0, side) for side in ("+", "-")]
+        assert max(reduced + reference) <= 1e-10
+
 
 MIRROR_CASES = [(name, point) for name in sorted(SYLVESTER_CASES)
                 for point in ({"z": 3.0 + 0.7j}, {"z": -1.5 - 2.0j},
@@ -526,7 +597,7 @@ def test_mirror_system_matches_a_fresh_system(name, point):
     else:
         other = {"lam": point["lam"], "side": "-" if point["side"] == "+" else "+"}
     system = BS.BoundarySystem(model, **point)
-    system.sigma_min()   # the free kernel exists before the mirror is made
+    system.k   # the free kernel exists before the mirror is made
     mirror, fresh = system.mirror(), BS.BoundarySystem(model, **other)
     assert abs(mirror.sigma_min() - fresh.sigma_min()) <= 1e-12 * fresh.sigma_min()
     (value, phase), (ref_value, ref_phase) = mirror.log_det(), fresh.log_det()

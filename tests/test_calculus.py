@@ -481,20 +481,29 @@ class TestAssemblyCounts:
         assert second == first
 
     def test_sigma_profile_assembles_one_kernel_per_point(self, small_well, monkeypatch):
-        # the minus side of each point reads the conjugate of the plus side's
-        # free kernel
-        assemblies = []
-        original = M.FreeResolventAction.matrix
+        # sigma_min runs on the support blocks, never on the assembled free
+        # kernel: one contraction of the in-panel partials per point, which
+        # the minus side reads conjugated from the plus side's action
+        assemblies, contractions = [], []
+        original_matrix, original_fill = M.FreeResolventAction.matrix, M.FreeResolventAction._fill
 
         def counting_matrix(act):
             if act._matrix is None:
                 assemblies.append(act.k)
-            return original(act)
+            return original_matrix(act)
+
+        def counting_fill(act, a, b):
+            if act._source is None:
+                contractions.append(act.k)
+            return original_fill(act, a, b)
 
         monkeypatch.setattr(M.FreeResolventAction, "matrix", counting_matrix)
+        monkeypatch.setattr(M.FreeResolventAction, "_fill", counting_fill)
         grid = np.linspace(0.5, 4.0, 7)
         profile = BS.sigma_profile(small_well, grid)
-        assert len(assemblies) == grid.size
+        assert assemblies == []
+        # the plus side's wavenumber sqrt(lam), once per point
+        assert contractions == [complex(math.sqrt(lam)) for lam in grid]
         for side in ("+", "-"):
             assert np.allclose(profile[side], [BS.sigma_min(small_well, lam, side)
                                                for lam in grid], rtol=1e-12, atol=0.0)

@@ -107,6 +107,23 @@ class TestScanCommand:
         r1.pop("wall_clock_s"), r2.pop("wall_clock_s")
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
+    def test_thread_pool_writes_the_serial_report(self, tmp_path, tuned_well):
+        # each pool task runs both sides of a point: two block assemblies,
+        # two QRs and two small SVDs; the report must not depend on the pool
+        _, v0 = tuned_well
+        cfg = write_config(tmp_path, TUNED_SCAN_TEMPLATE.format(
+            v0=f"{v0.real}{v0.imag:+}j").replace("num_points = 101", "num_points = 41"))
+        reports = []
+        for threads in ("2", "1"):
+            out = tmp_path / threads
+            assert cli.main(["scan", "--config", cfg, "--out", str(out),
+                             "--threads", threads]) == 0
+            report = json.loads((out / "scan_report.json").read_text())
+            report.pop("wall_clock_s")
+            reports.append(json.dumps(report, sort_keys=True))
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["results"]["detected"]
+
 
 @pytest.mark.parametrize("old, new, field", [
     ("num_points = 60", "num_points = 60\n\n[tolerances]\nfoo = abc", "tolerances.foo"),
