@@ -22,19 +22,29 @@ det(Id + K) = det A (the Sylvester / Weinstein-Aronszajn identity) and
 (Id + K)^(-1) = [[A^(-1), 0], [-B A^(-1), I]].  Determinants, their
 z-derivatives, solves, R_H applications and inverses are computed from
 A, which has order |S| (16 of 192 nodes for a unit square well on the
-default radial grid), and from the N x |S| column block of the free
-kernel.  The smallest singular value comes from the same two blocks: with
-a thin QR B = Q R, Id + K is unitarily equivalent to
-M = [[A, 0], [R, I]] (order |S| + min(|S|, |T|) <= 2|S|) direct-summed
-with the identity on range(Q)^perp, which is not empty when |T| > |S|, so
+default radial grid), and from B.
 
-    sigma_min(Id + K) = min(sigma_min(M), 1)   when |T| > |S|,
-                        sigma_min(M)           when 0 < |T| <= |S|,
-                        sigma_min(A)           when T is empty,
-                        1                      when S is empty (W = 0).
+B is never written densely on the continuum backends.  The free kernel is
+separable, G = pref phi(min) psi(max), so the row of K at a node of T in
+a panel without nodes of S is psi(x) a + phi(x) b (times its row scale),
+with a and b fixed vectors shared by every row between the same two
+panels of S: B has rank at most two per gap of the support, one left or
+right of all of S (a semiseparable kernel, see Gohberg, Goldberg and
+Krupnik, *Traces and Determinants of Linear Operators*, 2000).  With the
+QR of each factor pair, and the T rows sharing a panel with S kept
+dense, B = Q B' where Q has orthonormal columns and B' has one row per
+outer run of T, two per gap and one per shared row, cut to |S| rows by
+one more QR when there are more.  Id + K is then unitarily equivalent to
+M = [[A, 0], [B', I]] direct-summed with the identity on range(Q)^perp,
+and M(0, y) = (0, y) bounds sigma_min(M) by 1 whenever T is not empty, so
 
-M(0, y) = (0, y), so sigma_min(M) <= 1 whenever T is not empty and the
-first case is sigma_min(M) as well.  This is exact, so
+    sigma_min(Id + K) = sigma_min(M)   when T is not empty,
+                        sigma_min(A)   when T is empty (M = A),
+                        1              when S is empty (W = 0).
+
+M has order |S| + 1 for a radial well with T right of it (17 for the
+unit well above, 81 for a well over 80 of 192 nodes), |S| + 2 on the
+line, and at most 2|S| always.  This is exact, so
 ``DETECTION_THRESHOLD`` and ``REGULAR_FLOOR`` keep their meaning.
 
 The module-level ``sigma_min`` and the resonant-state SVD
@@ -139,6 +149,51 @@ def _k_block(model, act, rows, support):
     return k
 
 
+def _k_rest_factors(model, act, rest, support):
+    """K[rest, S] as pieces (rows, u, f) with K[rows, S] = u @ f, or f
+    when u is None, written without the dense block.
+
+    By the separable kernel G = pref phi(min) psi(max), the row of K at a
+    node x of T in a panel without nodes of S is psi(x) a + phi(x) b times
+    its row scale c sqrt(w)(x) pref, with a the phi moments of the S nodes
+    left of its panel and b the psi moments of those right of it, in the
+    column scale of K.  Rows between the same two panels of S share a and
+    b: their piece is u = [psi, phi] and f = [a; b], one column and one row
+    when a or b is empty.  T rows in a panel of S are one dense piece from
+    ``_k_block``.
+    """
+    if not support.size:
+        return []
+    g = model.grid
+    panel = g.panel_index
+    col_panel = panel[support]
+    in_s = np.zeros(g.npanels, dtype=bool)
+    in_s[col_panel] = True
+    shared = in_s[panel[rest]]
+    pieces = []
+    if shared.any():
+        pieces.append((rest[shared], None, _k_block(model, act, rest[shared], support)))
+    c = model.c_values
+    phi_c, psi_c = act.phi_w[support] * c[support], act.psi_w[support] * c[support]
+    free = rest[~shared]
+    # the number of S nodes left of a row's panel: equal between two S panels
+    split = np.searchsorted(col_panel, panel[free])
+    for cut in np.unique(split):
+        rows = free[split == cut]
+        left = np.arange(support.size) < cut
+        u, f = [], []
+        if left.any():
+            u.append(act.psi_nodes[rows])
+            f.append(np.where(left, phi_c, 0.0))
+        if not left.all():
+            u.append(act.phi_nodes[rows])
+            f.append(np.where(left, 0.0, psi_c))
+        u = np.stack(u, axis=1) * (act.pref * c[rows] * g.sqrtw[rows])[:, None]
+        f = model.right_apply_w(np.array(f), support) / g.sqrtw[support]
+        pieces.append((rows, u, f))
+    return pieces
+
+
 class BoundarySystem:
     """Id + K at one spectral point: a complex z or a boundary pair (lam, side).
 
@@ -157,29 +212,35 @@ class BoundarySystem:
       does ``resolvent_apply``;
     * ``inverse``: [[A^(-1), 0], [-B A^(-1), I]];
     * ``inverse_columns``: its S columns, which carry all of
-      Id - (Id + K)^(-1);
-    * ``sigma_min``: with a thin QR B = Q R, Id + K is unitarily
-      equivalent to M = [[A, 0], [R, I]] plus the identity on
-      range(Q)^perp, so sigma_min(Id + K) is min(sigma_min(M), 1) when
-      |T| > |S| and sigma_min(M) when |T| <= |S|, both sigma_min(M)
-      because M(0, y) = (0, y); M has order at most 2|S| and is A when
-      T is empty.
+      Id - (Id + K)^(-1), with -B A^(-1) = -u (f A^(-1)) on each
+      factored piece (rows, u, f) of B;
+    * ``sigma_min``: with B = Q B', Q with orthonormal columns and B' the
+      triangular factor of each piece's u times its f (cut to |S| rows by
+      one more QR when longer), Id + K is unitarily equivalent to
+      M = [[A, 0], [B', I]] plus the identity on range(Q)^perp, so
+      sigma_min(Id + K) = sigma_min(M) because M(0, y) = (0, y).  M has
+      order |S| + 1 for a radial well with T right of it, |S| + 2 on the
+      line, at most 2|S| always, and is A when T is empty.
 
-    K_SS and K_TS are each written in one pass by ``action.block`` from
-    the separable factors of the free kernel, pre-scaled by the weights of
-    K, and ``action.apply`` applies R0 through panel moments, so the full
-    N x N free kernel is assembled only for ``k``, ``svd`` and
+    K_SS is written in one pass by ``action.block`` from the separable
+    factors of the free kernel, pre-scaled by the weights of K.  K_TS is
+    written by ``block`` only on the T rows that share a panel with S;
+    every other run of T is a factor pair (``_k_rest_factors``).
+    ``action.apply`` applies R0 through panel moments, so the
+    full N x N free kernel is assembled only for ``k``, ``svd`` and
     ``model.weighted_matrix``; blocks never read it.  ``k`` and ``svd``
     stay at full order (``svd`` gives the resonant state).  When S is
     empty (W = 0) det = 1, sigma_min = 1, the inverse is the identity and
-    W (Id + K)^(-1) = 0.  On the finite backend K is formed densely and
-    its blocks are sliced from it, and the sample-level methods
-    (``w_solve``, ``resolvent_apply``) do not exist.
+    W (Id + K)^(-1) = 0.  On the finite backend K is formed densely, K_SS
+    and K_TS (one dense piece) are sliced from it, and the sample-level
+    methods (``w_solve``, ``resolvent_apply``) do not exist.
 
     ``mirror`` is the system at the mirror point, (lam, -/+) for (lam, +/-)
     and conj z for z.  H0 is real, so its free action is
     ``action.conjugate()``, which shares this system's evaluation of the
-    free kernel; K, A and the LU of A are its own, because W is complex.
+    free kernel (the factors of its K_TS are the conjugate psi, phi and
+    moments of that action); K, A and the LU of A are its own, because W
+    is complex.
     """
 
     def __init__(self, model, z=None, lam=None, side=None):
@@ -187,7 +248,7 @@ class BoundarySystem:
         mask = model.support_mask()
         self.support = np.flatnonzero(mask)
         self.rest = np.flatnonzero(~mask)
-        self._lu = self._k_ss = self._k_ts = None
+        self._lu = self._k_ss = None
         if model.backend == "finite":
             if z is None:
                 raise AdmissibilityError(
@@ -206,28 +267,27 @@ class BoundarySystem:
         r0 = np.linalg.solve(m.h0 - self.z * np.eye(m.size), np.eye(m.size))
         return m.c_diag[:, None] * r0 * m.c_diag[None, :] @ m.w_matrix
 
-    def _k_rows(self, rows):
-        if self.action is None:
-            return self.k[np.ix_(rows, self.support)]
-        return _k_block(self.model, self.action, rows, self.support)
-
     def k_support(self):
         """K_SS, the block of K on the support S of W."""
         if self._k_ss is None:
-            self._k_ss = self._k_rows(self.support)
+            s = self.support
+            self._k_ss = (self.k[np.ix_(s, s)] if self.action is None
+                          else _k_block(self.model, self.action, s, s))
         return self._k_ss
 
     def _k_rest(self):
-        if self._k_ts is None:
-            self._k_ts = self._k_rows(self.rest)
-        return self._k_ts
+        """K_TS as the pieces (rows, u, f) of ``_k_rest_factors``, or one
+        dense piece sliced from K on the finite backend."""
+        if self.action is None:
+            return [(self.rest, None, self.k[np.ix_(self.rest, self.support)])]
+        return _k_rest_factors(self.model, self.action, self.rest, self.support)
 
     def mirror(self):
         """The system at the mirror point on the conjugate free action."""
         if self.action is None:
             return BoundarySystem(self.model, z=self.z.conjugate())
         other = copy.copy(self)
-        other._lu = other._k_ss = other._k_ts = None
+        other._lu = other._k_ss = None
         other.action = self.action.conjugate()
         return other
 
@@ -245,20 +305,24 @@ class BoundarySystem:
         return self._lu
 
     def sigma_min(self):
-        """Smallest singular value of Id + K, from A and the triangular
-        factor R of a thin QR of B = K_TS, at order |S| + min(|S|, |T|)
-        (M = A when T is empty)."""
+        """Smallest singular value of Id + K, from A and a short B' with
+        K_TS = Q B', Q with orthonormal columns: the triangular factor of
+        each piece's u times its f, dense pieces as they are, and one more
+        QR when that leaves more than |S| rows (M = A when T is empty)."""
         s = self.support.size
         if s == 0:
             return 1.0
-        r = np.linalg.qr(self._k_rest(), mode="r")
-        p = r.shape[0]
+        b = [f if u is None else np.linalg.qr(u, mode="r") @ f for _, u, f in self._k_rest()]
+        b = np.concatenate(b) if b else np.zeros((0, s))
+        if b.shape[0] > s:
+            b = np.linalg.qr(b, mode="r")
+        p = b.shape[0]
         m = np.zeros((s + p, s + p), dtype=complex)
         m[:s, :s] = self._a()
-        m[s:, :s] = r
+        m[s:, :s] = b
         m[s:, s:] = np.eye(p)
         # the unit block bounds sigma_min(M) by 1, the identity on
-        # range(Q)^perp when |T| > |S| changes nothing
+        # range(Q)^perp changes nothing
         return float(np.linalg.svd(m, compute_uv=False)[-1])
 
     def svd(self):
@@ -280,7 +344,8 @@ class BoundarySystem:
         a_inv = self.a_solve(np.eye(self.support.size))
         cols = np.empty((self.model.size, self.support.size), dtype=complex)
         cols[self.support] = a_inv
-        cols[self.rest] = -(self._k_rest() @ a_inv)
+        for rows, u, f in self._k_rest():
+            cols[rows] = -(f @ a_inv if u is None else u @ (f @ a_inv))
         return cols
 
     def inverse(self):
@@ -366,7 +431,9 @@ def sigma_min(model, lam, side):
     """Smallest singular value of the assembled N x N Id + K(lam, side).
 
     The full-order reference for ``BoundarySystem.sigma_min``, which gives
-    the same value at order at most 2|S|; production paths use that one.
+    the same value at order |S| + 1 for a radial well with T right of it,
+    |S| + 2 on the line, |S| when T is empty and at most 2|S| always;
+    production paths use that one.
     """
     system = BoundarySystem(model, lam=lam, side=side)
     return float(np.linalg.svd(system._id_plus_k(), compute_uv=False)[-1])

@@ -367,14 +367,48 @@ class TestEigenvalues:
 SMALL_GRID = {"panels": 6, "nodes_per_panel": 10}
 GAUSSIAN_BUMP = M.PotentialSpec(
     func=M.GaussianBump(center=2.0, width=0.5, amplitude=-2.0 - 1.0j), support=(0.0, 14.0))
+TWO_WELLS = M.PotentialSpec(pieces=((0.5, 1.5, -4.0 - 1.0j), (4.0, 5.0, -2.0 - 0.5j)),
+                            support=(0.5, 5.0))
+
+
+def nonlocal_cut_model():
+    """A rank-two nonlocal W on the nodes below r = 1.5, half of the first
+    panel [0, 3]: the other half of that panel is T sharing a panel with S."""
+    pot = M.PotentialSpec(support=(0.0, 3.0))
+    g = M.radial_model(pot, **SMALL_GRID).grid
+    eta = np.where(g.nodes < 1.5, np.exp(-g.nodes), 0.0)
+    w_sample = ((-2.0 - 0.5j) * np.outer(eta, g.weights * eta)
+                + (1.0 + 0.3j) * np.outer(g.nodes * eta, g.weights * eta))
+    return M.radial_model(pot, w_sample_matrix=w_sample, **SMALL_GRID)
+
+
+# MIRROR_CASES numbers its test ids in this order: a new case goes last
 SYLVESTER_CASES = {
-    "radial_well": lambda: M.radial_model(M.square_well(-25.0 - 4.0j), **SMALL_GRID),
-    "line_well": lambda: M.line_model(M.square_well(-3.0 - 1.0j), **SMALL_GRID),
-    "gaussian_bump": lambda: M.radial_model(GAUSSIAN_BUMP, **SMALL_GRID),
-    "wide_well": lambda: M.radial_model(M.square_well(-3.0 - 1.0j, 10.0), **SMALL_GRID),
-    "rank_one": lambda: F.rank_one_embedded_model(**SMALL_GRID)[0],
-    "free": lambda: M.radial_model(M.PotentialSpec(), **SMALL_GRID),
     "finite": lambda: F.random_spectrum_model(np.random.default_rng(5))[0],
+    "free": lambda: M.radial_model(M.PotentialSpec(), **SMALL_GRID),
+    "gaussian_bump": lambda: M.radial_model(GAUSSIAN_BUMP, **SMALL_GRID),
+    "line_well": lambda: M.line_model(M.square_well(-3.0 - 1.0j), **SMALL_GRID),
+    "radial_well": lambda: M.radial_model(M.square_well(-25.0 - 4.0j), **SMALL_GRID),
+    "rank_one": lambda: F.rank_one_embedded_model(**SMALL_GRID)[0],
+    "wide_well": lambda: M.radial_model(M.square_well(-3.0 - 1.0j, 10.0), **SMALL_GRID),
+    "covering_well": lambda: M.radial_model(M.square_well(-3.0 - 1.0j, 20.0), **SMALL_GRID),
+    "two_wells": lambda: M.radial_model(TWO_WELLS, **SMALL_GRID),
+    "nonlocal_cut": nonlocal_cut_model,
+}
+
+# rows of B' (K_TS = Q B') past |S| in the sigma_min SVD, by support shape:
+# one per run of T left or right of all of S, two per gap between S panels,
+# one per T node sharing a panel with S, at most |S| in all
+SIGMA_MIN_EXTRA_ORDER = {
+    "radial_well": 1,       # T right of S
+    "line_well": 2,         # T on both sides
+    "gaussian_bump": 0,     # T empty
+    "wide_well": 1,
+    "covering_well": 0,     # the well covers the grid: T empty
+    "two_wells": 4,         # T left of, between and right of the two pieces
+    "rank_one": 0,
+    "nonlocal_cut": 5,      # 5 shared rows and one row right of them, cut to |S| = 5
+    "finite": 0,            # S is every node
 }
 
 
@@ -395,6 +429,16 @@ def test_sylvester_cases_cover_every_support_shape():
     assert sizes["rank_one"] > 0 and not sylvester_model("rank_one").w_values.any()
     assert sizes["free"] == 0
     assert sizes["finite"] > 0
+    assert sizes["covering_well"] == sylvester_model("covering_well").size
+    # two panels of S with a panel of T between them
+    two = sylvester_model("two_wells")
+    panels = np.unique(two.grid.panel_index[two.support_mask()])
+    assert panels.size == 2 and panels[1] - panels[0] > 1
+    # a nonlocal W whose support ends inside a panel
+    cut = sylvester_model("nonlocal_cut")
+    shared = np.isin(cut.grid.panel_index, cut.grid.panel_index[cut.support_mask()])
+    assert 0 < sizes["nonlocal_cut"] < np.count_nonzero(shared)
+    assert not cut.w_values.any()
 
 
 # fixed draws and no example database: tier-1 runs the same points every time
@@ -494,11 +538,58 @@ class TestSylvesterReduction:
         check(system.mirror(), z=z.conjugate())
         if model.backend == "finite":
             return
-        lam = abs(z)
-        for side, other in (("+", "-"), ("-", "+")):
-            system = BS.BoundarySystem(model, lam=lam, side=side)
-            check(system, lam=lam, side=side)
-            check(system.mirror(), lam=lam, side=other)
+        # lam = 0 is admissible on the radial backend, with k = 0 (phi = r, psi = 1)
+        for lam in (abs(z), 0.0) if model.backend == "radial" else (abs(z),):
+            for side, other in (("+", "-"), ("-", "+")):
+                system = BS.BoundarySystem(model, lam=lam, side=side)
+                check(system, lam=lam, side=side)
+                check(system.mirror(), lam=lam, side=other)
+
+    @settings(sylvester_settings, max_examples=4)
+    @given(z=off_axis)
+    def test_inverse_matches_full_order_on_both_sides(self, name, z):
+        # -B A^(-1) from the factored K_TS against the inverse of the
+        # assembled Id + K, off the axis, on both boundary sides (lam = 0
+        # too on the radial backend) and through mirror()
+        model = sylvester_model(name)
+
+        def check(system, **point):
+            ref = np.linalg.inv(np.eye(model.size) + BS.bs_matrix(model, **point))
+            assert _rel(system.inverse(), ref) <= 1e-12
+
+        system = BS.BoundarySystem(model, z=z)
+        check(system, z=z)
+        check(system.mirror(), z=z.conjugate())
+        if model.backend == "finite":
+            return
+        for lam in (abs(z), 0.0) if model.backend == "radial" else (abs(z),):
+            for side, other in (("+", "-"), ("-", "+")):
+                system = BS.BoundarySystem(model, lam=lam, side=side)
+                check(system, lam=lam, side=side)
+                check(system.mirror(), lam=lam, side=other)
+
+
+@pytest.mark.parametrize("name", sorted(SIGMA_MIN_EXTRA_ORDER))
+@pytest.mark.parametrize("point", [{"z": 3.0 + 0.7j}, {"lam": 2.0, "side": "-"}])
+def test_sigma_min_order_follows_the_support_shape(name, point, monkeypatch):
+    # one SVD of order |S| + (rows of B'), on the system and its mirror
+    model = sylvester_model(name)
+    if "lam" in point and model.backend == "finite":
+        point = {"z": 2.0 - 0.4j}
+    support = np.count_nonzero(model.support_mask())
+    orders = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        orders.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    system = BS.BoundarySystem(model, **point)
+    system.sigma_min()
+    system.mirror().sigma_min()
+    order = support + SIGMA_MIN_EXTRA_ORDER[name]
+    assert orders == [(order, order)] * 2
 
 
 class TestSupportReduction:
@@ -544,24 +635,35 @@ class TestSupportReduction:
         assert contracted == [support_panels.size] * 2
 
     def test_sigma_min_paths_run_at_the_order_of_the_support(self, tuned_well, monkeypatch):
-        # no assembled free kernel and no SVD above order 2|S| in the scan,
-        # the point classification, the golden refinement or the calculus
-        # probe; the resonant state is a full-order SVD by design, stubbed
+        # no assembled free kernel, every SVD of order |S| + 1 (T lies right
+        # of S, one row of B') and no block row off S in the scan, the point
+        # classification, the golden refinement or the calculus probe; the
+        # resonant state is a full-order SVD by design, stubbed
         model, _ = tuned_well
-        support = np.count_nonzero(model.support_mask())
+        mask = model.support_mask()
+        support = np.count_nonzero(mask)
         assert 2 * support < model.size
-        orders = []
-        svd = np.linalg.svd
+        # T rows in the panels of S: none for this well, whose edge is a panel edge
+        panel = model.grid.panel_index
+        written = mask | np.isin(panel, panel[mask])
+        assert np.array_equal(written, mask)
+        orders, block_rows = [], []
+        svd, block = np.linalg.svd, M.FreeResolventAction.block
 
         def recording_svd(a, *args, **kwargs):
-            orders.append(min(a.shape))
+            orders.append(a.shape)
             return svd(a, *args, **kwargs)
+
+        def recording_block(act, rows, *args):
+            block_rows.append(rows)
+            return block(act, rows, *args)
 
         def full_assembly(act):
             raise AssertionError("full free-kernel assembly")
 
         states = []
         monkeypatch.setattr(M.FreeResolventAction, "matrix", full_assembly)
+        monkeypatch.setattr(M.FreeResolventAction, "block", recording_block)
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         monkeypatch.setattr(BS, "resonant_state", lambda *args: states.append(args))
         grid = np.linspace(0.3, 3.0, 28)
@@ -572,7 +674,8 @@ class TestSupportReduction:
         assert abs(reports[0].lam - 1.0) <= 1e-6
         assert len(states) == 1
         C._assert_singularity_free(model, (2.0, 6.0), {})
-        assert orders and max(orders) <= 2 * support
+        assert orders and set(orders) == {(support + 1, support + 1)}
+        assert block_rows and all(written[rows].all() for rows in block_rows)
         # the exact zero of the rank-one embedded eigenvalue (S is every node)
         embedded, _, _ = F.rank_one_embedded_model(lam0=2.0)
         reduced = [BS.BoundarySystem(embedded, lam=2.0, side=side).sigma_min()
@@ -582,7 +685,7 @@ class TestSupportReduction:
         assert max(reduced + reference) <= 1e-10
 
 
-MIRROR_CASES = [(name, point) for name in sorted(SYLVESTER_CASES)
+MIRROR_CASES = [(name, point) for name in SYLVESTER_CASES
                 for point in ({"z": 3.0 + 0.7j}, {"z": -1.5 - 2.0j},
                               {"lam": 2.0, "side": "+"}, {"lam": 5.5, "side": "-"})
                 if "z" in point or name != "finite"]
@@ -608,6 +711,29 @@ def test_mirror_system_matches_a_fresh_system(name, point):
     v = M.GaussianBump(center=1.2, width=0.6)(model.grid.nodes) + 0.3j
     assert _rel(mirror.w_solve(v), fresh.w_solve(v)) <= 1e-12
     assert np.array_equal(mirror.action.matrix(), np.conj(system.action.matrix()))
+
+
+@pytest.mark.parametrize("name", sorted(set(SYLVESTER_CASES) - {"finite", "free"}))
+@pytest.mark.parametrize("point", [{"z": 3.0 + 0.7j}, {"lam": 2.0, "side": "-"}])
+def test_k_rest_pieces_factor_the_k_ts_block(name, point):
+    # the pieces of K_TS cover T once (S is not empty); shared-panel rows
+    # are dense block rows, every other piece u @ f has one or two columns
+    model = sylvester_model(name)
+    system = BS.BoundarySystem(model, **point)
+    k = system.k
+    s, t = system.support, system.rest
+    pieces = system._k_rest()
+    covered = np.concatenate([t[:0]] + [rows for rows, _, _ in pieces])
+    assert np.array_equal(np.sort(covered), t)
+    panel = model.grid.panel_index
+    for rows, u, f in pieces:
+        if u is None:
+            assert np.isin(panel[rows], panel[s]).all()
+            value = f
+        else:
+            assert u.shape[1] in (1, 2) and not np.isin(panel[rows], panel[s]).any()
+            value = u @ f
+        assert _rel(value, k[np.ix_(rows, s)]) <= 1e-14
 
 
 @pytest.mark.parametrize("name", ["radial_well", "line_well", "gaussian_bump", "rank_one"])
