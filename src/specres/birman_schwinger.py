@@ -110,6 +110,22 @@ REFINE_WIDTH = 1e-8
 #: refined minima closer than this are one singularity, reported once
 MERGE_WIDTH = 10 * REFINE_WIDTH
 
+#: most spectral points in one stack (a ``BoundarySystem`` at an array of
+#: points).  Memory sets it, not speed: every point of a stack keeps its
+#: in-panel partials, its |S| x |S| blocks and LU factors and those of its
+#: mirror alive at once, about 0.6 MB per point on a well over 80 of 192
+#: nodes, while stacks of 11 to 22 points already run as fast as longer
+#: ones.  The 440 product-form systems of the ``calculus`` benchmark peak
+#: at about 100 MB in stacks of 22 and at about 155 MB in stacks of 110.
+BATCH_POINTS = 22
+
+
+def point_batches(points):
+    """An array of spectral points cut into consecutive stacks of at most
+    ``BATCH_POINTS`` points and near-equal size."""
+    points = np.asarray(points)
+    return np.array_split(points, -(-points.size // BATCH_POINTS))
+
 
 class SingularBoundaryError(ModelError):
     """Id + K is numerically singular: lam sits at (or next to) a
@@ -121,32 +137,32 @@ class SingularBoundaryError(ModelError):
 # ---------------------------------------------------------------------------
 
 
-def _k_from_action(model, act):
-    """K = sqrt(w) C R0 C W / sqrt(w) on the grid: one multiply of the free
-    kernel by the outer product of the row and column scales, with W in
-    the column scale when it is a multiplication."""
-    g = model.grid
-    rows = model.c_values * g.sqrtw
-    if model.w_sample_matrix is None:
-        return act.matrix() * np.outer(rows, model.c_values * model.w_values / g.sqrtw)
-    k = model.right_apply_w(act.matrix() * np.outer(rows, model.c_values))
-    k /= g.sqrtw
-    return k
-
-
-def _k_block(model, act, rows, support):
-    """K[rows, S] (S the support of W) in one pass of ``act.block``, with
-    rows scaled by c sqrt(w) and columns by c W / sqrt(w); a nonlocal W is
-    applied to the block scaled by c, and sqrt(w) divided out after."""
+def _scale_k(model, block, rows, cols):
+    """K[rows, cols] = sqrt(w) C R0 C W / sqrt(w) from the block of the free
+    kernel on (rows, cols), with cols all nodes or a set holding the
+    support of W (one block per point of a stack): one multiply by the
+    outer product of the row scale c sqrt(w) and the column scale
+    c W / sqrt(w) for a multiplication W; a nonlocal W is applied to the
+    block scaled by c, and sqrt(w) divided out after."""
     g = model.grid
     c = model.c_values
     row_scale = c[rows] * g.sqrtw[rows]
     if model.w_sample_matrix is None:
-        col_scale = c[support] * model.w_values[support] / g.sqrtw[support]
-        return act.block(rows, support, row_scale, col_scale)
-    k = model.right_apply_w(act.block(rows, support, row_scale, c[support]), support)
-    k /= g.sqrtw[support]
+        return block * (row_scale[:, None] * (c[cols] * model.w_values[cols] / g.sqrtw[cols]))
+    k = model.right_apply_w(block * (row_scale[:, None] * c[cols]), cols)
+    k /= g.sqrtw[cols]
     return k
+
+
+def _k_from_action(model, act):
+    """K on the whole grid, from the assembled free kernel."""
+    idx = np.arange(model.size)
+    return _scale_k(model, act.matrix(), idx, idx)
+
+
+def _k_block(model, act, rows, support):
+    """K[rows, S] (S the support of W) from one pass of ``act.block``."""
+    return _scale_k(model, act.block(rows, support), rows, support)
 
 
 def _k_rest_factors(model, act, rest, support):
@@ -195,7 +211,9 @@ def _k_rest_factors(model, act, rest, support):
 
 
 class BoundarySystem:
-    """Id + K at one spectral point: a complex z or a boundary pair (lam, side).
+    """Id + K at one spectral point, a complex z or a boundary pair
+    (lam, side), or at a stack of them: an array of z, or of lam with one
+    side.
 
     K has no columns off the support S of W (``OperatorModel.support_mask``),
     so with T the other nodes, in the order (S, T),
@@ -222,33 +240,43 @@ class BoundarySystem:
       order |S| + 1 for a radial well with T right of it, |S| + 2 on the
       line, at most 2|S| always, and is A when T is empty.
 
-    K_SS is written in one pass by ``action.block`` from the separable
-    factors of the free kernel, pre-scaled by the weights of K.  K_TS is
-    written by ``block`` only on the T rows that share a panel with S;
-    every other run of T is a factor pair (``_k_rest_factors``).
-    ``action.apply`` applies R0 through panel moments, so the
-    full N x N free kernel is assembled only for ``k``, ``svd`` and
-    ``model.weighted_matrix``; blocks never read it.  ``k`` and ``svd``
-    stay at full order (``svd`` gives the resonant state).  When S is
-    empty (W = 0) det = 1, sigma_min = 1, the inverse is the identity and
-    W (Id + K)^(-1) = 0.  On the finite backend K is formed densely, K_SS
-    and K_TS (one dense piece) are sliced from it, and the sample-level
-    methods (``w_solve``, ``resolvent_apply``) do not exist.
+    K_SS is the block of the free kernel on S, written in one pass by
+    ``action.block`` and kept, times the weights of K.  K_TS is written by
+    ``block`` only on the T rows that share a panel with S; every other
+    run of T is a factor pair (``_k_rest_factors``).  ``action.apply``
+    applies R0 through panel moments, so the full N x N free kernel is
+    assembled only for ``k``, ``svd`` and ``model.weighted_matrix``; blocks
+    never read it.  ``k`` and ``svd`` stay at full order (``svd`` gives the
+    resonant state).  When S is empty (W = 0) det = 1, sigma_min = 1, the
+    inverse is the identity and W (Id + K)^(-1) = 0.  On the finite backend
+    K is formed densely once, K_SS and K_TS (one dense piece) are sliced
+    from it, and the sample-level methods (``w_solve``,
+    ``resolvent_apply``) do not exist.
+
+    A stack (continuum backends) shares one stacked free action
+    (``FreeResolventAction`` with an array of wavenumbers): ``k_support``
+    gives (K, |S|, |S|), the LU factors of the K blocks A are computed one
+    matrix at a time, and ``a_solve``, ``w_solve``, ``resolvent_apply`` and
+    ``mirror`` work on all points at once, taking samples as columns:
+    (K, N, m), or (N, m) shared by every point for ``resolvent_apply``.
+    ``k``, ``svd``, ``sigma_min``, ``log_det``, ``inverse`` and
+    ``inverse_columns`` (through ``_k_rest``) are per point.  Callers split
+    long runs of points into stacks of at most ``BATCH_POINTS``.
 
     ``mirror`` is the system at the mirror point, (lam, -/+) for (lam, +/-)
     and conj z for z.  H0 is real, so its free action is
     ``action.conjugate()``, which shares this system's evaluation of the
-    free kernel (the factors of its K_TS are the conjugate psi, phi and
-    moments of that action); K, A and the LU of A are its own, because W
-    is complex.
+    free kernel, and its K_SS is the conjugate of this system's free-kernel
+    block on S times the weights of K (no second ``block``); the factors of
+    its K_TS are the conjugate psi, phi and moments of that action.  A and
+    the LU of A are its own, because W is complex.
     """
 
     def __init__(self, model, z=None, lam=None, side=None):
         self.model = model
-        mask = model.support_mask()
-        self.support = np.flatnonzero(mask)
-        self.rest = np.flatnonzero(~mask)
-        self._lu = self._k_ss = None
+        self.support, self.rest = model.support_split
+        self._lu = self._g_ss = self._k = None
+        self._source = None   # the system this one mirrors, if any
         if model.backend == "finite":
             if z is None:
                 raise AdmissibilityError(
@@ -259,25 +287,44 @@ class BoundarySystem:
             self.action = resolvent_action(model, z=z, lam=lam, side=side)
 
     @property
+    def batch(self):
+        """The shape of the point axis: () for one point, (K,) for a stack."""
+        return () if self.action is None else self.action.batch
+
+    @property
     def k(self):
-        """K = [C R0(.) C] W on the grid, in the L2-isometric representation."""
+        """K = [C R0(.) C] W on the grid, in the L2-isometric representation.
+        Per point; formed once on the finite backend."""
         m = self.model
         if self.action is not None:
             return _k_from_action(m, self.action)
-        r0 = np.linalg.solve(m.h0 - self.z * np.eye(m.size), np.eye(m.size))
-        return m.c_diag[:, None] * r0 * m.c_diag[None, :] @ m.w_matrix
+        if self._k is None:
+            r0 = np.linalg.solve(m.h0 - self.z * np.eye(m.size), np.eye(m.size))
+            self._k = m.c_diag[:, None] * r0 * m.c_diag[None, :] @ m.w_matrix
+        return self._k
+
+    def _support_block(self):
+        """The block of the free kernel on S, kept by a source system; a
+        mirror takes the conjugate of its source's."""
+        if self._source is not None:
+            return np.conj(self._source._support_block())
+        if self._g_ss is None:
+            s = self.support
+            self._g_ss = self.action.block(s, s)
+        return self._g_ss
 
     def k_support(self):
-        """K_SS, the block of K on the support S of W."""
-        if self._k_ss is None:
-            s = self.support
-            self._k_ss = (self.k[np.ix_(s, s)] if self.action is None
-                          else _k_block(self.model, self.action, s, s))
-        return self._k_ss
+        """K_SS, the block of K on the support S of W (one per point),
+        scaled on each call from the kept block of the free kernel, so a
+        cached system holds one |S| x |S| block besides its LU factors."""
+        s = self.support
+        if self.action is None:
+            return self.k[np.ix_(s, s)]
+        return _scale_k(self.model, self._support_block(), s, s)
 
     def _k_rest(self):
         """K_TS as the pieces (rows, u, f) of ``_k_rest_factors``, or one
-        dense piece sliced from K on the finite backend."""
+        dense piece sliced from K on the finite backend.  Per point."""
         if self.action is None:
             return [(self.rest, None, self.k[np.ix_(self.rest, self.support)])]
         return _k_rest_factors(self.model, self.action, self.rest, self.support)
@@ -287,32 +334,45 @@ class BoundarySystem:
         if self.action is None:
             return BoundarySystem(self.model, z=self.z.conjugate())
         other = copy.copy(self)
-        other._lu = other._k_ss = None
+        other._lu = other._g_ss = None
+        other._source = self
         other.action = self.action.conjugate()
         return other
 
     def _a(self):
-        return self.k_support() + np.eye(self.support.size)
+        a = self.k_support()   # a fresh array: Id is added in place
+        i = np.arange(self.support.size)
+        a[..., i, i] += 1.0
+        return a
 
     def _id_plus_k(self):
-        a = self.k  # a fresh array: Id is added in place
+        a = np.array(self.k)  # a copy: Id is added in place
         a[np.diag_indices_from(a)] += 1.0
         return a
 
     def _factors(self):
+        """The LU factors of A; a list of them for a stack, factored one
+        matrix at a time (the LAPACK call of a single point)."""
         if self._lu is None:
-            self._lu = sla.lu_factor(self._a(), check_finite=False)
+            a = self._a()
+            self._lu = ([sla.lu_factor(m, check_finite=False) for m in a] if self.batch
+                        else sla.lu_factor(a, check_finite=False))
         return self._lu
 
     def sigma_min(self):
         """Smallest singular value of Id + K, from A and a short B' with
         K_TS = Q B', Q with orthonormal columns: the triangular factor of
-        each piece's u times its f, dense pieces as they are, and one more
-        QR when that leaves more than |S| rows (M = A when T is empty)."""
+        each piece's u times its f (the norm of a one-column u, up to a
+        unit phase that leaves sigma_min as it is), dense pieces as they
+        are, and one more QR when that leaves more than |S| rows (M = A
+        when T is empty).  Per point."""
         s = self.support.size
         if s == 0:
             return 1.0
-        b = [f if u is None else np.linalg.qr(u, mode="r") @ f for _, u, f in self._k_rest()]
+        b = [f if u is None
+             else np.linalg.norm(u) * f if u.shape[1] == 1
+             else np.linalg.qr(u, mode="r") @ f
+             for _, u, f in self._k_rest()]
         b = np.concatenate(b) if b else np.zeros((0, s))
         if b.shape[0] > s:
             b = np.linalg.qr(b, mode="r")
@@ -326,21 +386,26 @@ class BoundarySystem:
         return float(np.linalg.svd(m, compute_uv=False)[-1])
 
     def svd(self):
-        """Full SVD (u, s, vh) of Id + K; vh[-1] spans its numerical kernel."""
+        """Full SVD (u, s, vh) of Id + K; vh[-1] spans its numerical kernel.
+        Per point."""
         return np.linalg.svd(self._id_plus_k())
 
     def log_det(self):
-        """log |det(Id + K)| and the phase, as det A."""
+        """log |det(Id + K)| and the phase, as det A.  Per point."""
         sign, logabs = np.linalg.slogdet(self._a())
         return float(logabs), complex(sign)
 
     def a_solve(self, rhs):
-        """A^(-1) rhs for rhs indexed by the support S."""
-        return sla.lu_solve(self._factors(), rhs, check_finite=False)
+        """A^(-1) rhs for rhs indexed by the support S; (K, |S|, m) for a
+        stack, one solve per point."""
+        lu = self._factors()
+        if self.batch:
+            return np.stack([sla.lu_solve(f, r, check_finite=False) for f, r in zip(lu, rhs)])
+        return sla.lu_solve(lu, rhs, check_finite=False)
 
     def inverse_columns(self):
         """The S columns [[A^(-1)], [-B A^(-1)]] of (Id + K)^(-1), in the
-        representation of K, as an N x |S| matrix."""
+        representation of K, as an N x |S| matrix.  Per point."""
         a_inv = self.a_solve(np.eye(self.support.size))
         cols = np.empty((self.model.size, self.support.size), dtype=complex)
         cols[self.support] = a_inv
@@ -349,24 +414,26 @@ class BoundarySystem:
         return cols
 
     def inverse(self):
-        """(Id + K)^(-1), in the representation of K."""
+        """(Id + K)^(-1), in the representation of K.  Per point."""
         inv = np.eye(self.model.size, dtype=complex)
         inv[:, self.support] = self.inverse_columns()
         return inv
 
     def w_solve(self, samples):
         """W (Id + K)^(-1) on grid samples (a vector, or the columns of a
-        matrix).  W only sees the S part x_S = A^(-1) y_S of the solution,
-        so only A is factorized.  K acts in the L2-isometric
-        representation, so the samples are scaled by sqrt(weights) on the
-        way in and back on the way out.
+        matrix; (K, N, m) for a stack).  W only sees the S part
+        x_S = A^(-1) y_S of the solution, so only A is factorized.  K acts
+        in the L2-isometric representation, so the samples are scaled by
+        sqrt(weights) on the way in and back on the way out.
         """
+        y = np.asarray(samples, dtype=complex)
         sw = self.model.grid.sqrtw
-        if np.ndim(samples) == 2:
+        if y.ndim > 1:   # columns
             sw = sw[:, None]
-        y = sw * np.asarray(samples, dtype=complex)
+        at = (Ellipsis, self.support, slice(None)) if self.batch else self.support
+        y = sw * y
         x = np.zeros(y.shape, dtype=complex)
-        x[self.support] = self.a_solve(y[self.support])
+        x[at] = self.a_solve(y[at])
         return self.model.apply_w(x / sw)
 
     def resolvent_apply(self, samples):
@@ -376,7 +443,8 @@ class BoundarySystem:
 
         Returns (R_H v, source) with source = C W (Id + K)^(-1) C R0 v, the
         compactly supported source of the scattered part.  ``samples`` is a
-        vector or a matrix of column vectors.
+        vector or a matrix of column vectors; for a stack, (N, m) columns
+        shared by every point or (K, N, m), and the results are (K, N, m).
         """
         v = np.asarray(samples, dtype=complex)
         c = self.model.c_values if v.ndim == 1 else self.model.c_values[:, None]

@@ -17,6 +17,17 @@ Products of two spectral projections reduce, via the first resolvent
 identity R_H(z) R_H(z') = (R_H(z) - R_H(z'))/(z - z'), to scalar samples
 of F(z) = <u, R_H(z) v>, which keeps compactly supported test vectors
 free of any truncation error.
+
+Those samples are independent spectral points, so they are evaluated in
+stacks: ``_batched_forms`` (the product forms, and the smoothed Stone
+check of ``specres verify``) builds one ``BoundarySystem`` and its mirror
+per stack of at most ``birman_schwinger.BATCH_POINTS`` values of z, and
+the stack's free action, support blocks, solves and R0 applications carry
+a leading point axis.  The cap bounds memory, not time: every point of a
+stack keeps its partials, support blocks and LU factors alive at once
+(about 0.6 MB a point on a well over 80 of 192 nodes).  The adaptive
+boundary-exact forms stay per point: their systems are cached per
+(lam, side) and shared across test pairs and intervals.
 """
 
 from __future__ import annotations
@@ -420,18 +431,22 @@ def regularized_calculus_form(model, interval, rf, u, v, cache=None):
 # ---------------------------------------------------------------------------
 
 
-def _batched_forms(model, z, pairs):
-    """F_j(z) and F_j(conj z), F_j = <u_j, R_H(.) v_j> for all test pairs,
-    from the system at z and its mirror."""
-    system = bs.BoundarySystem(model, z=z)
+def _batched_forms(model, zs, pairs):
+    """F_j(z) and F_j(conj z), F_j = <u_j, R_H(.) v_j>, for all test pairs
+    at every z of ``zs``, from the system at z and its mirror: two
+    (#pairs,) arrays for one z, two (K, #pairs) arrays for an array of K,
+    evaluated in stacks of at most ``bs.BATCH_POINTS`` points."""
     vs = np.stack([v for _, v in pairs], axis=1)
-    w = model.grid.weights
-    out = []
-    for s in (system, system.mirror()):
-        rhv, _ = s.resolvent_apply(vs)
-        out.append(np.array([np.sum(w * np.conj(u) * rhv[:, j])
-                             for j, (u, _) in enumerate(pairs)]))
-    return out
+    wu = model.grid.weights[:, None] * np.conj(np.stack([u for u, _ in pairs], axis=1))
+
+    def forms(z):
+        system = bs.BoundarySystem(model, z=z)
+        return [np.sum(wu * s.resolvent_apply(vs)[0], axis=-2)
+                for s in (system, system.mirror())]
+
+    if np.ndim(zs) == 0:
+        return forms(zs)
+    return [np.concatenate(f) for f in zip(*map(forms, bs.point_batches(zs)))]
 
 
 def _inner_nodes(interval, lam, eps):
@@ -490,30 +505,34 @@ def stone_product_forms(model, interval1, interval2, pairs, f1=None, f2=None):
     hull = (min(interval1[0], interval2[0]), max(interval1[1], interval2[1]))
     samp = gauss_legendre(110, hull[0] - 0.05, hull[1] + 0.05)
     outer = gauss_legendre(32, *interval1)
+    wl = outer.weights
+    if f1 is not None:
+        wl = wl * np.asarray([f1(lam) for lam in outer.nodes])
     eps_arr = np.array([0.2, 0.1, 0.05, 0.025])
     results = np.empty((eps_arr.size, len(pairs)), dtype=complex)
     for ie, eps in enumerate(eps_arr):
-        forms = [_batched_forms(model, complex(x, eps), pairs) for x in samp.nodes]
-        fp, fm = (np.stack(f) for f in zip(*forms))   # (110, P) each
+        fp, fm = _batched_forms(model, samp.nodes + 1j * eps, pairs)   # (110, P) each
         interp_p = BarycentricInterpolator(samp.nodes, fp)
         interp_m = BarycentricInterpolator(samp.nodes, fm)
-        total = np.zeros(len(pairs), dtype=complex)
-        for lam, wl in zip(outer.nodes, outer.weights):
-            fl_p = interp_p(lam)
-            fl_m = interp_m(lam)
-            mu, wm = _inner_nodes(interval2, lam, eps)
-            fm_p = interp_p(mu)                        # (n_mu, P)
-            fm_m = interp_m(mu)
-            d = (lam - mu)[:, None]
-            t14 = ((fl_p[None, :] - fm_p) + (fl_m[None, :] - fm_m)) / d
-            t2 = -(fl_p[None, :] - fm_m) / (d + 2j * eps)
-            t3 = -(fl_m[None, :] - fm_p) / (d - 2j * eps)
-            if f2 is not None:
-                wm = wm * np.asarray([f2(x) for x in mu])
-            if f1 is not None:
-                wl = wl * f1(lam)
-            total += wl * (wm[None, :] @ (t14 + t2 + t3))[0]
-        results[ie] = total / (2j * math.pi) ** 2
+        # the inner rules of all outer nodes, concatenated: one evaluation
+        # of each interpolant, then one sum per outer node
+        inner = [_inner_nodes(interval2, lam, eps) for lam in outer.nodes]
+        sizes = [m.size for m, _ in inner]
+        mu = np.concatenate([m for m, _ in inner])
+        wm = np.concatenate([w for _, w in inner])
+        if f2 is not None:
+            wm = wm * np.asarray([f2(x) for x in mu])
+        n = outer.nodes.size
+        vp, vm = (f(np.concatenate([outer.nodes, mu])) for f in (interp_p, interp_m))
+        fl_p, fl_m = np.repeat(vp[:n], sizes, axis=0), np.repeat(vm[:n], sizes, axis=0)
+        fm_p, fm_m = vp[n:], vm[n:]                   # (n_mu, P)
+        d = (np.repeat(outer.nodes, sizes) - mu)[:, None]
+        t14 = ((fl_p - fm_p) + (fl_m - fm_m)) / d
+        t2 = -(fl_p - fm_m) / (d + 2j * eps)
+        t3 = -(fl_m - fm_p) / (d - 2j * eps)
+        inner_sums = np.add.reduceat(wm[:, None] * (t14 + t2 + t3),
+                                     np.cumsum([0] + sizes[:-1]), axis=0)
+        results[ie] = (wl @ inner_sums) / (2j * math.pi) ** 2
     basis = np.stack(
         [np.ones_like(eps_arr), eps_arr * np.log(eps_arr), eps_arr, eps_arr**2],
         axis=1,

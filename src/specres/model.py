@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -395,18 +396,21 @@ class OperatorModel:
         return lam >= 0
 
     def require_boundary(self, lam, side):
+        """Refuse (lam, side) without boundary kernels; ``lam`` may be an
+        array, refused when any of its points is."""
         if self.backend == "finite":
             raise AdmissibilityError(
                 "finite Hermitian H0 has pure point spectrum: no boundary values"
             )
         if side not in ("+", "-"):
             raise AdmissibilityError(f"side must be '+' or '-', got {side!r}")
-        if self.backend == "line1d" and lam <= 0:
+        lo = np.min(lam) if _is_stack(lam) else lam
+        if self.backend == "line1d" and lo <= 0:
             raise AdmissibilityError(
                 "1d line threshold: ||<x>^-s R0(lam +/- i0) <x>^-s|| diverges like "
                 "lam^(-1/2) as lam -> 0+; use the radial backend for threshold work"
             )
-        if self.backend == "radial" and lam < 0:
+        if self.backend == "radial" and lo < 0:
             raise AdmissibilityError(
                 "lam < 0 lies in the resolvent set: use the off-axis kernel"
             )
@@ -426,6 +430,13 @@ class OperatorModel:
             nonzero = w != 0
             return nonzero.any(axis=0) | nonzero.any(axis=1)
         return self.w_values != 0
+
+    @cached_property
+    def support_split(self):
+        """(S, T): the indices of the support of W and of the other nodes,
+        computed once per model (every boundary system reads them)."""
+        mask = self.support_mask()
+        return np.flatnonzero(mask), np.flatnonzero(~mask)
 
     @property
     def w_is_zero(self):
@@ -476,19 +487,30 @@ def radial_model(potential, s=1.5, length=14.0, panels=12, nodes_per_panel=16,
 # ---------------------------------------------------------------------------
 
 
+def _is_stack(points):
+    """True for a 1-D array of spectral points (z, lam or k), False for one
+    point (a number, a NumPy scalar or a 0-d array)."""
+    return isinstance(points, np.ndarray) and points.ndim > 0
+
+
 def wavenumber(z):
-    """k(z) = i sqrt(-z) on the physical sheet (Im k > 0 off [0, inf))."""
+    """k(z) = i sqrt(-z) on the physical sheet (Im k > 0 off [0, inf)), for
+    one z or elementwise for an array of them."""
+    if _is_stack(z):
+        return 1j * np.sqrt(-z.astype(complex))
     z = complex(z)
     return 1j * np.sqrt(complex(-z))
 
 
 def boundary_wavenumber(lam, side):
-    """Boundary value of k as z -> lam +/- i0: k = +/- sqrt(lam)."""
-    if side == "+":
-        return complex(math.sqrt(lam))
-    if side == "-":
-        return complex(-math.sqrt(lam))
-    raise AdmissibilityError(f"side must be '+' or '-', got {side!r}")
+    """Boundary value of k as z -> lam +/- i0: k = +/- sqrt(lam), for one
+    lam or elementwise for an array of them."""
+    if side not in ("+", "-"):
+        raise AdmissibilityError(f"side must be '+' or '-', got {side!r}")
+    if _is_stack(lam):
+        root = np.sqrt(lam.astype(float))
+        return (root if side == "+" else -root).astype(complex)
+    return complex(math.sqrt(lam) if side == "+" else -math.sqrt(lam))
 
 
 def free_resolvent_boundary_kernel(model, lam, side, x, y):
@@ -516,12 +538,16 @@ def _kernel_value(backend, k, x, y):
 
 
 def _phi_psi(backend, k):
-    """Separable factors: G = pref * phi(min) * psi(max)."""
+    """Separable factors: G = pref * phi(min) * psi(max), at one wavenumber
+    or at a 1-D array of them; phi(t) and psi(t) then have the shape
+    k.shape + t.shape, and pref the shape of k."""
+    stack = _is_stack(k)
+    mul = np.multiply.outer if stack else np.multiply
     if backend == "line1d":
-        return (lambda t: np.exp(-1j * k * t)), (lambda t: np.exp(1j * k * t)), 1j / (2 * k)
-    if abs(k) == 0.0:
+        return (lambda t: np.exp(mul(-1j * k, t))), (lambda t: np.exp(mul(1j * k, t))), 1j / (2 * k)
+    if not stack and abs(k) == 0.0:
         return (lambda t: np.asarray(t, dtype=complex)), (lambda t: np.ones_like(np.asarray(t, dtype=complex))), 1.0
-    return (lambda t: np.sin(k * t)), (lambda t: np.exp(1j * k * t)), 1.0 / k
+    return (lambda t: np.sin(mul(k, t))), (lambda t: np.exp(mul(1j * k, t))), 1.0 / k
 
 
 # ---------------------------------------------------------------------------
@@ -530,11 +556,18 @@ def _phi_psi(backend, k):
 
 
 def _contract(values, weights):
-    """sum_s values[p, i, s] weights[p, i, s, m] for complex values and real
-    weights, as one real batched matmul on the stacked real and imaginary
-    parts (cheaper than a complex-by-real einsum)."""
-    parts = np.stack((values.real, values.imag), axis=2) @ weights
-    return parts[:, :, 0] + 1j * parts[:, :, 1]
+    """sum_s values[..., p, i, s] weights[p, i, s, m] for complex values
+    (P, n, s), or (K, P, n, s) for K points, and real weights, as one real
+    batched matmul, (P, n, 2K, s) @ (P, n, s, m), whose 2K rows are the
+    real and imaginary parts of every point: one GEMM per (p, i) for all of
+    them, cheaper than a complex-by-real einsum."""
+    stack = values.ndim == 4
+    v = np.moveaxis(values, 0, 2) if stack else values[:, :, None]   # (P, n, K, s)
+    npan, n, k, s = v.shape
+    rows = np.stack((v.real, v.imag), axis=2).reshape(npan, n, 2 * k, s)
+    parts = (rows @ weights).reshape(npan, n, 2, k, -1)
+    out = parts[:, :, 0] + 1j * parts[:, :, 1]
+    return np.moveaxis(out, 2, 0) if stack else out[:, :, 0]
 
 
 class FreeResolventAction:
@@ -548,9 +581,22 @@ class FreeResolventAction:
     the panel containing x; the split at x is exact, so the diagonal crease
     of the kernel costs nothing.  ``apply`` and ``evaluate`` run on panel
     moments in O(N n) per vector and never form the N x N matrix; ``block``
-    forms only the entries asked for, scaled on both sides if asked, and
-    ``matrix`` is the unscaled block over all nodes.  All three read one
-    memo of in-panel partial integrals, filled only on the panels asked for.
+    forms only the entries asked for, and ``matrix`` is the block over all
+    nodes.  All three read one memo of in-panel partial integrals, filled
+    only on the panels asked for.
+
+    ``k`` is one wavenumber or a 1-D array of K of them, a stack of
+    independent spectral points sharing one pass of NumPy calls.  A stack
+    carries a leading point axis: ``phi_nodes``, ``psi_nodes``, ``phi_w``
+    and ``psi_w`` have shape (K, N), ``pref`` (K,), the partials
+    (K, P, n, n), and the partials of all K points are contracted in one
+    GEMM-shaped matmul.  ``block`` returns (K, rows, cols); ``apply`` takes
+    samples (N,) or (N, m) shared by every point, or (K, N, m), one set of
+    columns per point, and returns (K, N[, m]).  ``matrix``, ``evaluate``,
+    the amplitudes and ``norm_squared`` are per point.  A stack holds the
+    partials of every point, about 2 P n^2 complex numbers (98 KB on a
+    12-panel, 16-node grid) plus as much again while they are contracted,
+    so callers cap its size (``birman_schwinger.BATCH_POINTS``).
 
     H0 is real, so the kernel at the mirror wavenumber -conj(k) (lam - i0
     for lam + i0, conj z for z) is the complex conjugate of this one;
@@ -561,7 +607,11 @@ class FreeResolventAction:
         if model.backend == "finite":
             raise ModelError("free-resolvent actions exist on continuum backends only")
         self.model = model
-        self.k = complex(k)
+        stack = _is_stack(k)
+        self.k = k.astype(complex) if stack else complex(k)
+        self.batch = self.k.shape if stack else ()   # () for one point, (K,) for a stack
+        if model.backend == "radial" and stack and np.any(self.k == 0):
+            raise ModelError("the threshold kernel (k = 0) runs per point, not in a stack")
         self.grid = model.grid
         phi, psi, pref = _phi_psi(model.backend, self.k)
         self.phi, self.psi, self.pref = phi, psi, pref
@@ -590,7 +640,8 @@ class FreeResolventAction:
         if self._source is not None:
             return self._source
         mirror = object.__new__(FreeResolventAction)
-        mirror.model, mirror.grid, mirror.k = self.model, self.grid, -self.k.conjugate()
+        mirror.model, mirror.grid, mirror.k = self.model, self.grid, -np.conj(self.k)
+        mirror.batch = self.batch
         phi, psi = self.phi, self.psi
         mirror.phi = lambda t: np.conj(phi(t))
         mirror.psi = lambda t: np.conj(psi(t))
@@ -607,21 +658,22 @@ class FreeResolventAction:
         on the partial tensors, or, in a mirror, conjugate the source's."""
         if self._source is not None:
             left, right = self._source._partials(a, b)
-            np.conj(left[a:b], out=self._left[a:b])
-            np.conj(right[a:b], out=self._right[a:b])
+            np.conj(left[..., a:b, :, :], out=self._left[..., a:b, :, :])
+            np.conj(right[..., a:b, :, :], out=self._right[..., a:b, :, :])
             return
         tl, wbl, tr, wbr = self.grid.partial_tensors()
-        self._left[a:b] = _contract(self.phi(tl[a:b]), wbl[a:b])
-        self._right[a:b] = _contract(self.psi(tr[a:b]), wbr[a:b])
+        self._left[..., a:b, :, :] = _contract(self.phi(tl[a:b]), wbl[a:b])
+        self._right[..., a:b, :, :] = _contract(self.psi(tr[a:b]), wbr[a:b])
 
     def _partials(self, start, stop):
-        """The in-panel partial integrals left[p, i, m] = int_{a_p}^{x_i}
-        phi l_m and right[p, i, m] = int_{x_i}^{b_p} psi l_m, as (P, n, n)
-        arrays valid on the panels [start, stop) (and on any run computed
-        before: the memo grows to the smallest run covering both)."""
+        """The in-panel partial integrals left[..., p, i, m] = int_{a_p}^{x_i}
+        phi l_m and right[..., p, i, m] = int_{x_i}^{b_p} psi l_m, as
+        (P, n, n) arrays per point valid on the panels [start, stop) (and on
+        any run computed before: the memo grows to the smallest run covering
+        both)."""
         g = self.grid
         if self._run is None:
-            self._left = np.empty((g.npanels, g.n, g.n), dtype=complex)
+            self._left = np.empty(self.batch + (g.npanels, g.n, g.n), dtype=complex)
             self._right = np.empty_like(self._left)
             self._run = (start, start)
         lo, hi = self._run
@@ -633,7 +685,7 @@ class FreeResolventAction:
 
     def matrix(self):
         """Dense sample-to-sample matrix of the action (includes weights);
-        a mirror conjugates its source's."""
+        a mirror conjugates its source's.  Per point."""
         if self._matrix is None:
             if self._source is not None:
                 self._matrix = np.conj(self._source.matrix())
@@ -642,74 +694,74 @@ class FreeResolventAction:
                 self._matrix = self.block(idx, idx)
         return self._matrix
 
-    def block(self, rows, cols, row_scale=None, col_scale=None):
-        """diag(row_scale) matrix()[rows, cols] diag(col_scale) for
-        increasing index arrays rows and cols (a scale left out is 1).
+    def block(self, rows, cols):
+        """matrix()[rows, cols] for increasing index arrays rows and cols,
+        one block per point of a stack.
 
         For the rows in panel q, sources in panels left of q give
-        psi(x_i) phi_w[j] and sources right of q give phi(x_i) psi_w[j]:
-        one outer product of the pre-scaled factors, and a second one
-        written where the source panel lies right of the row panel.
-        Sources inside q read the partial integrals, needed only on the run
-        of panels that rows and cols share, in one gather.  The pass never
-        reads the memoized matrix, so each entry has the same bits whatever
-        else has been assembled.
+        pref psi(x_i) phi_w[j] and sources right of q give
+        pref phi(x_i) psi_w[j]: one outer product of the factors, and a
+        second one written where the source panel lies right of the row
+        panel.  Sources inside q read the partial integrals, needed only on
+        the run of panels that rows and cols share, in one gather.  The pass
+        never reads the memoized matrix, so each entry has the same bits
+        whatever else has been assembled.
         """
         g = self.grid
-        psi_r = self.pref * self.psi_nodes[rows]
-        phi_r = self.pref * self.phi_nodes[rows]
-        phi_c, psi_c = self.phi_w[cols], self.psi_w[cols]
-        if row_scale is not None:
-            psi_r *= row_scale
-            phi_r *= row_scale
-        if col_scale is not None:
-            phi_c = phi_c * col_scale
-            psi_c = psi_c * col_scale
+        pref = np.asarray(self.pref)[..., None]
+        psi_r = pref * self.psi_nodes.take(rows, axis=-1)
+        phi_r = pref * self.phi_nodes.take(rows, axis=-1)
+        phi_c, psi_c = self.phi_w.take(cols, axis=-1), self.psi_w.take(cols, axis=-1)
         row_panel, col_panel = g.panel_index[rows], g.panel_index[cols]
-        out = np.multiply.outer(psi_r, phi_c)
-        np.multiply.outer(phi_r, psi_c, out=out,
-                          where=col_panel[None, :] > row_panel[:, None])
+        out = psi_r[..., :, None] * phi_c[..., None, :]
+        np.multiply(phi_r[..., :, None], psi_c[..., None, :], out=out,
+                    where=col_panel[None, :] > row_panel[:, None])
         i, j = np.nonzero(col_panel[None, :] == row_panel[:, None])
         if i.size:
             q = row_panel[i]
             left, right = self._partials(q[0], q[-1] + 1)   # q is sorted
-            li, lj = rows[i] - q * g.n, cols[j] - q * g.n
-            inside = psi_r[i] * left[q, li, lj] + phi_r[i] * right[q, li, lj]
-            out[i, j] = inside if col_scale is None else inside * col_scale[j]
+            # entry [q, rows[i] - q n, cols[j] - q n] of the (P, n, n) partials
+            at = rows[i] * g.n + cols[j] - q * g.n
+            left, right = (a.reshape(self.batch + (-1,)).take(at, axis=-1) for a in (left, right))
+            out[..., i, j] = psi_r.take(i, axis=-1) * left + phi_r.take(i, axis=-1) * right
         return out
 
     def _moments(self, samples):
-        """Samples as panels cols[p, j, m], with before[p], the phi moments
-        of the panels left of panel p, and after[p], the psi moments of
-        panel p and those right of it (p = 0..P: before[P] and after[0]
-        are the totals).
+        """Samples as panels cols[..., p, j, m], with before[..., p], the phi
+        moments of the panels left of panel p, and after[..., p], the psi
+        moments of panel p and those right of it (p = 0..P: before[P] and
+        after[0] are the totals).  Samples of shape (K, N, m) pair with the
+        K points of a stack; (N,) and (N, m) are shared by all of them.
 
         ``after`` is summed from the right, never taken as total - prefix:
         for Im k > 0 the psi moments decay along the grid, and the
         difference would cancel every digit of the small ones."""
         g = self.grid
-        cols = samples.reshape(g.npanels, g.n, -1)
-        phi_m = np.einsum("pj,pjm->pm", self.phi_w.reshape(g.npanels, g.n), cols)
-        psi_m = np.einsum("pj,pjm->pm", self.psi_w.reshape(g.npanels, g.n), cols)
-        before = np.zeros((g.npanels + 1, cols.shape[2]), dtype=complex)
-        np.cumsum(phi_m, axis=0, out=before[1:])
+        per_point = samples.shape[:1] if samples.ndim == 3 else ()
+        cols = samples.reshape(per_point + (g.npanels, g.n, -1))
+        panels = self.batch + (g.npanels, g.n)
+        phi_m = np.einsum("...pj,...pjm->...pm", self.phi_w.reshape(panels), cols)
+        psi_m = np.einsum("...pj,...pjm->...pm", self.psi_w.reshape(panels), cols)
+        before = np.zeros(phi_m.shape[:-2] + (g.npanels + 1, cols.shape[-1]), dtype=complex)
+        np.cumsum(phi_m, axis=-2, out=before[..., 1:, :])
         after = np.zeros_like(before)
-        after[:-1] = np.cumsum(psi_m[::-1], axis=0)[::-1]
+        after[..., :-1, :] = np.cumsum(psi_m[..., ::-1, :], axis=-2)[..., ::-1, :]
         return cols, before, after
 
     def apply(self, samples):
         """R0 g on the grid for samples g (a vector, or the columns of a
-        matrix): exactly ``matrix() @ samples`` up to rounding, in O(N n)
-        per column and without forming the N x N matrix."""
+        matrix; per point of a stack with shape (K, N, m)): exactly
+        ``matrix() @ samples`` up to rounding, in O(N n) per column and
+        without forming the N x N matrix."""
         samples = np.asarray(samples, dtype=complex)
         g = self.grid
         cols, before, after = self._moments(samples)
         left, right = self._partials(0, g.npanels)
-        shape = (g.npanels, g.n, 1)
-        out = self.psi_nodes.reshape(shape) * (before[:-1, None, :] + left @ cols)
-        out += self.phi_nodes.reshape(shape) * (after[1:, None, :] + right @ cols)
-        out *= self.pref
-        return out.reshape(samples.shape)
+        shape = self.batch + (g.npanels, g.n, 1)
+        out = self.psi_nodes.reshape(shape) * (before[..., :-1, None, :] + left @ cols)
+        out += self.phi_nodes.reshape(shape) * (after[..., 1:, None, :] + right @ cols)
+        out *= np.asarray(self.pref).reshape(self.batch + (1, 1, 1))
+        return out.reshape(self.batch + (samples.shape[1:] if samples.ndim == 3 else samples.shape))
 
     # -- arbitrary points and exterior data ----------------------------------
 
@@ -776,10 +828,16 @@ class FreeResolventAction:
 
 
 def resolvent_action(model, z=None, lam=None, side=None):
-    """FreeResolventAction at a complex point z or a boundary pair (lam, side)."""
+    """FreeResolventAction at a complex point z or a boundary pair (lam, side);
+    an array of z, or of lam with one side, gives a stack."""
     if z is not None:
-        z = complex(z)
-        if z.imag == 0 and z.real >= 0:
+        if _is_stack(z):
+            z = z.astype(complex)
+            on_axis = np.any((z.imag == 0) & (z.real >= 0))
+        else:
+            z = complex(z)
+            on_axis = z.imag == 0 and z.real >= 0
+        if on_axis:
             raise AdmissibilityError(
                 "real z in the essential spectrum needs an explicit side"
             )

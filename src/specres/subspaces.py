@@ -354,12 +354,10 @@ def ac_certificate(model, u=None, w=None, witnesses=None, reg=None):
     rule = gauss_legendre(n_k, 1e-3, math.sqrt(lam_max))
     term_names = ["free", "second_minus", "second_plus", "third_minus", "third_plus"]
     term_sums = dict.fromkeys(term_names, 0.0)
-    jump_rows = []
-    for k in rule.nodes:
-        lam = k * k
-        terms = _jump_terms(model, lam, cw)
-        jump_rows.append([complex(rfun(lam)) * t for t in terms])
-    jump_rows = np.conj(jump_rows)  # (n_k, 5, N): conjugated terms on the grid
+    lams = rule.nodes * rule.nodes
+    r_vals = np.array([complex(rfun(lam)) for lam in lams])
+    # (n_k, 5, N): conjugated terms on the grid
+    jump_rows = np.conj(r_vals[:, None, None] * _jump_terms(model, lams, cw))
     wgt = rule.weights * 2.0 * rule.nodes / (2.0 * math.pi)
 
     values = []
@@ -379,28 +377,31 @@ def ac_certificate(model, u=None, w=None, witnesses=None, reg=None):
     )
 
 
-def _jump_terms(model, lam, cw):
+def _jump_terms(model, lams, cw):
     """The five constituents of (R_H(l-i0) - R_H(l+i0)) C w as grid vectors:
-    free difference, two second-order and two third-order terms."""
-    c = model.c_values
-    plus = bs.BoundarySystem(model, lam=lam, side="+")
-    systems = {"+": plus, "-": plus.mirror()}
-    r0 = {s: systems[s].action.apply(cw) for s in ("+", "-")}
-    free = r0["-"] - r0["+"]
-    second, third = {}, {}
-    for s in ("+", "-"):
-        act = systems[s].action
-        second[s] = act.apply(c * model.apply_w(c * r0[s]))
-        corr = c * systems[s].w_solve(c * r0[s])   # the source of resolvent_apply(cw)
-        third[s] = act.apply(c * model.apply_w(c * act.apply(corr)))
-    # R_H = R0 - R0 V R0 + R0 V R_H V R0, difference minus-plus
-    return (
-        free,
-        -second["-"],
-        +second["+"],
-        third["-"],
-        -third["+"],
-    )
+    free difference, two second-order and two third-order terms.  A (5, N)
+    array for one lam; (K, 5, N) for an array of K, evaluated in stacks of
+    at most ``bs.BATCH_POINTS`` points."""
+    c = model.c_values[:, None]
+
+    def terms(lam):
+        plus = bs.BoundarySystem(model, lam=lam, side="+")
+        systems = {"+": plus, "-": plus.mirror()}
+        r0 = {s: systems[s].action.apply(cw[:, None]) for s in ("+", "-")}
+        free = r0["-"] - r0["+"]
+        second, third = {}, {}
+        for s in ("+", "-"):
+            act = systems[s].action
+            second[s] = act.apply(c * model.apply_w(c * r0[s]))
+            corr = c * systems[s].w_solve(c * r0[s])   # the source of resolvent_apply(cw)
+            third[s] = act.apply(c * model.apply_w(c * act.apply(corr)))
+        # R_H = R0 - R0 V R0 + R0 V R_H V R0, difference minus-plus
+        return np.stack((free, -second["-"], +second["+"], third["-"], -third["+"]),
+                        axis=-3)[..., 0]
+
+    if np.ndim(lams) == 0:
+        return terms(lams)
+    return np.concatenate([terms(b) for b in bs.point_batches(lams)])
 
 
 def ac_equality_check(model):

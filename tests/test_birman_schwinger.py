@@ -713,6 +713,50 @@ def test_mirror_system_matches_a_fresh_system(name, point):
     assert np.array_equal(mirror.action.matrix(), np.conj(system.action.matrix()))
 
 
+def test_finite_k_is_solved_once_per_system(monkeypatch):
+    # sigma_min reads K_SS and K_TS, the inverse reads K_TS again: one
+    # N x N resolvent solve in all
+    model = sylvester_model("finite")
+    solves = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        solves.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    system = BS.BoundarySystem(model, z=2.0 - 0.4j)
+    system.sigma_min()
+    system.inverse()
+    assert solves == [(model.size, model.size)]
+
+
+STACKS = [{"z": np.array([3.0 + 0.7j, -1.5 - 2.0j, 0.4 + 0.05j])},
+          {"lam": np.array([0.3, 2.0, 5.5]), "side": "-"}]
+
+
+@pytest.mark.parametrize("name", sorted(set(SYLVESTER_CASES) - {"finite"}))
+@pytest.mark.parametrize("points", STACKS)
+def test_a_stacked_system_is_its_points(name, points):
+    # K_SS, R_H and its source at three points at once, and on the mirror
+    # stack, against one system per point
+    model = sylvester_model(name)
+    key = "z" if "z" in points else "lam"
+    stack = BS.BoundarySystem(model, **points)
+    x = model.grid.nodes
+    v = np.stack([M.GaussianBump(center=1.2, width=0.6)(x) + 0.3j, np.cos(x) + 0j], axis=1)
+    got = [stack.k_support(), *stack.resolvent_apply(v), stack.mirror().k_support(),
+           *stack.mirror().resolvent_apply(v)]
+    for i, point in enumerate(points[key]):
+        one = BS.BoundarySystem(model, **{**points, key: point})
+        want = [one.k_support(), *one.resolvent_apply(v), one.mirror().k_support(),
+                *one.mirror().resolvent_apply(v)]
+        for a, b in zip(got, want):
+            assert a[i].shape == b.shape
+            if b.size and b.any():
+                assert _rel(a[i], b) <= 1e-13
+
+
 @pytest.mark.parametrize("name", sorted(set(SYLVESTER_CASES) - {"finite", "free"}))
 @pytest.mark.parametrize("point", [{"z": 3.0 + 0.7j}, {"lam": 2.0, "side": "-"}])
 def test_k_rest_pieces_factor_the_k_ts_block(name, point):

@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specres import birman_schwinger as BS
 from specres import calculus as C
@@ -20,6 +23,24 @@ V_PROFILE = M.GaussianBump(center=3.2, width=0.48, modulation=0.5)
 def pair_for(model):
     """Sample the standard test profiles on this model's own grid."""
     return U_PROFILE(model.grid.nodes), V_PROFILE(model.grid.nodes)
+
+
+# a radial well, a line well, a nonlocal W and W = 0
+FORM_MODELS = {
+    "small_well": None,   # the conftest.py fixture
+    "line_well": lambda: M.line_model(M.square_well(-3.0 - 1.0j)),
+    "rank_one": lambda: F.rank_one_embedded_model()[0],
+    "free": lambda: M.radial_model(M.PotentialSpec()),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def form_model(name):
+    return FORM_MODELS[name]()
+
+
+# fixed draws and no example database: tier-1 runs the same points every time
+form_settings = settings(deadline=None, derandomize=True, database=None, max_examples=15)
 
 
 @pytest.fixture(scope="module")
@@ -124,17 +145,57 @@ class TestStoneForms:
         prod = C.stone_product_form(small_well, (1.0, 2.0), (3.0, 5.0), u, v)
         assert abs(prod) <= 2e-3
 
-    def test_batched_forms_match_separate_resolvent_applications(self, small_well):
+    @pytest.mark.parametrize("name", sorted(FORM_MODELS))
+    def test_batched_forms_match_separate_resolvent_applications(self, name, small_well):
         # the mirror pair of `specres verify` (suite stone) against one
-        # resolvent application at z and one at conj z
-        u, v = pair_for(small_well)
-        for z in (2.3 + 0.1j, 1.0 + 0.00625j, -0.5 + 2.0j):
-            fp, fm = C._batched_forms(small_well, z, [(u, v), (v, u)])
+        # resolvent application at z and one at conj z, for one z and for
+        # a stack of them
+        model = small_well if name == "small_well" else form_model(name)
+        u, v = pair_for(model)
+        zs = np.array([2.3 + 0.1j, 1.0 + 0.00625j, -0.5 + 2.0j])
+        for z in (*zs, zs):
+            fp, fm = C._batched_forms(model, z, [(u, v), (v, u)])
             for j, (a, b) in enumerate([(u, v), (v, u)]):
-                for got, point in ((fp[j], z), (fm[j], z.conjugate())):
-                    ref = C.grid_inner(small_well, a,
-                                       BS.resolvent_H_apply(small_well, b, z=point)[0])
-                    assert abs(got - ref) <= 1e-14 * abs(ref)
+                for got, points in ((fp[..., j], z), (fm[..., j], np.conj(z))):
+                    ref = [C.grid_inner(model, a, BS.resolvent_H_apply(model, b, z=p)[0])
+                           for p in np.atleast_1d(points)]
+                    assert np.shape(got) == np.shape(points)
+                    assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+
+    @form_settings
+    @given(zs=st.lists(st.builds(complex, st.floats(0.5, 7.0), st.floats(0.02, 0.25)),
+                       min_size=2, max_size=2 * BS.BATCH_POINTS + 3),
+           cut=st.integers(1, 2 * BS.BATCH_POINTS))
+    def test_forms_do_not_depend_on_the_batch(self, small_well, zs, cut):
+        # a point's forms are the same alone, in any stack and at any
+        # position of one
+        u, v = pair_for(small_well)
+        zs = np.array(zs)
+        cut = min(cut, zs.size - 1)
+        whole = C._batched_forms(small_well, zs, [(u, v)])
+        parts = [C._batched_forms(small_well, zs[:cut], [(u, v)]),
+                 C._batched_forms(small_well, zs[cut:][::-1], [(u, v)])]
+        alone = C._batched_forms(small_well, zs[-1], [(u, v)])
+        for side in range(2):
+            split = np.concatenate([parts[0][side], parts[1][side][::-1]])
+            assert np.all(np.abs(whole[side] - split) <= 1e-14 * np.abs(split))
+            assert np.all(np.abs(whole[side][-1] - alone[side]) <= 1e-14 * np.abs(alone[side]))
+
+    def test_product_forms_stack_their_spectral_points(self, small_well, monkeypatch):
+        # 4 eps x 110 sample points, in stacks of at most BATCH_POINTS: one
+        # free action per stack (its mirror is not built, it is conjugated)
+        built = []
+        init = M.FreeResolventAction.__init__
+
+        def counting_init(act, model, k):
+            built.append(np.size(k))
+            init(act, model, k)
+
+        monkeypatch.setattr(M.FreeResolventAction, "__init__", counting_init)
+        u, v = pair_for(small_well)
+        C.stone_product_forms(small_well, (1.0, 4.0), (2.0, 6.0), [(u, v)])
+        assert len(built) <= 4 * math.ceil(110 / BS.BATCH_POINTS)
+        assert sum(built) == 4 * 110 and max(built) <= BS.BATCH_POINTS
 
 
 class TestFunctionalCalculus:

@@ -231,6 +231,8 @@ suite = stone
         assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
         check, = json.loads((tmp_path / "verify_report.json").read_text())["results"]["checks"]
         assert check["name"] == "stone_boundary_vs_smoothed" and check["value"] <= 1e-5
+        # the extrapolation's own error estimate is reported, not dropped
+        assert np.isfinite(check["error_estimate"])
 
     def test_bounds_suite_passes(self, tmp_path):
         cfg = write_config(tmp_path, FREE_SCAN + "\n[verify]\nsuite = bounds\n")

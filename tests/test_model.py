@@ -191,16 +191,27 @@ class TestPanelMomentApply:
         act.apply(f)
         assert np.array_equal(act.matrix(), full)
 
-    @pytest.mark.parametrize("k", [1.7, -0.4 + 2.0j])
-    def test_scaled_block_is_the_scaled_slice(self, name, k):
+    def test_a_stack_is_its_points(self, name):
+        # one action at K wavenumbers: the blocks and R0 of shared and of
+        # per-point columns are those of one action per point, mirror too
         model = action_model(name)
-        act = M.FreeResolventAction(model, k)
-        rng = np.random.default_rng(3)
+        ks = np.array([1.7, -0.4 + 2.0j, 0.3 + 0.01j, -2.5])
+        stack = M.FreeResolventAction(model, ks)
         idx = np.arange(model.size)
         rows, cols = idx[30:], idx[10:90]
-        r, c = rng.random(rows.size) + 0.5, rng.random(cols.size) + 0.5j
-        scaled = r[:, None] * act.block(rows, cols) * c[None, :]
-        assert _normwise(act.block(rows, cols, r, c), scaled) <= 1e-15
+        shared = _samples(model, 0, 2)
+        own = np.stack([_samples(model, seed, 2) for seed in range(1, ks.size + 1)])
+        mirror = stack.conjugate()
+        outputs = (stack.block(rows, cols), stack.apply(shared), stack.apply(own),
+                   mirror.apply(own), mirror.block(rows, cols))
+        assert stack.phi_nodes.shape == (ks.size, model.size)
+        assert [out.shape[0] for out in outputs] == [ks.size] * len(outputs)
+        for i, k in enumerate(ks):
+            one = M.FreeResolventAction(model, k)
+            for got, want in zip((out[i] for out in outputs),
+                                 (one.block(rows, cols), one.apply(shared), one.apply(own[i]),
+                                  one.conjugate().apply(own[i]), one.conjugate().block(rows, cols))):
+                assert _normwise(got, want) <= 1e-14
 
     def test_apply_forms_no_matrix(self, name, monkeypatch):
         def full_assembly(act):
@@ -212,6 +223,12 @@ class TestPanelMomentApply:
         act.apply(_samples(model, 1, 0))
         act.apply(_samples(model, 2, 3))
         act.evaluate(_samples(model, 3, 0), [-20.0, 0.5, 3.0, 20.0])
+
+
+def test_a_stack_refuses_the_threshold_wavenumber():
+    # the radial k = 0 kernel min(r, r') has its own factors: one point only
+    with pytest.raises(M.ModelError, match="per point"):
+        M.FreeResolventAction(action_model("radial"), np.array([1.0, 0.0]))
 
 
 def _outputs(act, samples, rows, cols, points):

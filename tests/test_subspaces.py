@@ -179,8 +179,9 @@ class TestACCertificates:
         assert cert.terms["third_plus"] > 0
 
     def test_witness_pairing_matches_the_node_by_node_loop(self, small_well):
-        # the certificate pairs each witness with every jump term in one
-        # product; the reference pairs them one term and one node at a time
+        # the certificate stacks its nodes and pairs each witness with every
+        # jump term in one product; the reference computes the terms one
+        # node at a time and pairs them one term at a time
         g = small_well.grid
         w = M.GaussianBump(center=3.0, width=0.5)(g.nodes)
         witnesses = [M.GaussianBump(center=c, width=0.6)(g.nodes) for c in (2.0, 3.5)]
@@ -190,6 +191,11 @@ class TestACCertificates:
         cw = small_well.c_values * w
         names = ["free", "second_minus", "second_plus", "third_minus", "third_plus"]
         rows = [S._jump_terms(small_well, k * k, cw) for k in rule.nodes]
+        # the certificate's stacked terms are the node-by-node terms
+        stacked = S._jump_terms(small_well, rule.nodes**2, cw)
+        assert stacked.shape == (rule.nodes.size, len(names), g.size)
+        for got, row in zip(stacked, rows):
+            assert np.max(np.abs(got - row)) <= 1e-13 * np.max(np.abs(row))
         values, terms = [], dict.fromkeys(names, 0.0)
         for v in witnesses:
             nv2 = abs(C.grid_inner(small_well, v, v))
