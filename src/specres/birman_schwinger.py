@@ -45,14 +45,13 @@ and M(0, y) = (0, y) bounds sigma_min(M) by 1 whenever T is not empty, so
 M has order |S| + 1 for a radial well with T right of it (17 for the
 unit well above, 81 for a well over 80 of 192 nodes), |S| + 2 on the
 line, and at most 2|S| always.  This is exact, so
-``DETECTION_THRESHOLD`` and ``REGULAR_FLOOR`` keep their meaning.
+``DETECTION_THRESHOLD`` and ``REGULAR_FLOOR`` keep their meaning.  The
+kernel vector of a resonant state lifts from the singular vector of M.
 
-The module-level ``sigma_min`` and the resonant-state SVD
-(``BoundarySystem.svd``) stay at full order N.  The first is the
+The module-level ``sigma_min`` stays at full order N: it is the
 assembled reference the tests compare against, and the layer that
 ``bench/test_bench.py::test_tracer_records_the_layers_of_one_sigma_min_and_restores_them``
-traces; the second runs about once per detection, and its right singular
-vector is the resonant state.
+traces.
 """
 
 from __future__ import annotations
@@ -112,11 +111,12 @@ MERGE_WIDTH = 10 * REFINE_WIDTH
 
 #: most spectral points in one stack (a ``BoundarySystem`` at an array of
 #: points).  Memory sets it, not speed: every point of a stack keeps its
-#: in-panel partials, its |S| x |S| blocks and LU factors and those of its
-#: mirror alive at once, about 0.6 MB per point on a well over 80 of 192
-#: nodes, while stacks of 11 to 22 points already run as fast as longer
-#: ones.  The 440 product-form systems of the ``calculus`` benchmark peak
-#: at about 100 MB in stacks of 22 and at about 155 MB in stacks of 110.
+#: in-panel partials, its |S| x |S| blocks (and their LU factors while it
+#: solves) and those of its mirror alive at once, about 0.6 MB per point on
+#: a well over 80 of 192 nodes, while stacks of 11 to 22 points already
+#: run as fast as longer ones.  The 440 product-form systems of the
+#: ``calculus`` benchmark peak at about 100 MB in stacks of 22 and at about
+#: 155 MB in stacks of 110.
 BATCH_POINTS = 22
 
 
@@ -220,8 +220,8 @@ class BoundarySystem:
 
         Id + K = [[A, 0], [B, I]],   A = I + K_SS,   B = K_TS.
 
-    Everything but K itself and ``svd`` is computed from the blocks A and
-    B, most of it from the LU factors of A:
+    Everything but K itself is computed from the blocks A and B, most of
+    it from the LU factors of A:
 
     * ``log_det``: det(Id + K) = det A (the Sylvester / Weinstein-Aronszajn
       identity);
@@ -229,14 +229,10 @@ class BoundarySystem:
       solution (x_T = y_T - B x_S is never needed), hence A alone; so
       does ``resolvent_apply``;
     * ``inverse``: [[A^(-1), 0], [-B A^(-1), I]];
-    * ``inverse_columns``: its S columns, which carry all of
-      Id - (Id + K)^(-1), with -B A^(-1) = -u (f A^(-1)) on each
-      factored piece (rows, u, f) of B;
-    * ``sigma_min``: with B = Q B', Q with orthonormal columns and B' the
-      triangular factor of each piece's u times its f (cut to |S| rows by
-      one more QR when longer), Id + K is unitarily equivalent to
-      M = [[A, 0], [B', I]] plus the identity on range(Q)^perp, so
-      sigma_min(Id + K) = sigma_min(M) because M(0, y) = (0, y).  M has
+    * ``sigma_min``, ``kernel_vector`` and ``weighted_resolvent_norm``:
+      with B = Q B', Q with orthonormal columns and B' short
+      (``_reduced``), Id + K is unitarily equivalent to
+      M = [[A, 0], [B', I]] plus the identity on range(Q)^perp.  M has
       order |S| + 1 for a radial well with T right of it, |S| + 2 on the
       line, at most 2|S| always, and is A when T is empty.
 
@@ -244,23 +240,20 @@ class BoundarySystem:
     ``action.block`` and kept, times the weights of K.  K_TS is written by
     ``block`` only on the T rows that share a panel with S; every other
     run of T is a factor pair (``_k_rest_factors``).  ``action.apply``
-    applies R0 through panel moments, so the full N x N free kernel is
-    assembled only for ``k``, ``svd`` and ``model.weighted_matrix``; blocks
-    never read it.  ``k`` and ``svd`` stay at full order (``svd`` gives the
-    resonant state).  When S is empty (W = 0) det = 1, sigma_min = 1, the
-    inverse is the identity and W (Id + K)^(-1) = 0.  On the finite backend
-    K is formed densely once, K_SS and K_TS (one dense piece) are sliced
-    from it, and the sample-level methods (``w_solve``,
-    ``resolvent_apply``) do not exist.
+    applies R0 through panel moments, and no method assembles the N x N
+    free kernel but ``k``.  When S is empty (W = 0) det = 1,
+    sigma_min = 1, the inverse is the identity and W (Id + K)^(-1) = 0.
+    On the finite backend K is formed densely once, K_SS and K_TS (one
+    dense piece) are sliced from it, and the sample-level methods
+    (``w_solve``, ``resolvent_apply``) do not exist.
 
     A stack (continuum backends) shares one stacked free action
     (``FreeResolventAction`` with an array of wavenumbers): ``k_support``
-    gives (K, |S|, |S|), the LU factors of the K blocks A are computed one
-    matrix at a time, and ``a_solve``, ``w_solve``, ``resolvent_apply`` and
-    ``mirror`` work on all points at once, taking samples as columns:
-    (K, N, m), or (N, m) shared by every point for ``resolvent_apply``.
-    ``k``, ``svd``, ``sigma_min``, ``log_det``, ``inverse`` and
-    ``inverse_columns`` (through ``_k_rest``) are per point.  Callers split
+    gives (K, |S|, |S|), ``a_solve`` is one stacked solve (a stack keeps
+    no LU factors: its callers solve once), and ``w_solve``,
+    ``resolvent_apply`` and ``mirror`` work on all points at once, taking
+    samples as columns: (K, N, m), or (N, m) shared by every point for
+    ``resolvent_apply``.  The other methods are per point.  Callers split
     long runs of points into stacks of at most ``BATCH_POINTS``.
 
     ``mirror`` is the system at the mirror point, (lam, -/+) for (lam, +/-)
@@ -345,34 +338,23 @@ class BoundarySystem:
         a[..., i, i] += 1.0
         return a
 
-    def _id_plus_k(self):
-        a = np.array(self.k)  # a copy: Id is added in place
-        a[np.diag_indices_from(a)] += 1.0
-        return a
-
     def _factors(self):
-        """The LU factors of A; a list of them for a stack, factored one
-        matrix at a time (the LAPACK call of a single point)."""
+        """The LU factors of A, kept.  Per point."""
         if self._lu is None:
-            a = self._a()
-            self._lu = ([sla.lu_factor(m, check_finite=False) for m in a] if self.batch
-                        else sla.lu_factor(a, check_finite=False))
+            self._lu = sla.lu_factor(self._a(), check_finite=False)
         return self._lu
 
-    def sigma_min(self):
-        """Smallest singular value of Id + K, from A and a short B' with
-        K_TS = Q B', Q with orthonormal columns: the triangular factor of
-        each piece's u times its f (the norm of a one-column u, up to a
-        unit phase that leaves sigma_min as it is), dense pieces as they
-        are, and one more QR when that leaves more than |S| rows (M = A
-        when T is empty).  Per point."""
+    def _reduced(self):
+        """M = [[A, 0], [B', I]] and the pieces (rows, u, f) of K_TS = Q B':
+        B' stacks each piece's f times the triangular factor of its u (the
+        norm of a one-column u: B'* B' = B* B either way), cut to |S| rows
+        by one more QR when longer.  Per point."""
+        pieces = self._k_rest()
         s = self.support.size
-        if s == 0:
-            return 1.0
         b = [f if u is None
              else np.linalg.norm(u) * f if u.shape[1] == 1
              else np.linalg.qr(u, mode="r") @ f
-             for _, u, f in self._k_rest()]
+             for _, u, f in pieces]
         b = np.concatenate(b) if b else np.zeros((0, s))
         if b.shape[0] > s:
             b = np.linalg.qr(b, mode="r")
@@ -381,14 +363,37 @@ class BoundarySystem:
         m[:s, :s] = self._a()
         m[s:, :s] = b
         m[s:, s:] = np.eye(p)
-        # the unit block bounds sigma_min(M) by 1, the identity on
-        # range(Q)^perp changes nothing
-        return float(np.linalg.svd(m, compute_uv=False)[-1])
+        return m, pieces
 
-    def svd(self):
-        """Full SVD (u, s, vh) of Id + K; vh[-1] spans its numerical kernel.
-        Per point."""
-        return np.linalg.svd(self._id_plus_k())
+    def sigma_min(self):
+        """Smallest singular value of Id + K, that of M, which its unit
+        block bounds by 1.  Per point."""
+        if not self.support.size:
+            return 1.0
+        return float(np.linalg.svd(self._reduced()[0], compute_uv=False)[-1])
+
+    def kernel_vector(self):
+        """(sigma_min, x), x a unit right singular vector of Id + K for it
+        whose entry of largest modulus is real and positive.  Per point.
+
+        On the rows of T, (Id + K)* (Id + K) x = sigma^2 x reads
+        x_T = -B x_S / (1 - sigma^2) (for sigma < 1); on the rows of S it
+        reads as for M, since B'* B' = B* B.  So x_S is the S part of M's
+        singular vector, x_T its lift through the pieces of B, and
+        ||x|| = 1."""
+        x = np.zeros(self.model.size, dtype=complex)
+        if not self.support.size:   # Id + K = Id
+            x[0] = 1.0
+            return 1.0, x
+        m, pieces = self._reduced()
+        _, sv, vh = np.linalg.svd(m)
+        x_s = x[self.support] = np.conj(vh[-1, :self.support.size])
+        for rows, u, f in pieces:
+            x[rows] = -(f @ x_s if u is None else u @ (f @ x_s)) / (1.0 - sv[-1] ** 2)
+        j = np.argmax(np.abs(x))
+        x *= abs(x[j]) / x[j]
+        x[j] = x[j].real   # not left to the rounding of the product
+        return float(sv[-1]), x
 
     def log_det(self):
         """log |det(Id + K)| and the phase, as det A.  Per point."""
@@ -396,28 +401,31 @@ class BoundarySystem:
         return float(logabs), complex(sign)
 
     def a_solve(self, rhs):
-        """A^(-1) rhs for rhs indexed by the support S; (K, |S|, m) for a
-        stack, one solve per point."""
-        lu = self._factors()
+        """A^(-1) rhs for rhs indexed by the support S, from the kept LU
+        factors of A; one stacked solve for a stack, rhs (K, |S|, m)."""
         if self.batch:
-            return np.stack([sla.lu_solve(f, r, check_finite=False) for f, r in zip(lu, rhs)])
-        return sla.lu_solve(lu, rhs, check_finite=False)
-
-    def inverse_columns(self):
-        """The S columns [[A^(-1)], [-B A^(-1)]] of (Id + K)^(-1), in the
-        representation of K, as an N x |S| matrix.  Per point."""
-        a_inv = self.a_solve(np.eye(self.support.size))
-        cols = np.empty((self.model.size, self.support.size), dtype=complex)
-        cols[self.support] = a_inv
-        for rows, u, f in self._k_rest():
-            cols[rows] = -(f @ a_inv if u is None else u @ (f @ a_inv))
-        return cols
+            return np.linalg.solve(self._a(), rhs)
+        return sla.lu_solve(self._factors(), rhs, check_finite=False)
 
     def inverse(self):
-        """(Id + K)^(-1), in the representation of K.  Per point."""
+        """(Id + K)^(-1) in the representation of K, with -B A^(-1) =
+        -u (f A^(-1)) on each piece (rows, u, f) of B.  Per point."""
+        s = self.support
+        a_inv = self.a_solve(np.eye(s.size))
         inv = np.eye(self.model.size, dtype=complex)
-        inv[:, self.support] = self.inverse_columns()
+        inv[np.ix_(s, s)] = a_inv
+        for rows, u, f in self._k_rest():
+            inv[np.ix_(rows, s)] = -(f @ a_inv if u is None else u @ (f @ a_inv))
         return inv
+
+    def weighted_resolvent_norm(self):
+        """||C R_H C W||_2 = ||Id - (Id + K)^(-1)||_2, the norm of its S
+        columns [[I - A^(-1)], [B A^(-1)]], or of [[I - A^(-1)], [B' A^(-1)]]
+        since B = Q B'.  Per point."""
+        m, _ = self._reduced()
+        s = self.support.size
+        a_inv = self.a_solve(np.eye(s))
+        return float(np.linalg.norm(np.concatenate([np.eye(s) - a_inv, m[s:, :s] @ a_inv]), 2))
 
     def w_solve(self, samples):
         """W (Id + K)^(-1) on grid samples (a vector, or the columns of a
@@ -503,8 +511,8 @@ def sigma_min(model, lam, side):
     |S| + 2 on the line, |S| when T is empty and at most 2|S| always;
     production paths use that one.
     """
-    system = BoundarySystem(model, lam=lam, side=side)
-    return float(np.linalg.svd(system._id_plus_k(), compute_uv=False)[-1])
+    k = BoundarySystem(model, lam=lam, side=side).k
+    return float(np.linalg.svd(np.eye(model.size) + k, compute_uv=False)[-1])
 
 
 def log_det(model, z=None, lam=None, side=None):
@@ -596,15 +604,20 @@ class SpectralPointReport:
     sigma_min_minus: float
     nu: int | None = None
     state: ResonantState | None = None
+    quality: dict | None = field(default=None, init=False)   # the fit of order_estimate
 
     def as_record(self):
-        return {
+        record = {
             "lambda": self.lam,
             "sigma_min_plus": self.sigma_min_plus,
             "sigma_min_minus": self.sigma_min_minus,
             "class": self.kind,
             "nu": self.nu,
         }
+        if self.quality is not None:
+            record["nu_slope"] = self.quality["slope"]
+            record["nu_ambiguous"] = self.quality["ambiguous"]
+        return record
 
 
 def _golden_min(f, a, b, tol):
@@ -648,13 +661,13 @@ def classify_point(model, lam, detection_threshold=DETECTION_THRESHOLD):
     return SpectralPointReport(float(lam), kind, sp, sm)
 
 
-def sigma_profile(model, lam_grid, threads=None):
+def sigma_profile(model, lam_grid):
     """sigma_min(Id + K(lam, +/-)) at every point of a scan grid, by side.
 
     The grid must start on the admissible boundary and end within the
-    energy the model grid resolves.  Both sides of a point are one task,
-    sharing one free kernel; ``threads`` > 1 spreads the points over a pool
-    of Python threads.
+    energy the model grid resolves.  Both sides of a point share one free
+    kernel; the points run one after another (a reduced sigma_min is too
+    short for Python threads to gain).
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
     for lam in (lam_grid[0], lam_grid[-1]):
@@ -664,15 +677,7 @@ def sigma_profile(model, lam_grid, threads=None):
         raise AdmissibilityError(
             f"scan range exceeds grid resolution: lam_max {lam_grid[-1]:.3g} > {limit:.3g}"
         )
-
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            pairs = list(ex.map(lambda l: _sigma_pair(model, l), lam_grid))
-    else:
-        pairs = [_sigma_pair(model, l) for l in lam_grid]
-    plus, minus = np.array(pairs).T
+    plus, minus = np.array([_sigma_pair(model, l) for l in lam_grid]).T
     return {"+": plus, "-": minus}
 
 
@@ -689,7 +694,7 @@ def scan_singularities(model, lam_grid, detection_threshold=DETECTION_THRESHOLD)
     tested for square integrability of its resonant state and promoted to
     ``embedded_eigenvalue`` when the outgoing tail amplitude vanishes.
     ``classify_minima`` classifies a ``sigma_profile`` the caller computed
-    (with a thread pool, say), and estimates orders on request.
+    (to report it, say), and estimates orders on request.
     """
     return classify_minima(model, lam_grid, sigma_profile(model, lam_grid),
                            detection_threshold)
@@ -737,8 +742,7 @@ def classify_minima(model, lam_grid, profile, detection_threshold=DETECTION_THRE
                 pass
         if estimate_orders and rep.kind != "regular":
             eps = np.geomspace(1e-1, 1e-4, 10)
-            nu, quality = order_estimate(model, lam_star, side, eps)
-            rep.nu = nu
+            rep.nu, rep.quality = order_estimate(model, lam_star, side, eps)
         reports.append(rep)
     reports.sort(key=lambda r: r.lam)
     return reports
@@ -761,24 +765,20 @@ def resonant_state(model, lam_star, side, detection_threshold=DETECTION_THRESHOL
     """Kernel vector of Id + K at a detected singularity and its state.
 
     phi is the right singular vector of the smallest singular value
-    (normalized on the grid); the state is reconstructed as
-    Psi(x) = -int G_{lam +/- i0}(x, y) c(y) (W phi)(y) dy and certified by
+    (``BoundarySystem.kernel_vector``, with its phase rule); the state is
+    reconstructed as Psi(x) = -int G_{lam +/- i0}(x, y) c(y) (W phi)(y) dy and certified by
     the relative residual of the stationary equation on interior points.
     Negative lam addresses discrete (bound-state) energies, where the
     kernel is the real decaying resolvent-set kernel.
     """
     system = _state_system(model, lam_star, side)
-    _, sv, vh = system.svd()
-    kernel_residual = float(sv[-1])
+    kernel_residual, x = system.kernel_vector()
     if kernel_residual > detection_threshold:
         raise ModelError(
             f"sigma_min(Id+K) = {kernel_residual:.3e} above detection threshold: "
             "no kernel vector to extract"
         )
-    g = model.grid
-    phi = np.conj(vh[-1]) / g.sqrtw  # back to sample representation
-    norm_phi = math.sqrt(float(g.weights @ np.abs(phi) ** 2))
-    phi = phi / norm_phi
+    phi = x / model.grid.sqrtw  # the sample representation: unit norm on the grid
 
     act = system.action
     source = model.c_values * model.apply_w(phi)
@@ -999,16 +999,12 @@ def order_estimate(model, lam_star, side, eps_samples):
     sgn = 1.0 if side == "+" else -1.0
     norms = []
     for eps in eps_samples:
-        # Id - (Id + K)^(-1) vanishes off the S columns
-        system = BoundarySystem(model, z=lam_star + 1j * sgn * eps)
-        x = -system.inverse_columns()
-        x[system.support, np.arange(system.support.size)] += 1.0
-        norms.append(np.linalg.norm(x, 2))
+        norms.append(BoundarySystem(model, z=lam_star + 1j * sgn * eps).weighted_resolvent_norm())
     logs = np.log(np.asarray(norms))
     slope, intercept = np.polyfit(-np.log(eps_samples), logs, 1)
     resid = float(np.std(logs - (-np.log(eps_samples) * slope + intercept)))
     nu = int(round(slope))
-    ambiguous = abs(slope - nu) > 0.2
+    ambiguous = bool(abs(slope - nu) > 0.2)
     if max(norms) < 10.0 * min(norms):
         nu, ambiguous = 0, False  # plateau: regular point
     return nu, {"slope": float(slope), "fit_residual": resid, "ambiguous": ambiguous}

@@ -24,7 +24,7 @@ check of ``specres verify``) builds one ``BoundarySystem`` and its mirror
 per stack of at most ``birman_schwinger.BATCH_POINTS`` values of z, and
 the stack's free action, support blocks, solves and R0 applications carry
 a leading point axis.  The cap bounds memory, not time: every point of a
-stack keeps its partials, support blocks and LU factors alive at once
+stack keeps its partials, support blocks and solve alive at once
 (about 0.6 MB a point on a well over 80 of 192 nodes).  The adaptive
 boundary-exact forms stay per point: their systems are cached per
 (lam, side) and shared across test pairs and intervals.

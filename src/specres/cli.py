@@ -15,10 +15,10 @@ Exit codes: 0 success, 1 a verify suite ran and one of its checks failed,
 out-of-bounds value; the message names <section>.<key>), 3 inadmissible
 range, 4 unwritable destination.
 
-``--threads N`` sizes the Python thread pool of the ``scan`` command only.
-BLAS threads are limited through ``threadpoolctl`` when it is installed
-and are otherwise left to the BLAS environment variables (e.g.
-OPENBLAS_NUM_THREADS).
+``--threads N`` limits the BLAS threads through ``threadpoolctl`` when it
+is installed; otherwise they are left to the BLAS environment variables
+(e.g. OPENBLAS_NUM_THREADS).  The commands themselves run on one Python
+thread.
 """
 
 from __future__ import annotations
@@ -324,7 +324,7 @@ def write_curve_csv(times, norms, path):
 # ---------------------------------------------------------------------------
 
 
-def cmd_scan(cfg, threads):
+def cmd_scan(cfg):
     model = build_model(cfg)
     s = cfg["scan"]
     lam_min, lam_max = s.get("lambda_min", 1e-3), s.get("lambda_max", 25.0)
@@ -333,7 +333,7 @@ def cmd_scan(cfg, threads):
     n = s.get("num_points", 300)
     thr = s.get("detection_threshold", bs.DETECTION_THRESHOLD)
     grid = np.linspace(lam_min, lam_max, n)
-    profile = bs.sigma_profile(model, grid, threads=threads)
+    profile = bs.sigma_profile(model, grid)
     reports = bs.classify_minima(
         model, grid, profile, detection_threshold=thr,
         estimate_orders=s.get("estimate_orders", False),
@@ -351,14 +351,14 @@ def cmd_scan(cfg, threads):
     }
 
 
-def cmd_resonant_state(cfg, threads):
+def cmd_resonant_state(cfg):
     model = build_model(cfg)
     s = cfg["scan"]
     thr = s.get("detection_threshold", bs.DETECTION_THRESHOLD)
     if "lambda_star" in s:
         lam_star, side = s["lambda_star"], s.get("side", "+")
     else:
-        result = cmd_scan(cfg, threads)
+        result = cmd_scan(cfg)
         if not result["detected"]:
             raise AdmissibilityError("no spectral singularity detected in the scan range")
         rec = result["detected"][0]
@@ -377,7 +377,7 @@ def cmd_resonant_state(cfg, threads):
     }
 
 
-def cmd_project(cfg, threads):
+def cmd_project(cfg):
     model = build_model(cfg)
     if model.backend == "finite":
         distinct = calc.distinct_eigenvalues(np.linalg.eigvals(model.h), tol=1e-8)
@@ -403,7 +403,7 @@ def cmd_project(cfg, threads):
                              "trace": proj.diagnostics["trace"]}]}
 
 
-def cmd_evolve(cfg, threads):
+def cmd_evolve(cfg):
     model = build_model(cfg)
     if model.backend != "finite":
         raise AdmissibilityError("evolution curves run on the finite backend")
@@ -485,7 +485,7 @@ def _verify_resolution(cfg, model, rng):
                  "tol": 2e-3, "passed": False, "diagnostic": str(exc)}]
     val = rows[0]["residual"]
     return [{"name": "resolution_residual", "value": val, "tol": 2e-3,
-             "passed": val <= 2e-3}]
+             "passed": val <= 2e-3, "tail_estimate": rows[0]["tail_estimate"]}]
 
 
 def _verify_ads(cfg, model, rng):
@@ -551,7 +551,7 @@ VERIFY_SUITES = {
 }
 
 
-def cmd_verify(cfg, threads):
+def cmd_verify(cfg):
     suite = cfg["verify"].get("suite")
     if suite is None:
         raise SchemaError(f"verify.suite: required, one of {'|'.join(VERIFY_SUITES)}")
@@ -562,7 +562,7 @@ def cmd_verify(cfg, threads):
             "passed": all(c["passed"] for c in checks)}
 
 
-def cmd_export(cfg, threads, report_path=None, fmt="json", out_dir="."):
+def cmd_export(report_path, fmt, out_dir):
     with open(report_path) as fh:
         payload = json.load(fh)
     base = os.path.join(out_dir, "export")
@@ -602,11 +602,10 @@ def main(argv=None):
     parser.add_argument("--report", default=None, help="input report for export")
     args = parser.parse_args(argv)
 
-    threads = args.threads
     try:
         from threadpoolctl import threadpool_limits
 
-        threadpool_limits(limits=max(1, threads))
+        threadpool_limits(limits=max(1, args.threads))
     except Exception:
         pass
 
@@ -615,14 +614,13 @@ def main(argv=None):
         if args.command == "export":
             if not args.report:
                 raise SchemaError("export needs --report <json path>")
-            results = cmd_export(None, threads, report_path=args.report,
-                                 fmt=args.format, out_dir=args.out)
+            results = cmd_export(args.report, args.format, args.out)
             cfg_dict = {}
         else:
             if not args.config:
                 raise SchemaError("missing --config <path>")
             cfg, cfg_dict = load_config(args.config)
-            results = COMMANDS[args.command](cfg, threads)
+            results = COMMANDS[args.command](cfg)
     except SchemaError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

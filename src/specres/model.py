@@ -630,13 +630,12 @@ class FreeResolventAction:
         """The action at -conj(k), sharing this one's kernel evaluation.
 
         The mirror's phi, psi, pref and moment weights are the conjugates of
-        these.  It takes the conjugate of the matrix if it is already
-        assembled, and later reads the conjugates of whatever partials or
-        matrix this action has or computes on its request, so it never
-        evaluates phi or psi on the partial tensors; its blocks are bitwise
-        the conjugates of this action's.  The mirror holds this action, not
-        the other way round, so the pair forms no reference cycle.  The
-        mirror of a mirror is its source."""
+        these, and it reads the conjugates of whatever partials this action
+        has or computes on its request, so it never evaluates phi or psi on
+        the partial tensors; its blocks, and a matrix it assembles from
+        them, are bitwise the conjugates of this action's.  The mirror
+        holds this action, not the other way round, so the pair forms no
+        reference cycle.  The mirror of a mirror is its source."""
         if self._source is not None:
             return self._source
         mirror = object.__new__(FreeResolventAction)
@@ -648,8 +647,7 @@ class FreeResolventAction:
         mirror.pref = np.conj(self.pref)
         for name in ("phi_nodes", "psi_nodes", "phi_w", "psi_w"):
             setattr(mirror, name, np.conj(getattr(self, name)))
-        mirror._matrix = None if self._matrix is None else np.conj(self._matrix)
-        mirror._left = mirror._right = mirror._run = None
+        mirror._matrix = mirror._left = mirror._right = mirror._run = None
         mirror._source = self
         return mirror
 
@@ -684,14 +682,11 @@ class FreeResolventAction:
         return self._left, self._right
 
     def matrix(self):
-        """Dense sample-to-sample matrix of the action (includes weights);
-        a mirror conjugates its source's.  Per point."""
+        """Dense sample-to-sample matrix of the action (includes weights),
+        the block over all nodes, kept.  Per point."""
         if self._matrix is None:
-            if self._source is not None:
-                self._matrix = np.conj(self._source.matrix())
-            else:
-                idx = np.arange(self.grid.size)
-                self._matrix = self.block(idx, idx)
+            idx = np.arange(self.grid.size)
+            self._matrix = self.block(idx, idx)
         return self._matrix
 
     def block(self, rows, cols):

@@ -128,13 +128,6 @@ class TestScan:
         with pytest.raises(AdmissibilityError):
             BS.scan_singularities(free_radial, np.linspace(1.0, 4 * limit, 10))
 
-    def test_threaded_profile_is_bit_identical(self, small_well):
-        grid = np.linspace(0.2, 6.0, 24)
-        serial = BS.sigma_profile(small_well, grid)
-        threaded = BS.sigma_profile(small_well, grid, threads=2)
-        for side in ("+", "-"):
-            assert np.array_equal(threaded[side], serial[side])
-
     def test_minima_at_the_ends_of_the_grid_are_refined(self):
         # the zero at 24.96 lies in the last gap of one grid and in the
         # first gap of the other, where the end point is the profile minimum
@@ -638,7 +631,8 @@ class TestSupportReduction:
         # no assembled free kernel, every SVD of order |S| + 1 (T lies right
         # of S, one row of B') and no block row off S in the scan, the point
         # classification, the golden refinement or the calculus probe; the
-        # resonant state is a full-order SVD by design, stubbed
+        # resonant state is stubbed here (see test_cli.py for a run without
+        # the free-kernel assembly that builds it)
         model, _ = tuned_well
         mask = model.support_mask()
         support = np.count_nonzero(mask)
@@ -793,3 +787,64 @@ def test_k_blocks_are_slices_of_the_full_k(name, point):
     if t.size:
         assert _rel(BS._k_block(model, system.action, t, s), k[np.ix_(t, s)]) <= 1e-14
     assert not k[:, t].any()
+
+
+KERNEL_CASES = [(name, point) for name in sorted(SYLVESTER_CASES)
+                for point in ({"z": 3.0 + 0.7j}, {"lam": 2.0, "side": "+"},
+                              {"lam": 5.5, "side": "-"})
+                if "z" in point or name != "finite"]
+
+
+@pytest.mark.parametrize("name, point", KERNEL_CASES)
+def test_kernel_vector_is_a_singular_vector_of_the_full_order_system(name, point):
+    # (sigma, x) lifted from M against the assembled Id + K: a unit vector
+    # that Id + K shrinks by sigma, with the sigma of the full-order SVD
+    model = sylvester_model(name)
+    sigma, x = BS.BoundarySystem(model, **point).kernel_vector()
+    id_plus_k = np.eye(model.size) + BS.bs_matrix(model, **point)
+    ref = (BS.sigma_min(model, point["lam"], point["side"]) if "lam" in point
+           else float(np.linalg.svd(id_plus_k, compute_uv=False)[-1]))
+    assert abs(sigma - ref) <= max(1e-12 * ref, 1e-14)
+    assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
+    assert abs(np.linalg.norm(id_plus_k @ x) - sigma) <= 1e-12
+    # the phase rule: the entry of largest modulus is real and positive
+    top = x[np.argmax(np.abs(x))]
+    assert top.imag == 0.0 and top.real > 0.0
+
+
+SINGULAR_POINTS = {
+    "tuned_1": lambda: (F.tuned_resonant_well(lam=1.0)[0], 1.0),
+    "tuned_2.084": lambda: (F.tuned_resonant_well(lam=2.084)[0], 2.084),
+    "tuned_3": lambda: (F.tuned_resonant_well(lam=3.0)[0], 3.0),
+    "rank_one": lambda: (F.rank_one_embedded_model(lam0=2.0)[0], 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGULAR_POINTS))
+def test_kernel_vector_spans_the_full_order_kernel(name):
+    model, lam = SINGULAR_POINTS[name]()
+    sigma, x = BS.BoundarySystem(model, lam=lam, side="+").kernel_vector()
+    assert sigma <= 1e-6
+    _, _, vh = np.linalg.svd(np.eye(model.size) + BS.bs_matrix(model, lam=lam, side="+"))
+    assert abs(np.vdot(np.conj(vh[-1]), x)) >= 1.0 - 1e-12
+
+
+def test_resonant_state_phase_is_deterministic(tuned_well):
+    model, _ = tuned_well
+    first, second = (BS.resonant_state(model, 1.0, "+", detection_threshold=1e-3)
+                     for _ in range(2))
+    assert np.array_equal(first.psi_samples, second.psi_samples)
+    assert np.array_equal(first.phi, second.phi)
+
+
+@pytest.mark.parametrize("name", sorted(SYLVESTER_CASES))
+@pytest.mark.parametrize("z", [3.0 + 0.7j, 1.0 + 1e-3j, -1.5 - 2.0j])
+def test_weighted_resolvent_norm_matches_the_full_order_columns(name, z):
+    # ||Id - (Id + K)^(-1)||_2 from A and B' against the N x |S| columns of
+    # the assembled inverse that carry it
+    model = sylvester_model(name)
+    support = np.flatnonzero(model.support_mask())
+    inv = np.linalg.inv(np.eye(model.size) + BS.bs_matrix(model, z=z))
+    ref = np.linalg.norm((np.eye(model.size) - inv)[:, support], 2)
+    value = BS.BoundarySystem(model, z=z).weighted_resolvent_norm()
+    assert abs(value - ref) <= 1e-12 * ref

@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specres import birman_schwinger as bs
+from specres import calculus as calc
 from specres import cli
+from specres import model as M
+from specres import subspaces as sub
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -108,8 +111,8 @@ class TestScanCommand:
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
     def test_thread_pool_writes_the_serial_report(self, tmp_path, tuned_well):
-        # each pool task runs both sides of a point: two block assemblies,
-        # two QRs and two small SVDs; the report must not depend on the pool
+        # --threads limits only the BLAS threads; the report must not
+        # depend on it
         _, v0 = tuned_well
         cfg = write_config(tmp_path, TUNED_SCAN_TEMPLATE.format(
             v0=f"{v0.real}{v0.imag:+}j").replace("num_points = 101", "num_points = 41"))
@@ -123,6 +126,30 @@ class TestScanCommand:
             reports.append(json.dumps(report, sort_keys=True))
         assert reports[0] == reports[1]
         assert json.loads(reports[0])["results"]["detected"]
+
+    def test_orders_and_states_need_no_full_free_kernel(self, tmp_path, tuned_well,
+                                                        small_well, monkeypatch):
+        # the scan with order estimates (resonant state and order_estimate
+        # at the detection) and the calculus paths run on the support blocks
+        def full_assembly(act):
+            raise AssertionError("full free-kernel assembly")
+
+        monkeypatch.setattr(M.FreeResolventAction, "matrix", full_assembly)
+        _, v0 = tuned_well
+        cfg = write_config(tmp_path, TUNED_SCAN_TEMPLATE.format(
+            v0=f"{v0.real}{v0.imag:+}j") + "estimate_orders = true\n")
+        assert cli.main(["scan", "--config", cfg, "--out", str(tmp_path)]) == 0
+        detected, = json.loads((tmp_path / "scan_report.json").read_text())["results"]["detected"]
+        assert detected["nu"] == 1
+        # the fit behind nu is reported, not dropped
+        assert np.isfinite(detected["nu_slope"])
+        assert isinstance(detected["nu_ambiguous"], bool)
+        x = small_well.grid.nodes
+        u, v = M.GaussianBump(center=3.0, width=0.6)(x), M.GaussianBump(center=2.5, width=0.8)(x)
+        assert np.isfinite(calc.stone_form(small_well, (1.0, 2.0), u, v))
+        assert np.isfinite(calc.stone_product_forms(small_well, (1.0, 4.0), (2.0, 6.0),
+                                                    [(u, v)])).all()
+        assert np.isfinite(sub.ac_certificate(small_well, w=u).c_u)
 
 
 @pytest.mark.parametrize("old, new, field", [
@@ -233,6 +260,13 @@ suite = stone
         assert check["name"] == "stone_boundary_vs_smoothed" and check["value"] <= 1e-5
         # the extrapolation's own error estimate is reported, not dropped
         assert np.isfinite(check["error_estimate"])
+
+    def test_resolution_suite_reports_its_tail_estimate(self, tmp_path):
+        cfg = write_config(tmp_path, FREE_SCAN + "\n[verify]\nsuite = resolution\n")
+        assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+        check, = json.loads((tmp_path / "verify_report.json").read_text())["results"]["checks"]
+        assert check["name"] == "resolution_residual" and check["passed"]
+        assert np.isfinite(check["tail_estimate"])
 
     def test_bounds_suite_passes(self, tmp_path):
         cfg = write_config(tmp_path, FREE_SCAN + "\n[verify]\nsuite = bounds\n")
