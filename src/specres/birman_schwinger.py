@@ -13,8 +13,15 @@ vectors reconstruct resonant states Psi = -R0(lam +/- i0) C W phi that
 solve the stationary equation with outgoing/incoming tails.
 
 :class:`BoundarySystem` is the one place where Id + K is formed and
-factorized, at a complex z or at a boundary pair (lam, side); sigma_min,
-solves, R_H applications and log det all come from it.
+factorized, at a complex z or at a boundary pair (lam, side), or at a
+stack of such points; sigma_min, solves, R_H applications and log det all
+come from it.  The sweeps over many independent points run in stacks of
+at most ``BATCH_POINTS``: the ``sigma_profile`` of a scan, the
+eps samples of ``order_estimate``, the log|det| surface of
+``locate_eigenvalues`` and the contour of ``eigenvalue_winding`` (and of
+the rank and trace of ``calculus.riesz_projection``).  Golden-section
+refinement, Newton steps, kernel vectors and inverses run per point, as
+does every method on the finite backend.
 
 K = C R0 C W has no columns off the support S of W.  Ordering the nodes
 as (S, T), Id + K = [[A, 0], [B, I]] with A = I + K_SS and B = K_TS, so
@@ -84,6 +91,7 @@ __all__ = [
     "weighted_resolvent_H",
     "resolvent_H_apply",
     "sigma_profile",
+    "candidate_minima",
     "classify_minima",
     "scan_singularities",
     "classify_point",
@@ -127,6 +135,16 @@ def point_batches(points):
     return np.array_split(points, -(-points.size // BATCH_POINTS))
 
 
+def over_stacks(model, values, points):
+    """``values(stack)``, a (K, ...) array for a stack of K points, at
+    every point of a non-empty 1-D array, evaluated on its
+    ``point_batches``; point by point on the finite backend, whose systems
+    do not stack."""
+    if model.backend == "finite":
+        return np.array([values(point) for point in points])
+    return np.concatenate([values(stack) for stack in point_batches(points)])
+
+
 class SingularBoundaryError(ModelError):
     """Id + K is numerically singular: lam sits at (or next to) a
     spectral singularity or an eigenvalue; the caller classifies."""
@@ -167,7 +185,8 @@ def _k_block(model, act, rows, support):
 
 def _k_rest_factors(model, act, rest, support):
     """K[rest, S] as pieces (rows, u, f) with K[rows, S] = u @ f, or f
-    when u is None, written without the dense block.
+    when u is None, written without the dense block; on a stacked action
+    u is (K, rows, c), f is (K, c, |S|) and a dense f is (K, rows, |S|).
 
     By the separable kernel G = pref phi(min) psi(max), the row of K at a
     node x of T in a panel without nodes of S is psi(x) a + phi(x) b times
@@ -190,7 +209,8 @@ def _k_rest_factors(model, act, rest, support):
     if shared.any():
         pieces.append((rest[shared], None, _k_block(model, act, rest[shared], support)))
     c = model.c_values
-    phi_c, psi_c = act.phi_w[support] * c[support], act.psi_w[support] * c[support]
+    phi_c, psi_c = act.phi_w[..., support] * c[support], act.psi_w[..., support] * c[support]
+    pref = np.asarray(act.pref)[..., None]
     free = rest[~shared]
     # the number of S nodes left of a row's panel: equal between two S panels
     split = np.searchsorted(col_panel, panel[free])
@@ -199,15 +219,23 @@ def _k_rest_factors(model, act, rest, support):
         left = np.arange(support.size) < cut
         u, f = [], []
         if left.any():
-            u.append(act.psi_nodes[rows])
+            u.append(act.psi_nodes[..., rows])
             f.append(np.where(left, phi_c, 0.0))
         if not left.all():
-            u.append(act.phi_nodes[rows])
+            u.append(act.phi_nodes[..., rows])
             f.append(np.where(left, 0.0, psi_c))
-        u = np.stack(u, axis=1) * (act.pref * c[rows] * g.sqrtw[rows])[:, None]
-        f = model.right_apply_w(np.array(f), support) / g.sqrtw[support]
+        u = np.stack(u, axis=-1) * (pref * c[rows] * g.sqrtw[rows])[..., None]
+        f = model.right_apply_w(np.stack(f, axis=-2), support) / g.sqrtw[support]
         pieces.append((rows, u, f))
     return pieces
+
+
+def _column_norm(u):
+    """The 2-norm of a one-column u (rows, 1), or of each point's column of
+    a stack (K, rows, 1), by the dot products of ``np.linalg.norm(u)``: a
+    point has the same bits in a stack as alone."""
+    x = u[..., 0]
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
 class BoundarySystem:
@@ -253,8 +281,15 @@ class BoundarySystem:
     no LU factors: its callers solve once), and ``w_solve``,
     ``resolvent_apply`` and ``mirror`` work on all points at once, taking
     samples as columns: (K, N, m), or (N, m) shared by every point for
-    ``resolvent_apply``.  The other methods are per point.  Callers split
-    long runs of points into stacks of at most ``BATCH_POINTS``.
+    ``resolvent_apply``.  ``sigma_min``, ``log_det`` and
+    ``weighted_resolvent_norm`` return (K,) arrays from one stacked SVD or
+    slogdet, M being (K, |S| + p, |S| + p).  These three give a point of
+    a stack the bits it has alone, wherever the BLAS matrix product rounds
+    each row of the stacked contraction as it rounds a lone one; a stacked
+    ``a_solve`` rounds as NumPy's stacked solve, not as one point's LU.
+    ``k``, ``kernel_vector`` and ``inverse`` are per point.
+    Callers split long runs of points into stacks of at most
+    ``BATCH_POINTS`` (``over_stacks``).
 
     ``mirror`` is the system at the mirror point, (lam, -/+) for (lam, +/-)
     and conj z for z.  H0 is real, so its free action is
@@ -317,7 +352,7 @@ class BoundarySystem:
 
     def _k_rest(self):
         """K_TS as the pieces (rows, u, f) of ``_k_rest_factors``, or one
-        dense piece sliced from K on the finite backend.  Per point."""
+        dense piece sliced from K on the finite backend."""
         if self.action is None:
             return [(self.rest, None, self.k[np.ix_(self.rest, self.support)])]
         return _k_rest_factors(self.model, self.action, self.rest, self.support)
@@ -348,29 +383,30 @@ class BoundarySystem:
         """M = [[A, 0], [B', I]] and the pieces (rows, u, f) of K_TS = Q B':
         B' stacks each piece's f times the triangular factor of its u (the
         norm of a one-column u: B'* B' = B* B either way), cut to |S| rows
-        by one more QR when longer.  Per point."""
+        by one more QR when longer; (K, |S| + p, |S| + p) for a stack."""
         pieces = self._k_rest()
         s = self.support.size
         b = [f if u is None
-             else np.linalg.norm(u) * f if u.shape[1] == 1
+             else _column_norm(u)[..., None, None] * f if u.shape[-1] == 1
              else np.linalg.qr(u, mode="r") @ f
              for _, u, f in pieces]
-        b = np.concatenate(b) if b else np.zeros((0, s))
-        if b.shape[0] > s:
+        b = np.concatenate(b, axis=-2) if b else np.zeros(self.batch + (0, s))
+        if b.shape[-2] > s:
             b = np.linalg.qr(b, mode="r")
-        p = b.shape[0]
-        m = np.zeros((s + p, s + p), dtype=complex)
-        m[:s, :s] = self._a()
-        m[s:, :s] = b
-        m[s:, s:] = np.eye(p)
+        p = b.shape[-2]
+        m = np.zeros(self.batch + (s + p, s + p), dtype=complex)
+        m[..., :s, :s] = self._a()
+        m[..., s:, :s] = b
+        m[..., s:, s:] = np.eye(p)
         return m, pieces
 
     def sigma_min(self):
         """Smallest singular value of Id + K, that of M, which its unit
-        block bounds by 1.  Per point."""
+        block bounds by 1; (K,) for a stack, from one stacked SVD."""
         if not self.support.size:
-            return 1.0
-        return float(np.linalg.svd(self._reduced()[0], compute_uv=False)[-1])
+            return np.ones(self.batch) if self.batch else 1.0
+        sigma = np.linalg.svd(self._reduced()[0], compute_uv=False)[..., -1]
+        return sigma if self.batch else float(sigma)
 
     def kernel_vector(self):
         """(sigma_min, x), x a unit right singular vector of Id + K for it
@@ -396,9 +432,10 @@ class BoundarySystem:
         return float(sv[-1]), x
 
     def log_det(self):
-        """log |det(Id + K)| and the phase, as det A.  Per point."""
+        """log |det(Id + K)| and the phase, as det A; two (K,) arrays for a
+        stack, from one stacked slogdet."""
         sign, logabs = np.linalg.slogdet(self._a())
-        return float(logabs), complex(sign)
+        return (logabs, sign) if self.batch else (float(logabs), complex(sign))
 
     def a_solve(self, rhs):
         """A^(-1) rhs for rhs indexed by the support S, from the kept LU
@@ -421,11 +458,21 @@ class BoundarySystem:
     def weighted_resolvent_norm(self):
         """||C R_H C W||_2 = ||Id - (Id + K)^(-1)||_2, the norm of its S
         columns [[I - A^(-1)], [B A^(-1)]], or of [[I - A^(-1)], [B' A^(-1)]]
-        since B = Q B'.  Per point."""
-        m, _ = self._reduced()
+        since B = Q B'; (K,) for a stack, from one stacked SVD."""
         s = self.support.size
-        a_inv = self.a_solve(np.eye(s))
-        return float(np.linalg.norm(np.concatenate([np.eye(s) - a_inv, m[s:, :s] @ a_inv]), 2))
+        if not s:   # (Id + K)^(-1) = Id
+            return np.zeros(self.batch) if self.batch else 0.0
+        m, _ = self._reduced()
+        eye = np.eye(s)
+        # each point's A^(-1) from its own LU factors, not one stacked
+        # solve: a point of a stack has the bits it has alone
+        a = m[..., :s, :s]
+        a_inv = np.reshape([sla.lu_solve(sla.lu_factor(x, check_finite=False), eye,
+                                         check_finite=False) for x in a.reshape(-1, s, s)],
+                           a.shape)
+        cols = np.concatenate([eye - a_inv, m[..., s:, :s] @ a_inv], axis=-2)
+        norm = np.linalg.svd(cols, compute_uv=False)[..., 0]
+        return norm if self.batch else float(norm)
 
     def w_solve(self, samples):
         """W (Id + K)^(-1) on grid samples (a vector, or the columns of a
@@ -469,17 +516,20 @@ def bs_matrix(model, z=None, lam=None, side=None):
 def bs_matrix_dz(model, z):
     """d/dz of K_SS(z), the block of K(z) on the support of W (exact
     resolvent algebra on the finite backend, central differences of the
-    crease-exact block assembly on continuum grids).  K'(z) has the zero
-    columns of K, so tr[(Id + K)^(-1) K'] = tr[A^(-1) K'_SS]."""
+    crease-exact block assembly on continuum grids, with a step h per
+    point).  K'(z) has the zero columns of K, so
+    tr[(Id + K)^(-1) K'] = tr[A^(-1) K'_SS].  An array of K values of z
+    gives (K, |S|, |S|) from two stacked systems (continuum backends)."""
     if model.backend == "finite":
         n = model.size
         r0 = np.linalg.solve(model.h0 - complex(z) * np.eye(n), np.eye(n))
         c = model.c_diag
         s = np.flatnonzero(model.support_mask())
         return (c[:, None] * (r0 @ r0) * c[None, :] @ model.w_matrix)[np.ix_(s, s)]
-    h = 1e-5 * max(1.0, abs(z))
+    # hypot, not np.abs: the bits abs() gives one point
+    h = 1e-5 * np.maximum(1.0, np.hypot(np.real(z), np.imag(z)))
     plus = BoundarySystem(model, z=z + h).k_support()
-    return (plus - BoundarySystem(model, z=z - h).k_support()) / (2.0 * h)
+    return (plus - BoundarySystem(model, z=z - h).k_support()) / (2.0 * h)[..., None, None]
 
 
 @dataclass
@@ -640,7 +690,8 @@ def _golden_min(f, a, b, tol):
 
 def _sigma_pair(model, lam):
     """sigma_min(Id + K(lam, +)) and sigma_min(Id + K(lam, -)), the minus
-    side on the mirror of the plus side's free kernel."""
+    side on the mirror of the plus side's free kernel; two (K,) arrays for
+    a stack of lam."""
     plus = BoundarySystem(model, lam=lam, side="+")
     return plus.sigma_min(), plus.mirror().sigma_min()
 
@@ -665,9 +716,10 @@ def sigma_profile(model, lam_grid):
     """sigma_min(Id + K(lam, +/-)) at every point of a scan grid, by side.
 
     The grid must start on the admissible boundary and end within the
-    energy the model grid resolves.  Both sides of a point share one free
-    kernel; the points run one after another (a reduced sigma_min is too
-    short for Python threads to gain).
+    energy the model grid resolves.  The points run in stacks of at most
+    ``BATCH_POINTS``: one stacked plus-side system and its mirror per
+    stack, so both sides of a point share one free kernel.  A radial
+    threshold point lam = 0 runs on its own, since a stack refuses k = 0.
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
     for lam in (lam_grid[0], lam_grid[-1]):
@@ -677,8 +729,14 @@ def sigma_profile(model, lam_grid):
         raise AdmissibilityError(
             f"scan range exceeds grid resolution: lam_max {lam_grid[-1]:.3g} > {limit:.3g}"
         )
-    plus, minus = np.array([_sigma_pair(model, l) for l in lam_grid]).T
-    return {"+": plus, "-": minus}
+    profile = np.empty((lam_grid.size, 2))
+    at_zero = lam_grid == 0.0
+    if at_zero.any():
+        profile[at_zero] = _sigma_pair(model, 0.0)
+    if not at_zero.all():
+        profile[~at_zero] = over_stacks(
+            model, lambda lam: np.stack(_sigma_pair(model, lam), axis=-1), lam_grid[~at_zero])
+    return {"+": profile[:, 0], "-": profile[:, 1]}
 
 
 def scan_singularities(model, lam_grid, detection_threshold=DETECTION_THRESHOLD):
@@ -700,25 +758,31 @@ def scan_singularities(model, lam_grid, detection_threshold=DETECTION_THRESHOLD)
                            detection_threshold)
 
 
+def candidate_minima(lam_grid, profile):
+    """(side, a, b) for every local minimum of a ``sigma_profile`` result
+    below ``REGULAR_FLOOR``, [a, b] the bracket ``classify_minima`` refines
+    it over: its two neighbouring gaps, or the one gap of a minimum at an
+    end of the grid."""
+    lam_grid = np.asarray(lam_grid, dtype=float)
+    candidates = []
+    for side in ("+", "-"):
+        v = profile[side]
+        for i in range(len(v)):
+            lo, hi = max(i - 1, 0), min(i + 1, len(v) - 1)
+            if lo < hi and v[i] <= v[lo] and v[i] <= v[hi] and v[i] < REGULAR_FLOOR:
+                candidates.append((side, lam_grid[lo], lam_grid[hi]))
+    return candidates
+
+
 def classify_minima(model, lam_grid, profile, detection_threshold=DETECTION_THRESHOLD,
                     estimate_orders=False):
     """The reports of ``scan_singularities`` from a ``sigma_profile`` result;
     refined minima closer than ``MERGE_WIDTH`` (1e-7) merge into one."""
     if not (0 < detection_threshold < 0.5):
         raise ModelError("detection threshold must lie in (0, 0.5)")
-    lam_grid = np.asarray(lam_grid, dtype=float)
-    candidates = []
-    for side in ("+", "-"):
-        v = profile[side]
-        # a minimum at an end point has one neighbour and brackets one gap
-        for i in range(len(v)):
-            lo, hi = max(i - 1, 0), min(i + 1, len(v) - 1)
-            if lo < hi and v[i] <= v[lo] and v[i] <= v[hi] and v[i] < REGULAR_FLOOR:
-                candidates.append((side, lam_grid[lo], lam_grid[hi]))
-
     reports = []
     seen = []
-    for side, a, b in candidates:
+    for side, a, b in candidate_minima(lam_grid, profile):
         lam_star, val = _golden_min(
             lambda l: BoundarySystem(model, lam=l, side=side).sigma_min(), a, b, REFINE_WIDTH)
         if val >= detection_threshold:
@@ -814,16 +878,12 @@ def _stationary_residual(model, lam, act, source, psi):
     pts = pts[ok]
 
     sten = np.array([-1.0 / 12, 4.0 / 3, -5.0 / 2, 4.0 / 3, -1.0 / 12]) / h**2
-    offsets = h * np.arange(-2, 3)
-    res = np.empty(pts.size)
-    mag = np.empty(pts.size)
-    vpsi_samples = model.c_values * model.apply_w(model.c_values * psi)
-    for i, x in enumerate(pts):
-        vals = -act.evaluate(source, x + offsets)
-        d2 = sten @ vals
-        vpsi = g.interpolate(vpsi_samples, [x])[0]
-        res[i] = abs(-d2 + vpsi - lam * vals[2])
-        mag[i] = abs(vals[2])
+    # Psi at every point, one stencil offset at a time
+    vals = np.array([-act.evaluate(source, pts + off) for off in h * np.arange(-2, 3)])
+    d2 = sten @ vals
+    vpsi = g.interpolate(model.c_values * model.apply_w(model.c_values * psi), pts)
+    res = np.abs(-d2 + vpsi - lam * vals[2])
+    mag = np.abs(vals[2])
     scale = math.sqrt(float(np.mean(mag**2)))
     return float(math.sqrt(np.mean(res**2)) / max(scale, 1e-300))
 
@@ -997,15 +1057,14 @@ def order_estimate(model, lam_star, side, eps_samples):
     if eps_samples.max() / eps_samples.min() < 10.0**2.9:
         raise ModelError("order estimate needs eps samples spanning >= 3 decades")
     sgn = 1.0 if side == "+" else -1.0
-    norms = []
-    for eps in eps_samples:
-        norms.append(BoundarySystem(model, z=lam_star + 1j * sgn * eps).weighted_resolvent_norm())
-    logs = np.log(np.asarray(norms))
+    norms = over_stacks(model, lambda z: BoundarySystem(model, z=z).weighted_resolvent_norm(),
+                        lam_star + 1j * sgn * eps_samples)
+    logs = np.log(norms)
     slope, intercept = np.polyfit(-np.log(eps_samples), logs, 1)
     resid = float(np.std(logs - (-np.log(eps_samples) * slope + intercept)))
     nu = int(round(slope))
     ambiguous = bool(abs(slope - nu) > 0.2)
-    if max(norms) < 10.0 * min(norms):
+    if norms.max() < 10.0 * norms.min():
         nu, ambiguous = 0, False  # plateau: regular point
     return nu, {"slope": float(slope), "fit_residual": resid, "ambiguous": ambiguous}
 
@@ -1100,8 +1159,10 @@ def threshold_equivalence_check(model):
 
 
 def _logdet_derivative(model, z):
-    """d/dz log det(Id + K(z)) = tr[(Id + K)^(-1) K'(z)] = tr[A^(-1) K'_SS(z)]."""
-    return complex(np.trace(BoundarySystem(model, z=z).a_solve(bs_matrix_dz(model, z))))
+    """d/dz log det(Id + K(z)) = tr[(Id + K)^(-1) K'(z)] = tr[A^(-1) K'_SS(z)];
+    (K,) for an array of K values of z, from stacked systems."""
+    d = np.trace(BoundarySystem(model, z=z).a_solve(bs_matrix_dz(model, z)), axis1=-2, axis2=-1)
+    return d if np.ndim(z) else complex(d)
 
 
 def locate_eigenvalues(model, re_range=(-10.0, 30.0), im_range=(-6.0, 6.0),
@@ -1117,10 +1178,8 @@ def locate_eigenvalues(model, re_range=(-10.0, 30.0), im_range=(-6.0, 6.0),
     res = np.linspace(re_range[0], re_range[1], n_re)
     band = np.linspace(im_range[0], im_range[1], n_im)
     ims = np.array(sorted(set(float(b) for b in band if abs(b) > 0.02) | {-0.05, 0.05}))
-    surface = np.empty((ims.size, n_re))
-    for i, b in enumerate(ims):
-        for j, a in enumerate(res):
-            surface[i, j], _ = log_det(model, z=a + 1j * b)
+    surface = over_stacks(model, lambda z: BoundarySystem(model, z=z).log_det()[0],
+                          (res[None, :] + 1j * ims[:, None]).ravel()).reshape(ims.size, n_re)
     seeds = []
     for i in range(ims.size):
         for j in range(n_re):
@@ -1158,9 +1217,7 @@ def locate_eigenvalues(model, re_range=(-10.0, 30.0), im_range=(-6.0, 6.0),
 def eigenvalue_winding(model, center, radius, n_nodes=32):
     """Argument-principle count of det(Id + K(z)) zeros inside a circle."""
     theta = 2 * math.pi * np.arange(n_nodes) / n_nodes
-    total = 0.0 + 0.0j
-    for t in theta:
-        z = center + radius * np.exp(1j * t)
-        dz = 1j * radius * np.exp(1j * t) * (2 * math.pi / n_nodes)
-        total += _logdet_derivative(model, z) * dz
+    zs = center + radius * np.exp(1j * theta)
+    dz = 1j * radius * np.exp(1j * theta) * (2 * math.pi / n_nodes)
+    total = np.sum(over_stacks(model, lambda z: _logdet_derivative(model, z), zs) * dz)
     return int(round((total / (2j * math.pi)).real))

@@ -25,9 +25,11 @@ per stack of at most ``birman_schwinger.BATCH_POINTS`` values of z, and
 the stack's free action, support blocks, solves and R0 applications carry
 a leading point axis.  The cap bounds memory, not time: every point of a
 stack keeps its partials, support blocks and solve alive at once
-(about 0.6 MB a point on a well over 80 of 192 nodes).  The adaptive
-boundary-exact forms stay per point: their systems are cached per
-(lam, side) and shared across test pairs and intervals.
+(about 0.6 MB a point on a well over 80 of 192 nodes).  The contour
+rank and trace of a continuum ``riesz_projection`` run in such stacks
+too; its vector action runs per point.  The adaptive boundary-exact forms
+stay per point: their systems are cached per (lam, side) and shared
+across test pairs and intervals.
 """
 
 from __future__ import annotations
@@ -619,10 +621,9 @@ def riesz_projection(model, lam, radius):
             idempotency=idem, commutation=comm,
             diagnostics={"trace": complex(np.trace(pi))},
         )
-    # continuum: argument-principle rank and trace via tr[(Id+K)^-1 K']
-    mult = 0.0 + 0.0j
-    for z, d in zip(zs, dz):
-        mult += bs._logdet_derivative(model, z) * d
+    # continuum: argument-principle rank and trace via tr[(Id+K)^-1 K'],
+    # the contour nodes in stacks
+    mult = np.sum(bs.over_stacks(model, lambda z: bs._logdet_derivative(model, z), zs) * dz)
     rank = int(round((mult / (2j * math.pi)).real))
     if rank < 1:
         raise ModelError("contour encloses no determinant zero (no eigenvalue)")

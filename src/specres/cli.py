@@ -345,9 +345,10 @@ def cmd_scan(cfg):
     ]
     return {
         "detected": [r.as_record() for r in reports],
+        "candidates_refined": len(bs.candidate_minima(grid, profile)),
         "sigma_samples": sigma_grid,
         "grid": {"min": lam_min, "max": lam_max, "points": n, "threshold": thr,
-                 "merge_width": bs.MERGE_WIDTH},
+                 "merge_width": bs.MERGE_WIDTH, "max_scan_energy": model.max_scan_energy()},
     }
 
 

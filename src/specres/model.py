@@ -540,14 +540,19 @@ def _kernel_value(backend, k, x, y):
 def _phi_psi(backend, k):
     """Separable factors: G = pref * phi(min) * psi(max), at one wavenumber
     or at a 1-D array of them; phi(t) and psi(t) then have the shape
-    k.shape + t.shape, and pref the shape of k."""
+    k.shape + t.shape, and pref the shape of k.  pref is divided one
+    wavenumber at a time in Python's complex arithmetic, which rounds
+    otherwise than NumPy's complex division, so a point of a stack has the
+    bits it has alone."""
     stack = _is_stack(k)
-    mul = np.multiply.outer if stack else np.multiply
-    if backend == "line1d":
-        return (lambda t: np.exp(mul(-1j * k, t))), (lambda t: np.exp(mul(1j * k, t))), 1j / (2 * k)
-    if not stack and abs(k) == 0.0:
+    if backend != "line1d" and not stack and abs(k) == 0.0:
         return (lambda t: np.asarray(t, dtype=complex)), (lambda t: np.ones_like(np.asarray(t, dtype=complex))), 1.0
-    return (lambda t: np.sin(mul(k, t))), (lambda t: np.exp(mul(1j * k, t))), 1.0 / k
+    mul = np.multiply.outer if stack else np.multiply
+    pref_of = (lambda q: 1j / (2 * q)) if backend == "line1d" else (lambda q: 1.0 / q)
+    pref = np.array([pref_of(q) for q in k.tolist()]) if stack else pref_of(k)
+    if backend == "line1d":
+        return (lambda t: np.exp(mul(-1j * k, t))), (lambda t: np.exp(mul(1j * k, t))), pref
+    return (lambda t: np.sin(mul(k, t))), (lambda t: np.exp(mul(1j * k, t))), pref
 
 
 # ---------------------------------------------------------------------------

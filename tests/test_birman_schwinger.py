@@ -629,8 +629,9 @@ class TestSupportReduction:
 
     def test_sigma_min_paths_run_at_the_order_of_the_support(self, tuned_well, monkeypatch):
         # no assembled free kernel, every SVD of order |S| + 1 (T lies right
-        # of S, one row of B') and no block row off S in the scan, the point
-        # classification, the golden refinement or the calculus probe; the
+        # of S, one row of B'; the scan's are stacked, (K, |S| + 1, |S| + 1))
+        # and no block row off S in the scan, the point classification, the
+        # golden refinement or the calculus probe; the
         # resonant state is stubbed here (see test_cli.py for a run without
         # the free-kernel assembly that builds it)
         model, _ = tuned_well
@@ -668,7 +669,7 @@ class TestSupportReduction:
         assert abs(reports[0].lam - 1.0) <= 1e-6
         assert len(states) == 1
         C._assert_singularity_free(model, (2.0, 6.0), {})
-        assert orders and set(orders) == {(support + 1, support + 1)}
+        assert orders and {shape[-2:] for shape in orders} == {(support + 1, support + 1)}
         assert block_rows and all(written[rows].all() for rows in block_rows)
         # the exact zero of the rank-one embedded eigenvalue (S is every node)
         embedded, _, _ = F.rank_one_embedded_model(lam0=2.0)
@@ -749,6 +750,110 @@ def test_a_stacked_system_is_its_points(name, points):
             assert a[i].shape == b.shape
             if b.size and b.any():
                 assert _rel(a[i], b) <= 1e-13
+
+
+STACK_Z = np.array([3.0 + 0.7j, -1.5 - 2.0j, 0.4 + 0.05j, 12.0 - 0.3j])
+STACK_LAM = np.array([0.3, 1.1, 2.0, 2.6])   # below every continuum case's scan limit
+
+
+def _sigma_agrees(got, want):
+    return abs(got - want) <= max(1e-12 * want, 1e-15)
+
+
+@pytest.mark.parametrize("name", sorted(set(SYLVESTER_CASES) - {"finite"}))
+@pytest.mark.parametrize("points", [{"z": STACK_Z}, {"lam": STACK_LAM, "side": "+"},
+                                    {"lam": STACK_LAM, "side": "-"}])
+def test_stacked_reductions_are_their_points(name, points):
+    # sigma_min, log det and the weighted resolvent norm of a stack and of
+    # its mirror, one stacked SVD or slogdet each, against one system per
+    # point and its mirror
+    model = sylvester_model(name)
+    key = "z" if "z" in points else "lam"
+    stack = BS.BoundarySystem(model, **points)
+    for mirrored, system in ((False, stack), (True, stack.mirror())):
+        sigma, (logabs, phase), norm = (system.sigma_min(), system.log_det(),
+                                        system.weighted_resolvent_norm())
+        assert sigma.shape == logabs.shape == phase.shape == norm.shape == points[key].shape
+        if not model.support_mask().any():   # W = 0: Id + K = Id
+            assert np.array_equal(sigma, np.ones(sigma.shape))
+            assert not logabs.any() and not norm.any()
+        for i, point in enumerate(points[key]):
+            one = BS.BoundarySystem(model, **{**points, key: point})
+            one = one.mirror() if mirrored else one
+            ref_logabs, ref_phase = one.log_det()
+            assert _sigma_agrees(sigma[i], one.sigma_min())
+            assert abs(logabs[i] - ref_logabs) <= 1e-14
+            assert abs(phase[i] - ref_phase) <= 1e-14
+            ref_norm = one.weighted_resolvent_norm()
+            assert abs(norm[i] - ref_norm) <= 1e-12 * ref_norm
+
+
+@pytest.mark.parametrize("name", sorted(set(SYLVESTER_CASES) - {"finite"}))
+def test_stacked_logdet_derivative_is_its_points(name):
+    # central differences of stacked K_SS blocks with a step per point and
+    # one stacked solve; the difference quotient amplifies the rounding of
+    # the blocks by 1/h, so the bound is looser than for the values
+    model = sylvester_model(name)
+    for zs in (STACK_Z, np.conj(STACK_Z)):
+        got = BS._logdet_derivative(model, zs)
+        assert got.shape == zs.shape
+        for i, z in enumerate(zs):
+            ref = BS._logdet_derivative(model, z)
+            assert abs(got[i] - ref) <= 1e-9 * abs(ref)
+
+
+@pytest.mark.parametrize("name", ["radial_well", "rank_one", "free"])
+def test_a_radial_profile_from_the_threshold_is_its_points(name):
+    # lam = 0 runs on its own (a stack refuses k = 0), the rest in stacks
+    model = sylvester_model(name)
+    grid = np.linspace(0.0, model.max_scan_energy(), BS.BATCH_POINTS + 5)
+    profile = BS.sigma_profile(model, grid)
+    for side in ("+", "-"):
+        for lam, got in zip(grid, profile[side]):
+            assert _sigma_agrees(got, BS.BoundarySystem(model, lam=lam, side=side).sigma_min())
+    # the threshold kernel min(r, r') is real: both sides agree at lam = 0
+    assert profile["+"][0] == profile["-"][0]
+
+
+@settings(sylvester_settings, max_examples=15)
+@given(name=st.sampled_from(["line_well", "nonlocal_cut", "radial_well", "two_wells"]),
+       zs=st.lists(off_axis, min_size=2, max_size=6, unique=True), data=st.data())
+def test_a_point_does_not_depend_on_its_stack(name, zs, data):
+    # a point's sigma_min and log|det| in a stack, in a drawn sub-stack in
+    # a drawn order, and alone
+    model = sylvester_model(name)
+    zs = np.array(zs)
+    keep = data.draw(st.lists(st.sampled_from(range(zs.size)), min_size=1, unique=True))
+    stacks = [(BS.BoundarySystem(model, z=zs), range(zs.size)),
+              (BS.BoundarySystem(model, z=zs[keep]), keep)]
+    for system, points in stacks:
+        sigma, (logabs, _) = system.sigma_min(), system.log_det()
+        for position, j in enumerate(points):
+            one = BS.BoundarySystem(model, z=zs[j])
+            assert _sigma_agrees(sigma[position], one.sigma_min())
+            assert abs(logabs[position] - one.log_det()[0]) <= 1e-14
+
+
+def test_sweeps_build_one_free_action_per_stack(tuned_well, free_radial, monkeypatch):
+    # the 300-point scan profile and the 336-point log|det| surface of
+    # locate_eigenvalues (the free model: W = 0 gives no Newton seeds) build
+    # one source action per stack; their mirrors evaluate nothing new
+    built = []
+    init = M.FreeResolventAction.__init__
+
+    def counting_init(act, model, k):
+        built.append(np.size(k))
+        init(act, model, k)
+
+    monkeypatch.setattr(M.FreeResolventAction, "__init__", counting_init)
+    model, _ = tuned_well
+    BS.sigma_profile(model, np.linspace(1e-3, 25.0, 300))
+    assert len(built) <= math.ceil(300 / BS.BATCH_POINTS) == 14
+    assert sum(built) == 300
+    built.clear()
+    assert BS.locate_eigenvalues(free_radial) == []
+    assert len(built) <= math.ceil(336 / BS.BATCH_POINTS) == 16
+    assert sum(built) == 336
 
 
 @pytest.mark.parametrize("name", sorted(set(SYLVESTER_CASES) - {"finite", "free"}))

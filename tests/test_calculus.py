@@ -543,8 +543,9 @@ class TestAssemblyCounts:
 
     def test_sigma_profile_assembles_one_kernel_per_point(self, small_well, monkeypatch):
         # sigma_min runs on the support blocks, never on the assembled free
-        # kernel: one contraction of the in-panel partials per point, which
-        # the minus side reads conjugated from the plus side's action
+        # kernel: one contraction of the in-panel partials per stack of
+        # points, each point's once, which the minus side reads conjugated
+        # from the plus side's action
         assemblies, contractions = [], []
         original_matrix, original_fill = M.FreeResolventAction.matrix, M.FreeResolventAction._fill
 
@@ -560,11 +561,14 @@ class TestAssemblyCounts:
 
         monkeypatch.setattr(M.FreeResolventAction, "matrix", counting_matrix)
         monkeypatch.setattr(M.FreeResolventAction, "_fill", counting_fill)
-        grid = np.linspace(0.5, 4.0, 7)
+        grid = np.linspace(0.5, 4.0, BS.BATCH_POINTS + 8)
         profile = BS.sigma_profile(small_well, grid)
         assert assemblies == []
-        # the plus side's wavenumber sqrt(lam), once per point
-        assert contractions == [complex(math.sqrt(lam)) for lam in grid]
+        # one stacked contraction per stack, and the plus side's wavenumber
+        # sqrt(lam) of every point in exactly one of them
+        assert len(contractions) == len(BS.point_batches(grid)) == 2
+        assert np.array_equal(np.concatenate(contractions),
+                              [complex(math.sqrt(lam)) for lam in grid])
         for side in ("+", "-"):
             assert np.allclose(profile[side], [BS.sigma_min(small_well, lam, side)
                                                for lam in grid], rtol=1e-12, atol=0.0)

@@ -77,6 +77,28 @@ class TestScanCommand:
         grid = json.loads((tmp_path / "scan_report.json").read_text())["results"]["grid"]
         assert grid["merge_width"] == 10 * bs.REFINE_WIDTH == 1e-7
 
+    def test_report_records_the_scan_limit_and_the_refined_candidates(self, tmp_path,
+                                                                      tuned_well):
+        # both are recorded, the same on every run, and the CSV keeps its
+        # columns
+        model, v0 = tuned_well
+        cfg = write_config(tmp_path, TUNED_SCAN_TEMPLATE.format(
+            v0=f"{v0.real}{v0.imag:+}j").replace("num_points = 101", "num_points = 41"))
+        results = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert cli.main(["scan", "--config", cfg, "--out", str(out), "--format", "csv"]) == 0
+            results.append(json.loads((out / "scan_report.json").read_text())["results"])
+            header = (out / "scan.csv").read_text().splitlines()[0]
+            assert header == "lambda,sigma_min_plus,sigma_min_minus,class,nu"
+        first, second = results
+        limit = first["grid"]["max_scan_energy"]
+        assert limit == second["grid"]["max_scan_energy"] == model.max_scan_energy()
+        assert limit >= first["grid"]["max"]
+        refined = first["candidates_refined"]
+        assert refined == second["candidates_refined"]
+        assert isinstance(refined, int) and refined >= len(first["detected"]) == 1
+
     def test_malformed_weight_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, FREE_SCAN.replace("weight_s = 1.5",
                                                        "weight_s = -1.0"))
