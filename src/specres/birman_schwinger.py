@@ -13,15 +13,16 @@ vectors reconstruct resonant states Psi = -R0(lam +/- i0) C W phi that
 solve the stationary equation with outgoing/incoming tails.
 
 :class:`BoundarySystem` is the one place where Id + K is formed and
-factorized, at a complex z or at a boundary pair (lam, side), or at a
-stack of such points; sigma_min, solves, R_H applications and log det all
-come from it.  The sweeps over many independent points run in stacks of
-at most ``BATCH_POINTS``: the ``sigma_profile`` of a scan, the
-eps samples of ``order_estimate``, the log|det| surface of
-``locate_eigenvalues`` and the contour of ``eigenvalue_winding`` (and of
-the rank and trace of ``calculus.riesz_projection``).  Golden-section
-refinement, Newton steps, kernel vectors and inverses run per point, as
-does every method on the finite backend.
+factorized, at a stack of spectral points: complex z, or boundary pairs
+(lam, side) with one side.  One point is a stack of one, so every point
+runs the same code on every backend; sigma_min, solves, R_H applications
+and log det all come from it.  The sweeps over many independent points
+run in stacks of at most ``BATCH_POINTS`` (``over_stacks``): the
+``sigma_profile`` of a scan, threshold lam = 0 included, the eps samples
+of ``order_estimate``, the log|det| surface of ``locate_eigenvalues`` and
+the contour of ``eigenvalue_winding`` (and of the rank and trace of
+``calculus.riesz_projection``).  Golden-section refinement, Newton steps,
+kernel vectors and inverses ask for one point at a time.
 
 K = C R0 C W has no columns off the support S of W.  Ordering the nodes
 as (S, T), Id + K = [[A, 0], [B, I]] with A = I + K_SS and B = K_TS, so
@@ -74,6 +75,8 @@ from .model import (
     AdmissibilityError,
     ModelError,
     OperatorModel,
+    _as_given,
+    _as_stack,
     resolvent_action,
     weighted_matrix,
 )
@@ -135,13 +138,10 @@ def point_batches(points):
     return np.array_split(points, -(-points.size // BATCH_POINTS))
 
 
-def over_stacks(model, values, points):
+def over_stacks(values, points):
     """``values(stack)``, a (K, ...) array for a stack of K points, at
     every point of a non-empty 1-D array, evaluated on its
-    ``point_batches``; point by point on the finite backend, whose systems
-    do not stack."""
-    if model.backend == "finite":
-        return np.array([values(point) for point in points])
+    ``point_batches``."""
     return np.concatenate([values(stack) for stack in point_batches(points)])
 
 
@@ -156,12 +156,13 @@ class SingularBoundaryError(ModelError):
 
 
 def _scale_k(model, block, rows, cols):
-    """K[rows, cols] = sqrt(w) C R0 C W / sqrt(w) from the block of the free
-    kernel on (rows, cols), with cols all nodes or a set holding the
-    support of W (one block per point of a stack): one multiply by the
-    outer product of the row scale c sqrt(w) and the column scale
-    c W / sqrt(w) for a multiplication W; a nonlocal W is applied to the
-    block scaled by c, and sqrt(w) divided out after."""
+    """K[rows, cols] = sqrt(w) C R0 C W / sqrt(w) from the block of the
+    free kernel on (rows, cols), one per point (K, rows, cols) or the
+    matrix of one, with cols all nodes or a set holding the support of W:
+    one multiply by the outer product of the
+    row scale c sqrt(w) and the column scale c W / sqrt(w) for a
+    multiplication W; a nonlocal W is applied to the blocks scaled by c,
+    and sqrt(w) divided out after."""
     g = model.grid
     c = model.c_values
     row_scale = c[rows] * g.sqrtw[rows]
@@ -173,20 +174,22 @@ def _scale_k(model, block, rows, cols):
 
 
 def _k_from_action(model, act):
-    """K on the whole grid, from the assembled free kernel."""
+    """K on the whole grid, from the assembled free kernel (one point)."""
     idx = np.arange(model.size)
     return _scale_k(model, act.matrix(), idx, idx)
 
 
 def _k_block(model, act, rows, support):
-    """K[rows, S] (S the support of W) from one pass of ``act.block``."""
+    """K[rows, S] (S the support of W) from one pass of ``act.block``:
+    (K, rows, |S|)."""
     return _scale_k(model, act.block(rows, support), rows, support)
 
 
-def _k_rest_factors(model, act, rest, support):
-    """K[rest, S] as pieces (rows, u, f) with K[rows, S] = u @ f, or f
-    when u is None, written without the dense block; on a stacked action
-    u is (K, rows, c), f is (K, c, |S|) and a dense f is (K, rows, |S|).
+def _k_rest_factors(model, act):
+    """K[T, S], T the nodes off the support S of W, as pieces (rows, u, f)
+    with K[rows, S] = u @ f, or f when u is None, at every point of the
+    action, written without the dense block: u is (K, rows, c), f is
+    (K, c, |S|) and a dense f is (K, rows, |S|).
 
     By the separable kernel G = pref phi(min) psi(max), the row of K at a
     node x of T in a panel without nodes of S is psi(x) a + phi(x) b times
@@ -195,34 +198,26 @@ def _k_rest_factors(model, act, rest, support):
     column scale of K.  Rows between the same two panels of S share a and
     b: their piece is u = [psi, phi] and f = [a; b], one column and one row
     when a or b is empty.  T rows in a panel of S are one dense piece from
-    ``_k_block``.
+    ``_k_block``.  The row sets are the model's ``rest_runs``.
     """
+    support, _ = model.support_split
     if not support.size:
         return []
     g = model.grid
-    panel = g.panel_index
-    col_panel = panel[support]
-    in_s = np.zeros(g.npanels, dtype=bool)
-    in_s[col_panel] = True
-    shared = in_s[panel[rest]]
+    shared, runs = model.rest_runs
     pieces = []
-    if shared.any():
-        pieces.append((rest[shared], None, _k_block(model, act, rest[shared], support)))
+    if shared.size:
+        pieces.append((shared, None, _k_block(model, act, shared, support)))
     c = model.c_values
-    phi_c, psi_c = act.phi_w[..., support] * c[support], act.psi_w[..., support] * c[support]
-    pref = np.asarray(act.pref)[..., None]
-    free = rest[~shared]
-    # the number of S nodes left of a row's panel: equal between two S panels
-    split = np.searchsorted(col_panel, panel[free])
-    for cut in np.unique(split):
-        rows = free[split == cut]
-        left = np.arange(support.size) < cut
+    phi_c, psi_c = act.phi_w[:, support] * c[support], act.psi_w[:, support] * c[support]
+    pref = act.pref[:, None]
+    for rows, left in runs:   # left: the S nodes left of the rows, a prefix of S
         u, f = [], []
-        if left.any():
-            u.append(act.psi_nodes[..., rows])
+        if left[0]:
+            u.append(act.psi_nodes[:, rows])
             f.append(np.where(left, phi_c, 0.0))
-        if not left.all():
-            u.append(act.phi_nodes[..., rows])
+        if not left[-1]:
+            u.append(act.phi_nodes[:, rows])
             f.append(np.where(left, 0.0, psi_c))
         u = np.stack(u, axis=-1) * (pref * c[rows] * g.sqrtw[rows])[..., None]
         f = model.right_apply_w(np.stack(f, axis=-2), support) / g.sqrtw[support]
@@ -231,17 +226,16 @@ def _k_rest_factors(model, act, rest, support):
 
 
 def _column_norm(u):
-    """The 2-norm of a one-column u (rows, 1), or of each point's column of
-    a stack (K, rows, 1), by the dot products of ``np.linalg.norm(u)``: a
-    point has the same bits in a stack as alone."""
+    """The 2-norm of each point's column of a one-column u (K, rows, 1), by
+    the dot products of ``np.linalg.norm``: a point has the same bits in
+    any stack."""
     x = u[..., 0]
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
 class BoundarySystem:
-    """Id + K at one spectral point, a complex z or a boundary pair
-    (lam, side), or at a stack of them: an array of z, or of lam with one
-    side.
+    """Id + K at a stack of K spectral points: an array of z, or of lam
+    with one side.  One z, or one lam, is a stack of one.
 
     K has no columns off the support S of W (``OperatorModel.support_mask``),
     so with T the other nodes, in the order (S, T),
@@ -271,25 +265,26 @@ class BoundarySystem:
     applies R0 through panel moments, and no method assembles the N x N
     free kernel but ``k``.  When S is empty (W = 0) det = 1,
     sigma_min = 1, the inverse is the identity and W (Id + K)^(-1) = 0.
-    On the finite backend K is formed densely once, K_SS and K_TS (one
-    dense piece) are sliced from it, and the sample-level methods
-    (``w_solve``, ``resolvent_apply``) do not exist.
+    On the finite backend K is formed densely, from one stacked solve of
+    (H0 - z)^(-1), K_SS and K_TS (one dense piece) are sliced from it, and
+    the sample-level methods (``w_solve``, ``resolvent_apply``) do not
+    exist.
 
-    A stack (continuum backends) shares one stacked free action
-    (``FreeResolventAction`` with an array of wavenumbers): ``k_support``
-    gives (K, |S|, |S|), ``a_solve`` is one stacked solve (a stack keeps
-    no LU factors: its callers solve once), and ``w_solve``,
-    ``resolvent_apply`` and ``mirror`` work on all points at once, taking
-    samples as columns: (K, N, m), or (N, m) shared by every point for
-    ``resolvent_apply``.  ``sigma_min``, ``log_det`` and
-    ``weighted_resolvent_norm`` return (K,) arrays from one stacked SVD or
-    slogdet, M being (K, |S| + p, |S| + p).  These three give a point of
-    a stack the bits it has alone, wherever the BLAS matrix product rounds
-    each row of the stacked contraction as it rounds a lone one; a stacked
-    ``a_solve`` rounds as NumPy's stacked solve, not as one point's LU.
-    ``k``, ``kernel_vector`` and ``inverse`` are per point.
-    Callers split long runs of points into stacks of at most
-    ``BATCH_POINTS`` (``over_stacks``).
+    Every array carries the point axis: the free action is one stacked
+    ``FreeResolventAction``, ``_k_ss`` is (K, |S|, |S|), the pieces of
+    K_TS and M are (K, ...), and ``a_solve`` runs ``lu_solve`` on the LU
+    factors of A at every point, kept (SciPy's batched ``lu_factor``; the
+    ``calculus`` cache reuses them across pairs).  ``sigma_min``,
+    ``log_det`` and ``weighted_resolvent_norm`` come from one stacked SVD
+    or slogdet; ``w_solve`` and ``resolvent_apply`` take samples as
+    columns, (K, N, m), or (N, m) shared by every point for
+    ``resolvent_apply``.  These and ``k_support`` give a system built at
+    one point that point's float, complex or array (``_as_given``), with
+    the bits it has in any stack wherever the BLAS matrix product rounds
+    each row of a stacked contraction as it rounds a lone one.  ``k``,
+    ``kernel_vector`` and ``inverse`` serve one point and read the single
+    point of the stack.  Callers split long runs of points into stacks of
+    at most ``BATCH_POINTS`` (``over_stacks``).
 
     ``mirror`` is the system at the mirror point, (lam, -/+) for (lam, +/-)
     and conj z for z.  H0 is real, so its free action is
@@ -303,33 +298,37 @@ class BoundarySystem:
     def __init__(self, model, z=None, lam=None, side=None):
         self.model = model
         self.support, self.rest = model.support_split
-        self._lu = self._g_ss = self._k = None
+        self._lu = self._g_ss = self._r0_k = None
         self._source = None   # the system this one mirrors, if any
         if model.backend == "finite":
             if z is None:
                 raise AdmissibilityError(
                     "finite backend supports K(z) off the spectrum of H0 only"
                 )
-            self.action, self.z = None, complex(z)
+            self.action = None
+            self.z, self.one = _as_stack(z)
+            self.npoints = self.z.size
         else:
             self.action = resolvent_action(model, z=z, lam=lam, side=side)
+            self.one, self.npoints = self.action.one, self.action.ks.size
 
-    @property
-    def batch(self):
-        """The shape of the point axis: () for one point, (K,) for a stack."""
-        return () if self.action is None else self.action.batch
+    def _finite(self):
+        """(H0 - z)^(-1) and K at every point (finite backend), from one
+        stacked solve, kept."""
+        if self._r0_k is None:
+            m = self.model
+            eye = np.eye(m.size)
+            r0 = np.linalg.solve(m.h0 - self.z[:, None, None] * eye, eye)
+            self._r0_k = r0, m.c_diag[:, None] * r0 * m.c_diag[None, :] @ m.w_matrix
+        return self._r0_k
 
     @property
     def k(self):
         """K = [C R0(.) C] W on the grid, in the L2-isometric representation.
-        Per point; formed once on the finite backend."""
-        m = self.model
+        One point; formed once on the finite backend."""
         if self.action is not None:
-            return _k_from_action(m, self.action)
-        if self._k is None:
-            r0 = np.linalg.solve(m.h0 - self.z * np.eye(m.size), np.eye(m.size))
-            self._k = m.c_diag[:, None] * r0 * m.c_diag[None, :] @ m.w_matrix
-        return self._k
+            return _k_from_action(self.model, self.action)
+        return self._finite()[1][0]
 
     def _support_block(self):
         """The block of the free kernel on S, kept by a source system; a
@@ -341,26 +340,30 @@ class BoundarySystem:
             self._g_ss = self.action.block(s, s)
         return self._g_ss
 
-    def k_support(self):
-        """K_SS, the block of K on the support S of W (one per point),
-        scaled on each call from the kept block of the free kernel, so a
-        cached system holds one |S| x |S| block besides its LU factors."""
+    def _k_ss(self):
+        """K_SS, (K, |S|, |S|), scaled on each call from the kept block of
+        the free kernel, so a cached system holds one |S| x |S| block per
+        point besides its LU factors."""
         s = self.support
         if self.action is None:
-            return self.k[np.ix_(s, s)]
+            return self._finite()[1][:, s[:, None], s]
         return _scale_k(self.model, self._support_block(), s, s)
+
+    def k_support(self):
+        """K_SS, the block of K on the support S of W."""
+        return _as_given(self._k_ss(), self.one)
 
     def _k_rest(self):
         """K_TS as the pieces (rows, u, f) of ``_k_rest_factors``, or one
         dense piece sliced from K on the finite backend."""
         if self.action is None:
-            return [(self.rest, None, self.k[np.ix_(self.rest, self.support)])]
-        return _k_rest_factors(self.model, self.action, self.rest, self.support)
+            return [(self.rest, None, self._finite()[1][:, self.rest[:, None], self.support])]
+        return _k_rest_factors(self.model, self.action)
 
     def mirror(self):
         """The system at the mirror point on the conjugate free action."""
         if self.action is None:
-            return BoundarySystem(self.model, z=self.z.conjugate())
+            return BoundarySystem(self.model, z=_as_given(np.conj(self.z), self.one))
         other = copy.copy(self)
         other._lu = other._g_ss = None
         other._source = self
@@ -368,49 +371,49 @@ class BoundarySystem:
         return other
 
     def _a(self):
-        a = self.k_support()   # a fresh array: Id is added in place
+        a = self._k_ss()   # a fresh array: Id is added in place
         i = np.arange(self.support.size)
-        a[..., i, i] += 1.0
+        a[:, i, i] += 1.0
         return a
 
     def _factors(self):
-        """The LU factors of A, kept.  Per point."""
+        """The LU factors (lu, piv) of A at every point, kept."""
         if self._lu is None:
-            self._lu = sla.lu_factor(self._a(), check_finite=False)
+            self._lu = tuple(sla.lu_factor(self._a(), check_finite=False))
         return self._lu
 
     def _reduced(self):
-        """M = [[A, 0], [B', I]] and the pieces (rows, u, f) of K_TS = Q B':
-        B' stacks each piece's f times the triangular factor of its u (the
-        norm of a one-column u: B'* B' = B* B either way), cut to |S| rows
-        by one more QR when longer; (K, |S| + p, |S| + p) for a stack."""
+        """M = [[A, 0], [B', I]], (K, |S| + p, |S| + p), and the pieces
+        (rows, u, f) of K_TS = Q B': B' stacks each piece's f times the
+        triangular factor of its u (the norm of a one-column u:
+        B'* B' = B* B either way), cut to |S| rows by one more QR when
+        longer."""
         pieces = self._k_rest()
         s = self.support.size
         b = [f if u is None
-             else _column_norm(u)[..., None, None] * f if u.shape[-1] == 1
+             else _column_norm(u)[:, None, None] * f if u.shape[-1] == 1
              else np.linalg.qr(u, mode="r") @ f
              for _, u, f in pieces]
-        b = np.concatenate(b, axis=-2) if b else np.zeros(self.batch + (0, s))
-        if b.shape[-2] > s:
+        b = np.concatenate(b, axis=1) if b else np.zeros((self.npoints, 0, s))
+        if b.shape[1] > s:
             b = np.linalg.qr(b, mode="r")
-        p = b.shape[-2]
-        m = np.zeros(self.batch + (s + p, s + p), dtype=complex)
-        m[..., :s, :s] = self._a()
-        m[..., s:, :s] = b
-        m[..., s:, s:] = np.eye(p)
+        p = b.shape[1]
+        m = np.zeros((self.npoints, s + p, s + p), dtype=complex)
+        m[:, :s, :s] = self._a()
+        m[:, s:, :s] = b
+        m[:, s:, s:] = np.eye(p)
         return m, pieces
 
     def sigma_min(self):
         """Smallest singular value of Id + K, that of M, which its unit
-        block bounds by 1; (K,) for a stack, from one stacked SVD."""
+        block bounds by 1, from one stacked SVD."""
         if not self.support.size:
-            return np.ones(self.batch) if self.batch else 1.0
-        sigma = np.linalg.svd(self._reduced()[0], compute_uv=False)[..., -1]
-        return sigma if self.batch else float(sigma)
+            return _as_given(np.ones(self.npoints), self.one)
+        return _as_given(np.linalg.svd(self._reduced()[0], compute_uv=False)[:, -1], self.one)
 
     def kernel_vector(self):
         """(sigma_min, x), x a unit right singular vector of Id + K for it
-        whose entry of largest modulus is real and positive.  Per point.
+        whose entry of largest modulus is real and positive.  One point.
 
         On the rows of T, (Id + K)* (Id + K) x = sigma^2 x reads
         x_T = -B x_S / (1 - sigma^2) (for sigma < 1); on the rows of S it
@@ -422,74 +425,64 @@ class BoundarySystem:
             x[0] = 1.0
             return 1.0, x
         m, pieces = self._reduced()
-        _, sv, vh = np.linalg.svd(m)
+        _, sv, vh = np.linalg.svd(m[0])
         x_s = x[self.support] = np.conj(vh[-1, :self.support.size])
         for rows, u, f in pieces:
-            x[rows] = -(f @ x_s if u is None else u @ (f @ x_s)) / (1.0 - sv[-1] ** 2)
+            x[rows] = -(f[0] @ x_s if u is None else u[0] @ (f[0] @ x_s)) / (1.0 - sv[-1] ** 2)
         j = np.argmax(np.abs(x))
         x *= abs(x[j]) / x[j]
         x[j] = x[j].real   # not left to the rounding of the product
         return float(sv[-1]), x
 
     def log_det(self):
-        """log |det(Id + K)| and the phase, as det A; two (K,) arrays for a
-        stack, from one stacked slogdet."""
+        """log |det(Id + K)| and the phase, as det A, from one stacked
+        slogdet."""
         sign, logabs = np.linalg.slogdet(self._a())
-        return (logabs, sign) if self.batch else (float(logabs), complex(sign))
+        return _as_given(logabs, self.one), _as_given(sign, self.one)
 
     def a_solve(self, rhs):
-        """A^(-1) rhs for rhs indexed by the support S, from the kept LU
-        factors of A; one stacked solve for a stack, rhs (K, |S|, m)."""
-        if self.batch:
-            return np.linalg.solve(self._a(), rhs)
+        """A^(-1) rhs at every point, rhs (K, |S|, m) indexed by the support
+        S, by ``lu_solve`` on the kept LU factors of A."""
         return sla.lu_solve(self._factors(), rhs, check_finite=False)
 
     def inverse(self):
         """(Id + K)^(-1) in the representation of K, with -B A^(-1) =
-        -u (f A^(-1)) on each piece (rows, u, f) of B.  Per point."""
+        -u (f A^(-1)) on each piece (rows, u, f) of B.  One point."""
         s = self.support
-        a_inv = self.a_solve(np.eye(s.size))
+        a_inv = self.a_solve(np.eye(s.size)[None])[0]
         inv = np.eye(self.model.size, dtype=complex)
         inv[np.ix_(s, s)] = a_inv
         for rows, u, f in self._k_rest():
-            inv[np.ix_(rows, s)] = -(f @ a_inv if u is None else u @ (f @ a_inv))
+            f = f[0] @ a_inv
+            inv[np.ix_(rows, s)] = -(f if u is None else u[0] @ f)
         return inv
 
     def weighted_resolvent_norm(self):
         """||C R_H C W||_2 = ||Id - (Id + K)^(-1)||_2, the norm of its S
         columns [[I - A^(-1)], [B A^(-1)]], or of [[I - A^(-1)], [B' A^(-1)]]
-        since B = Q B'; (K,) for a stack, from one stacked SVD."""
+        since B = Q B', from one stacked SVD."""
         s = self.support.size
         if not s:   # (Id + K)^(-1) = Id
-            return np.zeros(self.batch) if self.batch else 0.0
+            return _as_given(np.zeros(self.npoints), self.one)
         m, _ = self._reduced()
         eye = np.eye(s)
-        # each point's A^(-1) from its own LU factors, not one stacked
-        # solve: a point of a stack has the bits it has alone
-        a = m[..., :s, :s]
-        a_inv = np.reshape([sla.lu_solve(sla.lu_factor(x, check_finite=False), eye,
-                                         check_finite=False) for x in a.reshape(-1, s, s)],
-                           a.shape)
-        cols = np.concatenate([eye - a_inv, m[..., s:, :s] @ a_inv], axis=-2)
-        norm = np.linalg.svd(cols, compute_uv=False)[..., 0]
-        return norm if self.batch else float(norm)
+        # in C order: the product below then rounds as it always has
+        a_inv = np.ascontiguousarray(self.a_solve(np.broadcast_to(eye, (self.npoints, s, s))))
+        cols = np.concatenate([eye - a_inv, m[:, s:, :s] @ a_inv], axis=1)
+        return _as_given(np.linalg.svd(cols, compute_uv=False)[:, 0], self.one)
 
     def w_solve(self, samples):
-        """W (Id + K)^(-1) on grid samples (a vector, or the columns of a
-        matrix; (K, N, m) for a stack).  W only sees the S part
-        x_S = A^(-1) y_S of the solution, so only A is factorized.  K acts
-        in the L2-isometric representation, so the samples are scaled by
-        sqrt(weights) on the way in and back on the way out.
+        """W (Id + K)^(-1) on grid samples (K, N, m), or (N[, m]) for a
+        system at one point.  W only sees the S part x_S = A^(-1) y_S of
+        the solution, so only A is factorized.  K acts in the L2-isometric
+        representation, so the samples are scaled by sqrt(weights) on the
+        way in and back on the way out.
         """
-        y = np.asarray(samples, dtype=complex)
-        sw = self.model.grid.sqrtw
-        if y.ndim > 1:   # columns
-            sw = sw[:, None]
-        at = (Ellipsis, self.support, slice(None)) if self.batch else self.support
-        y = sw * y
+        sw = self.model.grid.sqrtw[:, None]
+        y = sw * np.asarray(samples, dtype=complex).reshape(self.npoints, sw.size, -1)
         x = np.zeros(y.shape, dtype=complex)
-        x[at] = self.a_solve(y[at])
-        return self.model.apply_w(x / sw)
+        x[:, self.support] = self.a_solve(y[:, self.support])
+        return self.model.apply_w(x / sw).reshape(np.shape(samples))
 
     def resolvent_apply(self, samples):
         """R_H v by the factorized second resolvent identity,
@@ -498,8 +491,8 @@ class BoundarySystem:
 
         Returns (R_H v, source) with source = C W (Id + K)^(-1) C R0 v, the
         compactly supported source of the scattered part.  ``samples`` is a
-        vector or a matrix of column vectors; for a stack, (N, m) columns
-        shared by every point or (K, N, m), and the results are (K, N, m).
+        vector or a matrix of column vectors, shared by every point, or
+        (K, N, m); the results are (K, N[, m]).
         """
         v = np.asarray(samples, dtype=complex)
         c = self.model.c_values if v.ndim == 1 else self.model.c_values[:, None]
@@ -514,22 +507,21 @@ def bs_matrix(model, z=None, lam=None, side=None):
 
 
 def bs_matrix_dz(model, z):
-    """d/dz of K_SS(z), the block of K(z) on the support of W (exact
-    resolvent algebra on the finite backend, central differences of the
-    crease-exact block assembly on continuum grids, with a step h per
+    """d/dz of K_SS(z), the block of K(z) on the support of W, at one z or
+    at every point of an array of them: (K, |S|, |S|), K = 1 for one z
+    (exact resolvent algebra on the finite backend, central differences of
+    the crease-exact block assembly on continuum grids, with a step h per
     point).  K'(z) has the zero columns of K, so
-    tr[(Id + K)^(-1) K'] = tr[A^(-1) K'_SS].  An array of K values of z
-    gives (K, |S|, |S|) from two stacked systems (continuum backends)."""
+    tr[(Id + K)^(-1) K'] = tr[A^(-1) K'_SS]."""
     if model.backend == "finite":
-        n = model.size
-        r0 = np.linalg.solve(model.h0 - complex(z) * np.eye(n), np.eye(n))
-        c = model.c_diag
-        s = np.flatnonzero(model.support_mask())
-        return (c[:, None] * (r0 @ r0) * c[None, :] @ model.w_matrix)[np.ix_(s, s)]
+        system = BoundarySystem(model, z=z)
+        r0, _ = system._finite()
+        c, s = model.c_diag, system.support
+        return (c[:, None] * (r0 @ r0) * c[None, :] @ model.w_matrix)[:, s[:, None], s]
     # hypot, not np.abs: the bits abs() gives one point
     h = 1e-5 * np.maximum(1.0, np.hypot(np.real(z), np.imag(z)))
-    plus = BoundarySystem(model, z=z + h).k_support()
-    return (plus - BoundarySystem(model, z=z - h).k_support()) / (2.0 * h)[..., None, None]
+    plus = BoundarySystem(model, z=z + h)._k_ss()
+    return (plus - BoundarySystem(model, z=z - h)._k_ss()) / (2.0 * h)[..., None, None]
 
 
 @dataclass
@@ -718,8 +710,7 @@ def sigma_profile(model, lam_grid):
     The grid must start on the admissible boundary and end within the
     energy the model grid resolves.  The points run in stacks of at most
     ``BATCH_POINTS``: one stacked plus-side system and its mirror per
-    stack, so both sides of a point share one free kernel.  A radial
-    threshold point lam = 0 runs on its own, since a stack refuses k = 0.
+    stack, so both sides of a point share one free kernel.
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
     for lam in (lam_grid[0], lam_grid[-1]):
@@ -729,13 +720,7 @@ def sigma_profile(model, lam_grid):
         raise AdmissibilityError(
             f"scan range exceeds grid resolution: lam_max {lam_grid[-1]:.3g} > {limit:.3g}"
         )
-    profile = np.empty((lam_grid.size, 2))
-    at_zero = lam_grid == 0.0
-    if at_zero.any():
-        profile[at_zero] = _sigma_pair(model, 0.0)
-    if not at_zero.all():
-        profile[~at_zero] = over_stacks(
-            model, lambda lam: np.stack(_sigma_pair(model, lam), axis=-1), lam_grid[~at_zero])
+    profile = over_stacks(lambda lam: np.stack(_sigma_pair(model, lam), axis=-1), lam_grid)
     return {"+": profile[:, 0], "-": profile[:, 1]}
 
 
@@ -901,10 +886,7 @@ def _tail_fit(model, act, source):
     lo = max(hi_support + 0.5, g.hi - 0.45 * (g.hi - hi_support))
     pts = np.linspace(lo, g.hi + 3.0, 40)
     vals = -act.evaluate(source, pts)
-    if abs(k) == 0.0:
-        basis = np.ones_like(pts, dtype=complex)
-    else:
-        basis = np.exp(1j * k * pts)
+    basis = np.exp(1j * k * pts)   # exactly 1 at the threshold k = 0
     denom = np.vdot(basis, basis)
     if abs(denom) < 1e-300:
         raise ModelError("tail fit failed: grid too short for an exterior window")
@@ -1057,7 +1039,7 @@ def order_estimate(model, lam_star, side, eps_samples):
     if eps_samples.max() / eps_samples.min() < 10.0**2.9:
         raise ModelError("order estimate needs eps samples spanning >= 3 decades")
     sgn = 1.0 if side == "+" else -1.0
-    norms = over_stacks(model, lambda z: BoundarySystem(model, z=z).weighted_resolvent_norm(),
+    norms = over_stacks(lambda z: BoundarySystem(model, z=z).weighted_resolvent_norm(),
                         lam_star + 1j * sgn * eps_samples)
     logs = np.log(norms)
     slope, intercept = np.polyfit(-np.log(eps_samples), logs, 1)
@@ -1159,10 +1141,11 @@ def threshold_equivalence_check(model):
 
 
 def _logdet_derivative(model, z):
-    """d/dz log det(Id + K(z)) = tr[(Id + K)^(-1) K'(z)] = tr[A^(-1) K'_SS(z)];
-    (K,) for an array of K values of z, from stacked systems."""
-    d = np.trace(BoundarySystem(model, z=z).a_solve(bs_matrix_dz(model, z)), axis1=-2, axis2=-1)
-    return d if np.ndim(z) else complex(d)
+    """d/dz log det(Id + K(z)) = tr[(Id + K)^(-1) K'(z)] = tr[A^(-1) K'_SS(z)]
+    at one z, or at every point of an array of them."""
+    system = BoundarySystem(model, z=z)
+    d = np.trace(system.a_solve(bs_matrix_dz(model, z)), axis1=1, axis2=2)
+    return _as_given(d, system.one)
 
 
 def locate_eigenvalues(model, re_range=(-10.0, 30.0), im_range=(-6.0, 6.0),
@@ -1178,7 +1161,7 @@ def locate_eigenvalues(model, re_range=(-10.0, 30.0), im_range=(-6.0, 6.0),
     res = np.linspace(re_range[0], re_range[1], n_re)
     band = np.linspace(im_range[0], im_range[1], n_im)
     ims = np.array(sorted(set(float(b) for b in band if abs(b) > 0.02) | {-0.05, 0.05}))
-    surface = over_stacks(model, lambda z: BoundarySystem(model, z=z).log_det()[0],
+    surface = over_stacks(lambda z: BoundarySystem(model, z=z).log_det()[0],
                           (res[None, :] + 1j * ims[:, None]).ravel()).reshape(ims.size, n_re)
     seeds = []
     for i in range(ims.size):
@@ -1219,5 +1202,5 @@ def eigenvalue_winding(model, center, radius, n_nodes=32):
     theta = 2 * math.pi * np.arange(n_nodes) / n_nodes
     zs = center + radius * np.exp(1j * theta)
     dz = 1j * radius * np.exp(1j * theta) * (2 * math.pi / n_nodes)
-    total = np.sum(over_stacks(model, lambda z: _logdet_derivative(model, z), zs) * dz)
+    total = np.sum(over_stacks(lambda z: _logdet_derivative(model, z), zs) * dz)
     return int(round((total / (2j * math.pi)).real))

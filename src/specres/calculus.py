@@ -18,18 +18,19 @@ identity R_H(z) R_H(z') = (R_H(z) - R_H(z'))/(z - z'), to scalar samples
 of F(z) = <u, R_H(z) v>, which keeps compactly supported test vectors
 free of any truncation error.
 
-Those samples are independent spectral points, so they are evaluated in
-stacks: ``_batched_forms`` (the product forms, and the smoothed Stone
-check of ``specres verify``) builds one ``BoundarySystem`` and its mirror
-per stack of at most ``birman_schwinger.BATCH_POINTS`` values of z, and
-the stack's free action, support blocks, solves and R0 applications carry
-a leading point axis.  The cap bounds memory, not time: every point of a
-stack keeps its partials, support blocks and solve alive at once
-(about 0.6 MB a point on a well over 80 of 192 nodes).  The contour
-rank and trace of a continuum ``riesz_projection`` run in such stacks
-too; its vector action runs per point.  The adaptive boundary-exact forms
-stay per point: their systems are cached per (lam, side) and shared
-across test pairs and intervals.
+Every ``BoundarySystem`` runs at a stack of spectral points, one point
+being a stack of one.  Those samples are independent points, so
+``_batched_forms`` (the product forms, and the smoothed Stone check of
+``specres verify``) runs them through ``birman_schwinger.over_stacks``:
+one system and its mirror per stack of at most
+``birman_schwinger.BATCH_POINTS`` values of z.  The cap bounds memory,
+not time: every point of a stack keeps its partials, support blocks and
+LU factors alive at once (about 0.6 MB a point on a well over 80 of 192
+nodes).  The contour rank and trace of a continuum ``riesz_projection``
+run in such stacks too; its vector action asks for one point at a time.
+So do the adaptive boundary-exact forms: their systems are cached per
+(lam, side), LU factors included, and shared across test pairs and
+intervals.
 """
 
 from __future__ import annotations
@@ -435,20 +436,18 @@ def regularized_calculus_form(model, interval, rf, u, v, cache=None):
 
 def _batched_forms(model, zs, pairs):
     """F_j(z) and F_j(conj z), F_j = <u_j, R_H(.) v_j>, for all test pairs
-    at every z of ``zs``, from the system at z and its mirror: two
-    (#pairs,) arrays for one z, two (K, #pairs) arrays for an array of K,
-    evaluated in stacks of at most ``bs.BATCH_POINTS`` points."""
+    at every z of the 1-D array ``zs``, from the system at z and its
+    mirror: two (K, #pairs) arrays, evaluated in stacks of at most
+    ``bs.BATCH_POINTS`` points."""
     vs = np.stack([v for _, v in pairs], axis=1)
     wu = model.grid.weights[:, None] * np.conj(np.stack([u for u, _ in pairs], axis=1))
 
     def forms(z):
         system = bs.BoundarySystem(model, z=z)
-        return [np.sum(wu * s.resolvent_apply(vs)[0], axis=-2)
-                for s in (system, system.mirror())]
+        return np.stack([np.sum(wu * s.resolvent_apply(vs)[0], axis=-2)
+                         for s in (system, system.mirror())], axis=1)
 
-    if np.ndim(zs) == 0:
-        return forms(zs)
-    return [np.concatenate(f) for f in zip(*map(forms, bs.point_batches(zs)))]
+    return np.moveaxis(bs.over_stacks(forms, zs), 1, 0)
 
 
 def _inner_nodes(interval, lam, eps):
@@ -623,7 +622,7 @@ def riesz_projection(model, lam, radius):
         )
     # continuum: argument-principle rank and trace via tr[(Id+K)^-1 K'],
     # the contour nodes in stacks
-    mult = np.sum(bs.over_stacks(model, lambda z: bs._logdet_derivative(model, z), zs) * dz)
+    mult = np.sum(bs.over_stacks(lambda z: bs._logdet_derivative(model, z), zs) * dz)
     rank = int(round((mult / (2j * math.pi)).real))
     if rank < 1:
         raise ModelError("contour encloses no determinant zero (no eigenvalue)")

@@ -21,7 +21,10 @@ split exactly at the evaluation point.  ``FreeResolventAction`` applies R0
 to vectors through prefix and suffix sums of panel moments plus in-panel
 partial integrals, O(N n) per vector for N nodes and n nodes per panel,
 without forming the N x N matrix; that matrix, or any block of it, is
-assembled only when a caller asks for the entries.
+assembled only when a caller asks for the entries.  An action runs at a
+stack of wavenumbers, one wavenumber (the radial threshold k = 0 too)
+being a stack of one: ``_as_stack`` and ``_as_given`` are the only
+places that read the shape of a spectral argument.
 """
 
 from __future__ import annotations
@@ -262,13 +265,10 @@ class PanelGrid:
     def interpolate(self, samples, x):
         """Panelwise polynomial interpolation of grid samples at points x."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros(x.shape, dtype=complex)
-        samples = np.asarray(samples, dtype=complex)
-        for i, xi in enumerate(x):
-            p = self.panel_of(xi)
-            basis = self.lagrange_values(self.to_reference(p, xi))[0]
-            out[i] = basis @ samples[self.panel_slice(p)]
-        return out
+        p = self.panel_of(x)
+        basis = self.lagrange_values(self.to_reference(p, x))
+        panels = np.asarray(samples, dtype=complex).reshape(self.npanels, self.n)
+        return np.einsum("xm,xm->x", basis, panels[p])
 
     def partial_tensors(self):
         """k-independent data for exact partial integrals within panels.
@@ -279,31 +279,23 @@ class PanelGrid:
 
             int_{a_p}^{x_i} phi(t) l_m(t) dt = sum_s phi(tl[p,i,s]) wbl[p,i,s,m],
 
-        and symmetrically (tr, wbr) for [x_i, b_p].
+        and symmetrically (tr, wbr) for [x_i, b_p].  The basis values of
+        all 2 P n^2 sub-points come from one ``lagrange_values`` call.
         """
         if self._partial_tensors is not None:
             return self._partial_tensors
         n, P = self.n, self.npanels
         sub_x, sub_w = np.polynomial.legendre.leggauss(n)
-        tl = np.zeros((P, n, n))
-        wbl = np.zeros((P, n, n, n))
-        tr = np.zeros((P, n, n))
-        wbr = np.zeros((P, n, n, n))
-        for p in range(P):
-            a, b = self.edges[p], self.edges[p + 1]
-            xs = self.nodes[self.panel_slice(p)]
-            for i, xi in enumerate(xs):
-                mid, half = 0.5 * (a + xi), 0.5 * (xi - a)
-                pts = mid + half * sub_x
-                tl[p, i] = pts
-                wbl[p, i] = (half * sub_w)[:, None] * self.lagrange_values(
-                    self.to_reference(p, pts))
-                mid, half = 0.5 * (xi + b), 0.5 * (b - xi)
-                pts = mid + half * sub_x
-                tr[p, i] = pts
-                wbr[p, i] = (half * sub_w)[:, None] * self.lagrange_values(
-                    self.to_reference(p, pts))
-        self._partial_tensors = (tl, wbl, tr, wbr)
+        xs = self.nodes.reshape(P, n)
+        a, b = self.edges[:-1, None], self.edges[1:, None]
+        panel = np.arange(P)[:, None, None]
+        tensors = []
+        for lo, hi in ((a, xs), (xs, b)):
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            pts = mid[..., None] + half[..., None] * sub_x                 # (P, n, s)
+            basis = self.lagrange_values(self.to_reference(panel, pts).ravel())
+            tensors += [pts, (half[..., None] * sub_w)[..., None] * basis.reshape(P, n, n, n)]
+        self._partial_tensors = tuple(tensors)
         return self._partial_tensors
 
 
@@ -404,7 +396,7 @@ class OperatorModel:
             )
         if side not in ("+", "-"):
             raise AdmissibilityError(f"side must be '+' or '-', got {side!r}")
-        lo = np.min(lam) if _is_stack(lam) else lam
+        lo = np.min(lam)
         if self.backend == "line1d" and lo <= 0:
             raise AdmissibilityError(
                 "1d line threshold: ||<x>^-s R0(lam +/- i0) <x>^-s|| diverges like "
@@ -437,6 +429,22 @@ class OperatorModel:
         computed once per model (every boundary system reads them)."""
         mask = self.support_mask()
         return np.flatnonzero(mask), np.flatnonzero(~mask)
+
+    @cached_property
+    def rest_runs(self):
+        """The rows of T as ``birman_schwinger._k_rest_factors`` writes
+        them, computed once per model (continuum backends): the rows in a
+        panel of S, and a list of (rows, left), one per run of T rows
+        between the same two panels of S, ``left`` the mask of the nodes of
+        S left of them (a prefix of S)."""
+        support, rest = self.support_split
+        panel = self.grid.panel_index
+        shared = np.isin(panel[rest], panel[support])
+        free = rest[~shared]
+        # the number of S nodes left of a row's panel: equal between two S panels
+        split = np.searchsorted(panel[support], panel[free])
+        left = np.arange(support.size)
+        return rest[shared], [(free[split == cut], left < cut) for cut in np.unique(split)]
 
     @property
     def w_is_zero(self):
@@ -487,30 +495,35 @@ def radial_model(potential, s=1.5, length=14.0, panels=12, nodes_per_panel=16,
 # ---------------------------------------------------------------------------
 
 
-def _is_stack(points):
-    """True for a 1-D array of spectral points (z, lam or k), False for one
-    point (a number, a NumPy scalar or a 0-d array)."""
-    return isinstance(points, np.ndarray) and points.ndim > 0
+def _as_stack(points):
+    """Spectral points (z, lam or k) as a 1-D complex array, one point as a
+    stack of one, and whether one point was given: the only place the
+    shape of a spectral argument is read."""
+    return np.atleast_1d(np.asarray(points, dtype=complex)), np.ndim(points) == 0
+
+
+def _as_given(values, one):
+    """A (K, ...) result on a stack as its caller gets it: for an object
+    built at one point, that point's value (a Python number where it is a
+    scalar); the stack itself otherwise."""
+    if not one:
+        return values
+    return values[0].item() if values.ndim == 1 else values[0]
 
 
 def wavenumber(z):
-    """k(z) = i sqrt(-z) on the physical sheet (Im k > 0 off [0, inf)), for
-    one z or elementwise for an array of them."""
-    if _is_stack(z):
-        return 1j * np.sqrt(-z.astype(complex))
-    z = complex(z)
-    return 1j * np.sqrt(complex(-z))
+    """k(z) = i sqrt(-z) on the physical sheet (Im k > 0 off [0, inf)),
+    elementwise."""
+    return 1j * np.sqrt(-np.asarray(z, dtype=complex))
 
 
 def boundary_wavenumber(lam, side):
-    """Boundary value of k as z -> lam +/- i0: k = +/- sqrt(lam), for one
-    lam or elementwise for an array of them."""
+    """Boundary value of k as z -> lam +/- i0: k = +/- sqrt(lam),
+    elementwise."""
     if side not in ("+", "-"):
         raise AdmissibilityError(f"side must be '+' or '-', got {side!r}")
-    if _is_stack(lam):
-        root = np.sqrt(lam.astype(float))
-        return (root if side == "+" else -root).astype(complex)
-    return complex(math.sqrt(lam) if side == "+" else -math.sqrt(lam))
+    root = np.sqrt(np.asarray(lam, dtype=float))
+    return (root if side == "+" else -root).astype(complex)
 
 
 def free_resolvent_boundary_kernel(model, lam, side, x, y):
@@ -538,21 +551,25 @@ def _kernel_value(backend, k, x, y):
 
 
 def _phi_psi(backend, k):
-    """Separable factors: G = pref * phi(min) * psi(max), at one wavenumber
-    or at a 1-D array of them; phi(t) and psi(t) then have the shape
-    k.shape + t.shape, and pref the shape of k.  pref is divided one
-    wavenumber at a time in Python's complex arithmetic, which rounds
-    otherwise than NumPy's complex division, so a point of a stack has the
-    bits it has alone."""
-    stack = _is_stack(k)
-    if backend != "line1d" and not stack and abs(k) == 0.0:
-        return (lambda t: np.asarray(t, dtype=complex)), (lambda t: np.ones_like(np.asarray(t, dtype=complex))), 1.0
-    mul = np.multiply.outer if stack else np.multiply
-    pref_of = (lambda q: 1j / (2 * q)) if backend == "line1d" else (lambda q: 1.0 / q)
-    pref = np.array([pref_of(q) for q in k.tolist()]) if stack else pref_of(k)
+    """Separable factors G = pref * phi(min) * psi(max) at a 1-D array of
+    wavenumbers: phi(t) and psi(t) have the shape k.shape + t.shape, pref
+    the shape of k.  pref is divided one wavenumber at a time in Python's
+    complex arithmetic, which rounds otherwise than NumPy's complex
+    division, so a point of a stack has the bits it has alone.  At the
+    radial threshold k = 0 the kernel is min(r, r'): phi(t) = t, pref = 1,
+    and psi = e^0 = 1 exactly."""
+    psi = lambda t: np.exp(np.multiply.outer(1j * k, t))
     if backend == "line1d":
-        return (lambda t: np.exp(mul(-1j * k, t))), (lambda t: np.exp(mul(1j * k, t))), pref
-    return (lambda t: np.sin(mul(k, t))), (lambda t: np.exp(mul(1j * k, t))), pref
+        pref = np.array([1j / (2 * q) for q in k.tolist()])
+        return (lambda t: np.exp(np.multiply.outer(-1j * k, t))), psi, pref
+    pref = np.array([1.0 / q if q else 1.0 for q in k.tolist()], dtype=complex)
+
+    def phi(t):
+        values = np.sin(np.multiply.outer(k, t))
+        values[k == 0] = t
+        return values
+
+    return phi, psi, pref
 
 
 # ---------------------------------------------------------------------------
@@ -561,18 +578,15 @@ def _phi_psi(backend, k):
 
 
 def _contract(values, weights):
-    """sum_s values[..., p, i, s] weights[p, i, s, m] for complex values
-    (P, n, s), or (K, P, n, s) for K points, and real weights, as one real
-    batched matmul, (P, n, 2K, s) @ (P, n, s, m), whose 2K rows are the
-    real and imaginary parts of every point: one GEMM per (p, i) for all of
-    them, cheaper than a complex-by-real einsum."""
-    stack = values.ndim == 4
-    v = np.moveaxis(values, 0, 2) if stack else values[:, :, None]   # (P, n, K, s)
-    npan, n, k, s = v.shape
-    rows = np.stack((v.real, v.imag), axis=2).reshape(npan, n, 2 * k, s)
+    """sum_s values[p, i, k, s] weights[p, i, s, m] for complex values
+    (P, n, K, s) at K points and real weights, as one real batched matmul,
+    (P, n, 2K, s) @ (P, n, s, m), whose 2K rows are the real and imaginary
+    parts of every point: one GEMM per (p, i) for all of them, cheaper than
+    a complex-by-real einsum.  Returns (K, P, n, m)."""
+    npan, n, k, s = values.shape
+    rows = np.stack((values.real, values.imag), axis=2).reshape(npan, n, 2 * k, s)
     parts = (rows @ weights).reshape(npan, n, 2, k, -1)
-    out = parts[:, :, 0] + 1j * parts[:, :, 1]
-    return np.moveaxis(out, 2, 0) if stack else out[:, :, 0]
+    return (parts[:, :, 0] + 1j * parts[:, :, 1]).transpose(2, 0, 1, 3)
 
 
 class FreeResolventAction:
@@ -590,18 +604,22 @@ class FreeResolventAction:
     nodes.  All three read one memo of in-panel partial integrals, filled
     only on the panels asked for.
 
-    ``k`` is one wavenumber or a 1-D array of K of them, a stack of
-    independent spectral points sharing one pass of NumPy calls.  A stack
-    carries a leading point axis: ``phi_nodes``, ``psi_nodes``, ``phi_w``
-    and ``psi_w`` have shape (K, N), ``pref`` (K,), the partials
+    The action runs at a stack of K independent spectral points sharing
+    one pass of NumPy calls: ``k`` is a 1-D array of K wavenumbers, or one
+    wavenumber, which becomes a stack of one.  Every array carries the
+    leading point axis: ``ks`` is (K,), ``phi_nodes``, ``psi_nodes``,
+    ``phi_w`` and ``psi_w`` are (K, N), ``pref`` (K,), the partials
     (K, P, n, n), and the partials of all K points are contracted in one
-    GEMM-shaped matmul.  ``block`` returns (K, rows, cols); ``apply`` takes
-    samples (N,) or (N, m) shared by every point, or (K, N, m), one set of
-    columns per point, and returns (K, N[, m]).  ``matrix``, ``evaluate``,
-    the amplitudes and ``norm_squared`` are per point.  A stack holds the
-    partials of every point, about 2 P n^2 complex numbers (98 KB on a
-    12-panel, 16-node grid) plus as much again while they are contracted,
-    so callers cap its size (``birman_schwinger.BATCH_POINTS``).
+    GEMM-shaped matmul.  ``block`` returns (K, rows, cols); ``apply``
+    takes samples (N,) or (N, m) shared by every point, or (K, N, m), one
+    set of columns per point, and returns (K, N[, m]).  ``k``, ``apply``
+    and ``evaluate`` give an action built at one wavenumber that point's
+    value, a complex or an array without the point axis (``_as_given``).
+    ``matrix``, the amplitudes and ``norm_squared`` serve one point and
+    read the single point of the stack.  A stack holds the partials of
+    every point, about 2 P n^2 complex numbers (98 KB on a 12-panel,
+    16-node grid) plus as much again while they are contracted, so callers
+    cap its size (``birman_schwinger.BATCH_POINTS``).
 
     H0 is real, so the kernel at the mirror wavenumber -conj(k) (lam - i0
     for lam + i0, conj z for z) is the complex conjugate of this one;
@@ -612,24 +630,23 @@ class FreeResolventAction:
         if model.backend == "finite":
             raise ModelError("free-resolvent actions exist on continuum backends only")
         self.model = model
-        stack = _is_stack(k)
-        self.k = k.astype(complex) if stack else complex(k)
-        self.batch = self.k.shape if stack else ()   # () for one point, (K,) for a stack
-        if model.backend == "radial" and stack and np.any(self.k == 0):
-            raise ModelError("the threshold kernel (k = 0) runs per point, not in a stack")
+        self.ks, self.one = _as_stack(k)
         self.grid = model.grid
-        phi, psi, pref = _phi_psi(model.backend, self.k)
-        self.phi, self.psi, self.pref = phi, psi, pref
+        self.phi, self.psi, self.pref = _phi_psi(model.backend, self.ks)
         g = self.grid
-        x = g.nodes
-        self.phi_nodes = phi(x)
-        self.psi_nodes = psi(x)
+        self.phi_nodes = self.phi(g.nodes)
+        self.psi_nodes = self.psi(g.nodes)
         self.phi_w = self.phi_nodes * g.weights   # full-panel phi moments
         self.psi_w = self.psi_nodes * g.weights
         self._matrix = None
         self._left = self._right = None
         self._run = None   # the panels [start, stop) the partials cover
         self._source = None   # the action this one mirrors, if any
+
+    @property
+    def k(self):
+        """The wavenumbers, as given: a complex for an action at one."""
+        return _as_given(self.ks, self.one)
 
     def conjugate(self):
         """The action at -conj(k), sharing this one's kernel evaluation.
@@ -644,13 +661,12 @@ class FreeResolventAction:
         if self._source is not None:
             return self._source
         mirror = object.__new__(FreeResolventAction)
-        mirror.model, mirror.grid, mirror.k = self.model, self.grid, -np.conj(self.k)
-        mirror.batch = self.batch
+        mirror.model, mirror.grid, mirror.one = self.model, self.grid, self.one
+        mirror.ks = -np.conj(self.ks)
         phi, psi = self.phi, self.psi
         mirror.phi = lambda t: np.conj(phi(t))
         mirror.psi = lambda t: np.conj(psi(t))
-        mirror.pref = np.conj(self.pref)
-        for name in ("phi_nodes", "psi_nodes", "phi_w", "psi_w"):
+        for name in ("pref", "phi_nodes", "psi_nodes", "phi_w", "psi_w"):
             setattr(mirror, name, np.conj(getattr(self, name)))
         mirror._matrix = mirror._left = mirror._right = mirror._run = None
         mirror._source = self
@@ -661,22 +677,22 @@ class FreeResolventAction:
         on the partial tensors, or, in a mirror, conjugate the source's."""
         if self._source is not None:
             left, right = self._source._partials(a, b)
-            np.conj(left[..., a:b, :, :], out=self._left[..., a:b, :, :])
-            np.conj(right[..., a:b, :, :], out=self._right[..., a:b, :, :])
+            np.conj(left[:, a:b], out=self._left[:, a:b])
+            np.conj(right[:, a:b], out=self._right[:, a:b])
             return
         tl, wbl, tr, wbr = self.grid.partial_tensors()
-        self._left[..., a:b, :, :] = _contract(self.phi(tl[a:b]), wbl[a:b])
-        self._right[..., a:b, :, :] = _contract(self.psi(tr[a:b]), wbr[a:b])
+        self._left[:, a:b] = _contract(self.phi(tl[a:b]).transpose(1, 2, 0, 3), wbl[a:b])
+        self._right[:, a:b] = _contract(self.psi(tr[a:b]).transpose(1, 2, 0, 3), wbr[a:b])
 
     def _partials(self, start, stop):
-        """The in-panel partial integrals left[..., p, i, m] = int_{a_p}^{x_i}
-        phi l_m and right[..., p, i, m] = int_{x_i}^{b_p} psi l_m, as
-        (P, n, n) arrays per point valid on the panels [start, stop) (and on
-        any run computed before: the memo grows to the smallest run covering
+        """The in-panel partial integrals left[k, p, i, m] = int_{a_p}^{x_i}
+        phi l_m and right[k, p, i, m] = int_{x_i}^{b_p} psi l_m, as
+        (K, P, n, n) arrays valid on the panels [start, stop) (and on any
+        run computed before: the memo grows to the smallest run covering
         both)."""
         g = self.grid
         if self._run is None:
-            self._left = np.empty(self.batch + (g.npanels, g.n, g.n), dtype=complex)
+            self._left = np.empty((self.ks.size, g.npanels, g.n, g.n), dtype=complex)
             self._right = np.empty_like(self._left)
             self._run = (start, start)
         lo, hi = self._run
@@ -688,15 +704,16 @@ class FreeResolventAction:
 
     def matrix(self):
         """Dense sample-to-sample matrix of the action (includes weights),
-        the block over all nodes, kept.  Per point."""
+        the block over all nodes, kept.  One point: the single point of the
+        stack."""
         if self._matrix is None:
             idx = np.arange(self.grid.size)
-            self._matrix = self.block(idx, idx)
+            self._matrix = self.block(idx, idx)[0]
         return self._matrix
 
     def block(self, rows, cols):
         """matrix()[rows, cols] for increasing index arrays rows and cols,
-        one block per point of a stack.
+        one block per point: (K, rows, cols).
 
         For the rows in panel q, sources in panels left of q give
         pref psi(x_i) phi_w[j] and sources right of q give
@@ -708,13 +725,13 @@ class FreeResolventAction:
         whatever else has been assembled.
         """
         g = self.grid
-        pref = np.asarray(self.pref)[..., None]
-        psi_r = pref * self.psi_nodes.take(rows, axis=-1)
-        phi_r = pref * self.phi_nodes.take(rows, axis=-1)
-        phi_c, psi_c = self.phi_w.take(cols, axis=-1), self.psi_w.take(cols, axis=-1)
+        pref = self.pref[:, None]
+        psi_r = pref * self.psi_nodes.take(rows, axis=1)
+        phi_r = pref * self.phi_nodes.take(rows, axis=1)
+        phi_c, psi_c = self.phi_w.take(cols, axis=1), self.psi_w.take(cols, axis=1)
         row_panel, col_panel = g.panel_index[rows], g.panel_index[cols]
-        out = psi_r[..., :, None] * phi_c[..., None, :]
-        np.multiply(phi_r[..., :, None], psi_c[..., None, :], out=out,
+        out = psi_r[:, :, None] * phi_c[:, None, :]
+        np.multiply(phi_r[:, :, None], psi_c[:, None, :], out=out,
                     where=col_panel[None, :] > row_panel[:, None])
         i, j = np.nonzero(col_panel[None, :] == row_panel[:, None])
         if i.size:
@@ -722,16 +739,16 @@ class FreeResolventAction:
             left, right = self._partials(q[0], q[-1] + 1)   # q is sorted
             # entry [q, rows[i] - q n, cols[j] - q n] of the (P, n, n) partials
             at = rows[i] * g.n + cols[j] - q * g.n
-            left, right = (a.reshape(self.batch + (-1,)).take(at, axis=-1) for a in (left, right))
-            out[..., i, j] = psi_r.take(i, axis=-1) * left + phi_r.take(i, axis=-1) * right
+            left, right = (a.reshape(a.shape[0], -1).take(at, axis=1) for a in (left, right))
+            out[:, i, j] = psi_r.take(i, axis=1) * left + phi_r.take(i, axis=1) * right
         return out
 
     def _moments(self, samples):
-        """Samples as panels cols[..., p, j, m], with before[..., p], the phi
-        moments of the panels left of panel p, and after[..., p], the psi
-        moments of panel p and those right of it (p = 0..P: before[P] and
-        after[0] are the totals).  Samples of shape (K, N, m) pair with the
-        K points of a stack; (N,) and (N, m) are shared by all of them.
+        """Samples as panels cols[..., p, j, m], with before[k, p], the phi
+        moments of the panels left of panel p, and after[k, p], the psi
+        moments of panel p and those right of it (p = 0..P: before[:, P]
+        and after[:, 0] are the totals).  Samples of shape (K, N, m) pair
+        with the K points; (N,) and (N, m) are shared by all of them.
 
         ``after`` is summed from the right, never taken as total - prefix:
         for Im k > 0 the psi moments decay along the grid, and the
@@ -739,7 +756,7 @@ class FreeResolventAction:
         g = self.grid
         per_point = samples.shape[:1] if samples.ndim == 3 else ()
         cols = samples.reshape(per_point + (g.npanels, g.n, -1))
-        panels = self.batch + (g.npanels, g.n)
+        panels = (-1, g.npanels, g.n)
         phi_m = np.einsum("...pj,...pjm->...pm", self.phi_w.reshape(panels), cols)
         psi_m = np.einsum("...pj,...pjm->...pm", self.psi_w.reshape(panels), cols)
         before = np.zeros(phi_m.shape[:-2] + (g.npanels + 1, cols.shape[-1]), dtype=complex)
@@ -750,23 +767,25 @@ class FreeResolventAction:
 
     def apply(self, samples):
         """R0 g on the grid for samples g (a vector, or the columns of a
-        matrix; per point of a stack with shape (K, N, m)): exactly
+        matrix; per point with shape (K, N, m)), (K, N[, m]): exactly
         ``matrix() @ samples`` up to rounding, in O(N n) per column and
         without forming the N x N matrix."""
         samples = np.asarray(samples, dtype=complex)
         g = self.grid
         cols, before, after = self._moments(samples)
         left, right = self._partials(0, g.npanels)
-        shape = self.batch + (g.npanels, g.n, 1)
+        shape = (-1, g.npanels, g.n, 1)
         out = self.psi_nodes.reshape(shape) * (before[..., :-1, None, :] + left @ cols)
         out += self.phi_nodes.reshape(shape) * (after[..., 1:, None, :] + right @ cols)
-        out *= np.asarray(self.pref).reshape(self.batch + (1, 1, 1))
-        return out.reshape(self.batch + (samples.shape[1:] if samples.ndim == 3 else samples.shape))
+        out *= self.pref[:, None, None, None]
+        per_point = samples.shape[1:] if samples.ndim == 3 else samples.shape
+        return _as_given(out.reshape(self.ks.shape + per_point), self.one)
 
     # -- arbitrary points and exterior data ----------------------------------
 
     def evaluate(self, samples, points):
-        """(R0 g)(x) at arbitrary points, exterior points included.
+        """(R0 g)(x) at arbitrary points, exterior points included, for a
+        vector g: (K, points).
 
         Inside the grid the partial integrals over the panel of x run on
         the Lagrange interpolant of the samples there; the other panels
@@ -775,10 +794,10 @@ class FreeResolventAction:
         samples = np.asarray(samples, dtype=complex)
         points = np.atleast_1d(np.asarray(points, dtype=float))
         cols, before, after = (a[..., 0] for a in self._moments(samples))
-        out = np.empty(points.shape, dtype=complex)
+        out = np.empty(self.ks.shape + points.shape, dtype=complex)
         above, below = points >= g.hi, points <= g.lo
-        out[above] = self.psi(points[above]) * before[-1]
-        out[below] = self.phi(points[below]) * after[0]
+        out[:, above] = self.psi(points[above]) * before[:, -1:]
+        out[:, below] = self.phi(points[below]) * after[:, :1]
         inside = ~(above | below)
         x = points[inside]
         p = g.panel_of(x)
@@ -790,23 +809,23 @@ class FreeResolventAction:
             pts = 0.5 * (lo + hi)[:, None] + half * sub.nodes
             basis = g.lagrange_values(g.to_reference(p[:, None], pts).ravel())
             interp = np.einsum("xsm,xm->xs", basis.reshape(x.size, g.n, g.n), cols[p])
-            return np.sum(half * sub.weights * f(pts) * interp, axis=1)
+            return np.sum(half * sub.weights * f(pts) * interp, axis=-1)
 
         a, b = g.edges[p], g.edges[p + 1]
-        out[inside] = (self.psi(x) * (before[p] + partial(self.phi, a, x))
-                       + self.phi(x) * (after[p + 1] + partial(self.psi, x, b)))
-        out *= self.pref
-        return out
+        out[:, inside] = (self.psi(x) * (before[:, p] + partial(self.phi, a, x))
+                          + self.phi(x) * (after[:, p + 1] + partial(self.psi, x, b)))
+        out *= self.pref[:, None]
+        return _as_given(out, self.one)
 
     def outgoing_amplitude(self, samples):
         """A with (R0 g)(x) = A * psi(x) beyond the grid (radial: A e^{ikx})."""
         samples = np.asarray(samples, dtype=complex)
-        return self.pref * (self.phi_w @ samples)
+        return self.pref[0] * (self.phi_w[0] @ samples)
 
     def incoming_amplitude(self, samples):
         """Amplitude of the phi branch below the grid (line backend)."""
         samples = np.asarray(samples, dtype=complex)
-        return self.pref * (self.psi_w @ samples)
+        return self.pref[0] * (self.psi_w[0] @ samples)
 
     def norm_squared(self, samples):
         """||R0 g||_{L^2}^2 including the analytic exterior tails (Im k > 0)."""
@@ -831,13 +850,8 @@ def resolvent_action(model, z=None, lam=None, side=None):
     """FreeResolventAction at a complex point z or a boundary pair (lam, side);
     an array of z, or of lam with one side, gives a stack."""
     if z is not None:
-        if _is_stack(z):
-            z = z.astype(complex)
-            on_axis = np.any((z.imag == 0) & (z.real >= 0))
-        else:
-            z = complex(z)
-            on_axis = z.imag == 0 and z.real >= 0
-        if on_axis:
+        z = np.asarray(z, dtype=complex)
+        if np.any((z.imag == 0) & (z.real >= 0)):
             raise AdmissibilityError(
                 "real z in the essential spectrum needs an explicit side"
             )

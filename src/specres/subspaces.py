@@ -378,10 +378,10 @@ def ac_certificate(model, u=None, w=None, witnesses=None, reg=None):
 
 
 def _jump_terms(model, lams, cw):
-    """The five constituents of (R_H(l-i0) - R_H(l+i0)) C w as grid vectors:
-    free difference, two second-order and two third-order terms.  A (5, N)
-    array for one lam; (K, 5, N) for an array of K, evaluated in stacks of
-    at most ``bs.BATCH_POINTS`` points."""
+    """The five constituents of (R_H(l-i0) - R_H(l+i0)) C w as grid vectors
+    at every lam of a 1-D array: free difference, two second-order and two
+    third-order terms, (K, 5, N), evaluated in stacks of at most
+    ``bs.BATCH_POINTS`` points."""
     c = model.c_values[:, None]
 
     def terms(lam):
@@ -399,9 +399,7 @@ def _jump_terms(model, lams, cw):
         return np.stack((free, -second["-"], +second["+"], third["-"], -third["+"]),
                         axis=-3)[..., 0]
 
-    if np.ndim(lams) == 0:
-        return terms(lams)
-    return np.concatenate([terms(b) for b in bs.point_batches(lams)])
+    return bs.over_stacks(terms, lams)
 
 
 def ac_equality_check(model):

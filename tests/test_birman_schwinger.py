@@ -574,7 +574,7 @@ def test_sigma_min_order_follows_the_support_shape(name, point, monkeypatch):
     svd = np.linalg.svd
 
     def recording_svd(a, *args, **kwargs):
-        orders.append(a.shape)
+        orders.append(a.shape[-2:])   # the order; one point is a stack of one
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
@@ -595,7 +595,7 @@ class TestSupportReduction:
         def record(fn):
             def wrapped(a, *args, **kwargs):
                 # lu_solve takes the (lu, piv) pair of lu_factor
-                orders.append((fn.__name__, (a[0] if isinstance(a, tuple) else a).shape))
+                orders.append((fn.__name__, (a[0] if isinstance(a, tuple) else a).shape[-2:]))
                 return fn(a, *args, **kwargs)
             return wrapped
 
@@ -716,7 +716,7 @@ def test_finite_k_is_solved_once_per_system(monkeypatch):
     solve = np.linalg.solve
 
     def counting_solve(a, b):
-        solves.append(a.shape)
+        solves.append(a.shape[-2:])   # one point is a stack of one
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
@@ -804,7 +804,7 @@ def test_stacked_logdet_derivative_is_its_points(name):
 
 @pytest.mark.parametrize("name", ["radial_well", "rank_one", "free"])
 def test_a_radial_profile_from_the_threshold_is_its_points(name):
-    # lam = 0 runs on its own (a stack refuses k = 0), the rest in stacks
+    # lam = 0 runs in the first stack, with the points after it
     model = sylvester_model(name)
     grid = np.linspace(0.0, model.max_scan_energy(), BS.BATCH_POINTS + 5)
     profile = BS.sigma_profile(model, grid)
@@ -813,6 +813,44 @@ def test_a_radial_profile_from_the_threshold_is_its_points(name):
             assert _sigma_agrees(got, BS.BoundarySystem(model, lam=lam, side=side).sigma_min())
     # the threshold kernel min(r, r') is real: both sides agree at lam = 0
     assert profile["+"][0] == profile["-"][0]
+
+
+@pytest.mark.parametrize("name", ["radial_well", "rank_one", "free"])
+def test_a_stack_holding_the_threshold_is_its_points(name):
+    # lam = 0 (the kernel min(r, r')) inside a stack: sigma_min on both
+    # sides, log det and w_solve are those of the threshold point alone
+    model = sylvester_model(name)
+    lams = np.array([0.7, 0.0, 2.0])
+    v = M.GaussianBump(center=1.2, width=0.6)(model.grid.nodes) + 0.3j
+    for side in ("+", "-"):
+        stack, one = (BS.BoundarySystem(model, lam=lam, side=side) for lam in (lams, 0.0))
+        for got, want in ((stack.sigma_min()[1], one.sigma_min()),
+                          (stack.mirror().sigma_min()[1], one.mirror().sigma_min())):
+            assert _sigma_agrees(got, want)
+        (logabs, phase), (ref_logabs, ref_phase) = stack.log_det(), one.log_det()
+        assert abs(logabs[1] - ref_logabs) <= 1e-14 and abs(phase[1] - ref_phase) <= 1e-14
+        solved, ref = stack.w_solve(np.stack([v] * lams.size)[..., None])[1, :, 0], one.w_solve(v)
+        assert np.array_equal(solved, ref) if not ref.any() else _rel(solved, ref) <= 1e-13
+
+
+def test_a_finite_stack_is_its_points():
+    # the finite backend stacks its points too, from one stacked solve of
+    # (H0 - z)^(-1): sigma_min, log det, the weighted resolvent norm, K_SS
+    # and the log-det derivative of each point, and the mirror stack
+    model = sylvester_model("finite")
+    stack = BS.BoundarySystem(model, z=STACK_Z)
+    (logabs, phase), mirror = stack.log_det(), stack.mirror()
+    got = (stack.sigma_min(), stack.weighted_resolvent_norm(), stack.k_support(),
+           BS._logdet_derivative(model, STACK_Z), mirror.sigma_min())
+    assert [np.shape(g)[:1] for g in got] == [STACK_Z.shape] * len(got)
+    for i, z in enumerate(STACK_Z):
+        one = BS.BoundarySystem(model, z=z)
+        ref_logabs, ref_phase = one.log_det()
+        assert abs(logabs[i] - ref_logabs) <= 1e-14 and abs(phase[i] - ref_phase) <= 1e-14
+        want = (one.sigma_min(), one.weighted_resolvent_norm(), one.k_support(),
+                BS._logdet_derivative(model, z), one.mirror().sigma_min())
+        for a, b in zip(got, want):
+            assert _rel(a[i], b) <= 1e-13
 
 
 @settings(sylvester_settings, max_examples=15)
@@ -847,7 +885,7 @@ def test_sweeps_build_one_free_action_per_stack(tuned_well, free_radial, monkeyp
 
     monkeypatch.setattr(M.FreeResolventAction, "__init__", counting_init)
     model, _ = tuned_well
-    BS.sigma_profile(model, np.linspace(1e-3, 25.0, 300))
+    BS.sigma_profile(model, np.linspace(0.0, 25.0, 300))   # lam = 0 joins a stack
     assert len(built) <= math.ceil(300 / BS.BATCH_POINTS) == 14
     assert sum(built) == 300
     built.clear()
@@ -874,7 +912,7 @@ def test_k_rest_pieces_factor_the_k_ts_block(name, point):
             assert np.isin(panel[rows], panel[s]).all()
             value = f
         else:
-            assert u.shape[1] in (1, 2) and not np.isin(panel[rows], panel[s]).any()
+            assert u.shape[-1] in (1, 2) and not np.isin(panel[rows], panel[s]).any()
             value = u @ f
         assert _rel(value, k[np.ix_(rows, s)]) <= 1e-14
 

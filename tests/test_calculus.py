@@ -148,12 +148,12 @@ class TestStoneForms:
     @pytest.mark.parametrize("name", sorted(FORM_MODELS))
     def test_batched_forms_match_separate_resolvent_applications(self, name, small_well):
         # the mirror pair of `specres verify` (suite stone) against one
-        # resolvent application at z and one at conj z, for one z and for
-        # a stack of them
+        # resolvent application at z and one at conj z, for a stack of one
+        # z and for a stack of three
         model = small_well if name == "small_well" else form_model(name)
         u, v = pair_for(model)
         zs = np.array([2.3 + 0.1j, 1.0 + 0.00625j, -0.5 + 2.0j])
-        for z in (*zs, zs):
+        for z in (*zs[:, None], zs):
             fp, fm = C._batched_forms(model, z, [(u, v), (v, u)])
             for j, (a, b) in enumerate([(u, v), (v, u)]):
                 for got, points in ((fp[..., j], z), (fm[..., j], np.conj(z))):
@@ -175,7 +175,7 @@ class TestStoneForms:
         whole = C._batched_forms(small_well, zs, [(u, v)])
         parts = [C._batched_forms(small_well, zs[:cut], [(u, v)]),
                  C._batched_forms(small_well, zs[cut:][::-1], [(u, v)])]
-        alone = C._batched_forms(small_well, zs[-1], [(u, v)])
+        alone = C._batched_forms(small_well, zs[-1:], [(u, v)])
         for side in range(2):
             split = np.concatenate([parts[0][side], parts[1][side][::-1]])
             assert np.all(np.abs(whole[side] - split) <= 1e-14 * np.abs(split))

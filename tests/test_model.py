@@ -187,7 +187,7 @@ class TestPanelMomentApply:
         f = _samples(model, 0, 2)
         # partials filled piecewise: a run, the run's complement, then all
         for rows, cols in ((support, support), (rest, support), (idx[150:], idx[:40])):
-            assert np.array_equal(act.block(rows, cols), full[np.ix_(rows, cols)])
+            assert np.array_equal(act.block(rows, cols)[0], full[np.ix_(rows, cols)])
         act.apply(f)
         assert np.array_equal(act.matrix(), full)
 
@@ -225,10 +225,23 @@ class TestPanelMomentApply:
         act.evaluate(_samples(model, 3, 0), [-20.0, 0.5, 3.0, 20.0])
 
 
-def test_a_stack_refuses_the_threshold_wavenumber():
-    # the radial k = 0 kernel min(r, r') has its own factors: one point only
-    with pytest.raises(M.ModelError, match="per point"):
-        M.FreeResolventAction(action_model("radial"), np.array([1.0, 0.0]))
+def test_a_stack_holds_the_threshold_wavenumber():
+    # the radial k = 0 kernel min(r, r') runs inside a stack: phi(t) = t,
+    # psi = 1 and pref = 1 there, and the blocks, R0 and its mirror are
+    # those of the threshold action alone
+    model = action_model("radial")
+    stack = M.FreeResolventAction(model, np.array([1.0, 0.0, -0.4 + 2.0j]))
+    one = M.FreeResolventAction(model, 0.0)
+    x = model.grid.nodes
+    assert np.array_equal(stack.phi_nodes[1], x) and np.array_equal(stack.psi_nodes[1], x ** 0)
+    assert stack.pref[1] == one.pref[0] == 1.0 and one.k == 0
+    idx = np.arange(model.size)
+    rows, cols = idx[30:], idx[10:90]
+    f = _samples(model, 0, 2)
+    for got, want in ((stack.block(rows, cols)[1], one.block(rows, cols)[0]),
+                      (stack.apply(f)[1], one.apply(f)),
+                      (stack.conjugate().apply(f)[1], one.conjugate().apply(f))):
+        assert _normwise(got, want) <= 1e-14
 
 
 def _outputs(act, samples, rows, cols, points):
@@ -289,7 +302,7 @@ class TestMirrorAction:
         # the left and right partials over every panel, computed by the source
         assert contracted == [model.grid.npanels] * 2
         assert np.array_equal(mirror.matrix(), np.conj(full))
-        assert np.array_equal(mirror.block(np.arange(9), np.arange(5, 40)),
+        assert np.array_equal(mirror.block(np.arange(9), np.arange(5, 40))[0],
                               np.conj(full[:9, 5:40]))
 
 

@@ -190,7 +190,7 @@ class TestACCertificates:
                               math.sqrt(cert.diagnostics["lam_max"]))
         cw = small_well.c_values * w
         names = ["free", "second_minus", "second_plus", "third_minus", "third_plus"]
-        rows = [S._jump_terms(small_well, k * k, cw) for k in rule.nodes]
+        rows = [S._jump_terms(small_well, np.array([k * k]), cw)[0] for k in rule.nodes]
         # the certificate's stacked terms are the node-by-node terms
         stacked = S._jump_terms(small_well, rule.nodes**2, cw)
         assert stacked.shape == (rule.nodes.size, len(names), g.size)
