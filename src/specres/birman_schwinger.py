@@ -273,12 +273,12 @@ class BoundarySystem:
     Every array carries the point axis: the free action is one stacked
     ``FreeResolventAction``, ``_k_ss`` is (K, |S|, |S|), the pieces of
     K_TS and M are (K, ...), and ``a_solve`` runs ``lu_solve`` on the LU
-    factors of A at every point, kept (SciPy's batched ``lu_factor``; the
-    ``calculus`` cache reuses them across pairs).  ``sigma_min``,
-    ``log_det`` and ``weighted_resolvent_norm`` come from one stacked SVD
-    or slogdet; ``w_solve`` and ``resolvent_apply`` take samples as
-    columns, (K, N, m), or (N, m) shared by every point for
-    ``resolvent_apply``.  These and ``k_support`` give a system built at
+    factors of A, one 2-D factorization per point, kept (the ``calculus``
+    cache reuses them across pairs; SciPy's batched LU loops over the same
+    2-D calls in a slower wrapper).  ``sigma_min``, ``log_det`` and
+    ``weighted_resolvent_norm`` come from one stacked SVD or slogdet;
+    ``w_solve`` and ``resolvent_apply`` take samples as columns,
+    (K, N, m), or (N, m) shared by every point for ``resolvent_apply``.  These and ``k_support`` give a system built at
     one point that point's float, complex or array (``_as_given``), with
     the bits it has in any stack wherever the BLAS matrix product rounds
     each row of a stacked contraction as it rounds a lone one.  ``k``,
@@ -377,9 +377,9 @@ class BoundarySystem:
         return a
 
     def _factors(self):
-        """The LU factors (lu, piv) of A at every point, kept."""
+        """The LU factors (lu, piv) of A, one pair per point, kept."""
         if self._lu is None:
-            self._lu = tuple(sla.lu_factor(self._a(), check_finite=False))
+            self._lu = [sla.lu_factor(a, check_finite=False) for a in self._a()]
         return self._lu
 
     def _reduced(self):
@@ -442,8 +442,9 @@ class BoundarySystem:
 
     def a_solve(self, rhs):
         """A^(-1) rhs at every point, rhs (K, |S|, m) indexed by the support
-        S, by ``lu_solve`` on the kept LU factors of A."""
-        return sla.lu_solve(self._factors(), rhs, check_finite=False)
+        S, by one 2-D ``lu_solve`` per point on the kept LU factors of A."""
+        return np.stack([sla.lu_solve(lu, b, check_finite=False)
+                         for lu, b in zip(self._factors(), rhs)])
 
     def inverse(self):
         """(Id + K)^(-1) in the representation of K, with -B A^(-1) =
@@ -466,8 +467,7 @@ class BoundarySystem:
             return _as_given(np.zeros(self.npoints), self.one)
         m, _ = self._reduced()
         eye = np.eye(s)
-        # in C order: the product below then rounds as it always has
-        a_inv = np.ascontiguousarray(self.a_solve(np.broadcast_to(eye, (self.npoints, s, s))))
+        a_inv = self.a_solve(np.broadcast_to(eye, (self.npoints, s, s)))
         cols = np.concatenate([eye - a_inv, m[:, s:, :s] @ a_inv], axis=1)
         return _as_given(np.linalg.svd(cols, compute_uv=False)[:, 0], self.one)
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import birman_schwinger as bs
 from .model import AdmissibilityError, ModelError
-from .numerics import gauss_legendre
+from .numerics import _leggauss, gauss_legendre
 
 __all__ = [
     "SpectralProjection",
@@ -453,19 +453,24 @@ def _batched_forms(model, zs, pairs):
 def _inner_nodes(interval, lam, eps):
     """Inner quadrature on ``interval``: coarse panels away from mu = lam
     plus panels refined geometrically toward lam down to the Lorentzian
-    scale eps."""
+    scale eps.  The rules map the cached reference Gauss-Legendre rule
+    as ``gauss_legendre`` does, without building a ``QuadratureRule``
+    for each panel."""
+
+    def rule(n, lo, hi):
+        x, w = _leggauss(n)
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        return mid + half * x, half * w
+
     a, b = interval
     win = min(0.35 * (b - a), 1.0)
     lo, hi = max(a, lam - win), min(b, lam + win)
-    nodes, weights = [], []
+    parts = []
     if lo >= hi:  # lam far outside: one coarse rule suffices
-        r = gauss_legendre(56, a, b)
-        return r.nodes, r.weights
+        return rule(56, a, b)
     for s0, s1 in ((a, lo), (hi, b)):
         if s1 - s0 > 1e-12:
-            r = gauss_legendre(14, s0, s1)
-            nodes.append(r.nodes)
-            weights.append(r.weights)
+            parts.append(rule(14, s0, s1))
     edges = {lo, hi}
     for end, sgn in ((lo, -1.0), (hi, 1.0)):
         t = abs(lam - end)
@@ -480,9 +485,8 @@ def _inner_nodes(interval, lam, eps):
     for e0, e1 in zip(all_edges[:-1], all_edges[1:]):
         if e1 - e0 < 1e-14:
             continue
-        r = gauss_legendre(8, e0, e1)
-        nodes.append(r.nodes)
-        weights.append(r.weights)
+        parts.append(rule(8, e0, e1))
+    nodes, weights = zip(*parts)
     return np.concatenate(nodes), np.concatenate(weights)
 
 

@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import gauss_legendre
+from .numerics import _leggauss, gauss_legendre
 
 __all__ = [
     "ModelError",
@@ -193,6 +193,21 @@ def _barycentric_weights(x):
     return w
 
 
+def _lagrange_basis(nodes, bary, t):
+    """Values of the Lagrange basis on ``nodes`` (barycentric weights
+    ``bary``) at points t, (t.size, nodes.size)."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    terms = np.subtract.outer(t, nodes)
+    exact = np.abs(terms) < 1e-14
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(bary, terms, out=terms)
+        terms /= terms.sum(axis=1)[:, None]
+    rows_exact = exact.any(axis=1)
+    if rows_exact.any():
+        terms[rows_exact] = exact[rows_exact]
+    return terms
+
+
 class PanelGrid:
     """Composite Gauss-Legendre grid on [lo, hi] with per-panel data."""
 
@@ -250,17 +265,7 @@ class PanelGrid:
 
     def lagrange_values(self, t):
         """Values of the reference Lagrange basis at reference points t."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        diffs = t[:, None] - self.ref_nodes[None, :]
-        out = np.zeros((t.size, self.n))
-        exact = np.abs(diffs) < 1e-14
-        rows_exact = exact.any(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = self.bary[None, :] / diffs
-            out = terms / terms.sum(axis=1)[:, None]
-        if rows_exact.any():
-            out[rows_exact] = exact[rows_exact].astype(float)
-        return out
+        return _lagrange_basis(self.ref_nodes, self.bary, t)
 
     def interpolate(self, samples, x):
         """Panelwise polynomial interpolation of grid samples at points x."""
@@ -271,30 +276,39 @@ class PanelGrid:
         return np.einsum("xm,xm->x", basis, panels[p])
 
     def partial_tensors(self):
-        """k-independent data for exact partial integrals within panels.
+        """k-independent data for the in-panel partial integrals of a
+        kernel factor phi, from its values at the 2n Gauss-Legendre points
+        y[p, j] of each panel p.
 
-        Returns (tl, wbl, tr, wbr): sub-quadrature points tl[p, i, s] on
-        [a_p, x_i] and tensors wbl[p, i, s, m] combining sub-weights with
-        Lagrange basis values, so that for any kernel factor phi,
+        Returns (y, half, tl, tr): y (P, 2n), the panel half-widths half
+        (P,), and the exact polynomial integrals on the reference panel
+        tl[j, i, m] = int_{-1}^{xi_i} L_j l_m and tr[j, i, m] =
+        int_{xi_i}^{1} L_j l_m, (2n, n, n), with L_j the Lagrange basis on
+        the 2n points and l_m the one on the n nodes xi_i, so that on the
+        interpolant of phi
 
-            int_{a_p}^{x_i} phi(t) l_m(t) dt = sum_s phi(tl[p,i,s]) wbl[p,i,s,m],
+            int_{a_p}^{x_i} phi(t) l_m(t) dt = half[p] sum_j phi(y[p,j]) tl[j,i,m],
 
-        and symmetrically (tr, wbr) for [x_i, b_p].  The basis values of
-        all 2 P n^2 sub-points come from one ``lagrange_values`` call.
-        """
+        and symmetrically for [x_i, b_p].  L_j l_m has degree 3n - 2, so a
+        2n-point Gauss rule on [-1, xi_i] (or [xi_i, 1]) integrates it
+        exactly.  The interpolant of an entire phi errs like
+        (|k| h_p / 4)^(2n) / (2n)!, and the partials cost 2n values of phi
+        per panel, not n per node.  Built on first use, kept: 0.13 MB for
+        n = 16, whatever the number of panels."""
         if self._partial_tensors is not None:
             return self._partial_tensors
-        n, P = self.n, self.npanels
-        sub_x, sub_w = np.polynomial.legendre.leggauss(n)
-        xs = self.nodes.reshape(P, n)
-        a, b = self.edges[:-1, None], self.edges[1:, None]
-        panel = np.arange(P)[:, None, None]
-        tensors = []
-        for lo, hi in ((a, xs), (xs, b)):
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            pts = mid[..., None] + half[..., None] * sub_x                 # (P, n, s)
-            basis = self.lagrange_values(self.to_reference(panel, pts).ravel())
-            tensors += [pts, (half[..., None] * sub_w)[..., None] * basis.reshape(P, n, n, n)]
+        n, xi = self.n, self.ref_nodes
+        fine, fine_w = _leggauss(2 * n)
+        bary = _barycentric_weights(fine)
+        half = 0.5 * np.diff(self.edges)
+        y = 0.5 * (self.edges[:-1] + self.edges[1:])[:, None] + half[:, None] * fine
+        tensors = [y, half]
+        for lo, hi in ((-1.0, xi), (xi, 1.0)):
+            mid, scale = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            pts = (mid[:, None] + scale[:, None] * fine).ravel()             # (n 2n)
+            l_fine = _lagrange_basis(fine, bary, pts).reshape(n, 2 * n, 2 * n)
+            l_nodes = self.lagrange_values(pts).reshape(n, 2 * n, n)
+            tensors.append(np.einsum("is,isj,ism->jim", scale[:, None] * fine_w, l_fine, l_nodes))
         self._partial_tensors = tuple(tensors)
         return self._partial_tensors
 
@@ -578,15 +592,17 @@ def _phi_psi(backend, k):
 
 
 def _contract(values, weights):
-    """sum_s values[p, i, k, s] weights[p, i, s, m] for complex values
-    (P, n, K, s) at K points and real weights, as one real batched matmul,
-    (P, n, 2K, s) @ (P, n, s, m), whose 2K rows are the real and imaginary
-    parts of every point: one GEMM per (p, i) for all of them, cheaper than
-    a complex-by-real einsum.  Returns (K, P, n, m)."""
-    npan, n, k, s = values.shape
-    rows = np.stack((values.real, values.imag), axis=2).reshape(npan, n, 2 * k, s)
-    parts = (rows @ weights).reshape(npan, n, 2, k, -1)
-    return (parts[:, :, 0] + 1j * parts[:, :, 1]).transpose(2, 0, 1, 3)
+    """sum_j values[p, k, j] weights[j, i, m] for complex values (P, K, J)
+    on P panels at K points and real weights (J, n, n), as one real GEMM,
+    (P 2K, J) @ (J, n n), whose rows are the real and imaginary parts of
+    every point on every panel: cheaper than a complex-by-real einsum.
+    Returns the real and the imaginary part, (2, K, P, n, n), as a view of
+    the product, which the caller writes into its complex memo: no complex
+    temporary, whose allocation would fault in fresh pages on every call."""
+    npan, k, j = values.shape
+    rows = np.concatenate((values.real, values.imag), axis=1).reshape(-1, j)
+    parts = (rows @ weights.reshape(j, -1)).reshape((npan, 2, k) + weights.shape[1:])
+    return parts.transpose(1, 2, 0, 3, 4)
 
 
 class FreeResolventAction:
@@ -617,9 +633,13 @@ class FreeResolventAction:
     value, a complex or an array without the point axis (``_as_given``).
     ``matrix``, the amplitudes and ``norm_squared`` serve one point and
     read the single point of the stack.  A stack holds the partials of
-    every point, about 2 P n^2 complex numbers (98 KB on a 12-panel,
-    16-node grid) plus as much again while they are contracted, so callers
-    cap its size (``birman_schwinger.BATCH_POINTS``).
+    every point, 2 P n^2 complex numbers (98 KB on a 12-panel, 16-node
+    grid), plus half as much again while one side is contracted (its real
+    and imaginary parts), so callers cap its size
+    (``birman_schwinger.BATCH_POINTS``).  They come from 2 P 2n values of
+    phi and psi per point (768 complex sin and exp on that grid), at the
+    interpolation points of ``PanelGrid.partial_tensors``, and from one
+    k-independent tensor per side shared by every action on the grid.
 
     H0 is real, so the kernel at the mirror wavenumber -conj(k) (lam - i0
     for lam + i0, conj z for z) is the complex conjugate of this one;
@@ -674,15 +694,17 @@ class FreeResolventAction:
 
     def _fill(self, a, b):
         """Fill the partials memo on the panels [a, b): contract phi and psi
-        on the partial tensors, or, in a mirror, conjugate the source's."""
+        at the interpolation points against the partial tensors, or, in a
+        mirror, conjugate the source's."""
         if self._source is not None:
             left, right = self._source._partials(a, b)
             np.conj(left[:, a:b], out=self._left[:, a:b])
             np.conj(right[:, a:b], out=self._right[:, a:b])
             return
-        tl, wbl, tr, wbr = self.grid.partial_tensors()
-        self._left[:, a:b] = _contract(self.phi(tl[a:b]).transpose(1, 2, 0, 3), wbl[a:b])
-        self._right[:, a:b] = _contract(self.psi(tr[a:b]).transpose(1, 2, 0, 3), wbr[a:b])
+        y, half, tl, tr = self.grid.partial_tensors()
+        for memo, f, t in ((self._left, self.phi, tl), (self._right, self.psi, tr)):
+            values = f(y[a:b]).transpose(1, 0, 2) * half[a:b, None, None]
+            memo.real[:, a:b], memo.imag[:, a:b] = _contract(values, t)
 
     def _partials(self, start, stop):
         """The in-panel partial integrals left[k, p, i, m] = int_{a_p}^{x_i}
@@ -788,8 +810,13 @@ class FreeResolventAction:
         vector g: (K, points).
 
         Inside the grid the partial integrals over the panel of x run on
-        the Lagrange interpolant of the samples there; the other panels
-        enter through the prefix and suffix moments of ``apply``."""
+        the Lagrange interpolant of the samples there, by the 2n-point
+        Gauss rule on [a_p, x] and [x, b_p]: exact on the product with the
+        2n-point interpolant of phi or psi that ``apply`` integrates, so,
+        taking phi and psi themselves (they differ from that interpolant
+        by its truncation error only), ``evaluate`` is ``apply`` at the
+        nodes.  The other panels enter through the prefix and suffix
+        moments of ``apply``."""
         g = self.grid
         samples = np.asarray(samples, dtype=complex)
         points = np.atleast_1d(np.asarray(points, dtype=float))
@@ -801,15 +828,15 @@ class FreeResolventAction:
         inside = ~(above | below)
         x = points[inside]
         p = g.panel_of(x)
-        sub = gauss_legendre(g.n, -1.0, 1.0)
+        sub_x, sub_w = _leggauss(2 * g.n)
 
         def partial(f, lo, hi):
-            # int_lo^hi f(t) g(t) dt by an n-point rule on the interpolant
+            # int_lo^hi f g dt by the 2n-point rule on the interpolant of g
             half = 0.5 * (hi - lo)[:, None]
-            pts = 0.5 * (lo + hi)[:, None] + half * sub.nodes
+            pts = 0.5 * (lo + hi)[:, None] + half * sub_x
             basis = g.lagrange_values(g.to_reference(p[:, None], pts).ravel())
-            interp = np.einsum("xsm,xm->xs", basis.reshape(x.size, g.n, g.n), cols[p])
-            return np.sum(half * sub.weights * f(pts) * interp, axis=-1)
+            interp = np.einsum("xsm,xm->xs", basis.reshape(pts.shape + (g.n,)), cols[p])
+            return np.sum(half * sub_w * f(pts) * interp, axis=-1)
 
         a, b = g.edges[p], g.edges[p + 1]
         out[:, inside] = (self.psi(x) * (before[:, p] + partial(self.phi, a, x))

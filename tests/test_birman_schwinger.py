@@ -726,6 +726,29 @@ def test_finite_k_is_solved_once_per_system(monkeypatch):
     assert solves == [(model.size, model.size)]
 
 
+@pytest.mark.parametrize("name", ["radial_well", "line_well", "free"])
+@pytest.mark.parametrize("points", [{"z": np.array([3.0 + 0.7j, -1.5 - 2.0j, 0.4 + 0.05j])},
+                                    {"z": 0.4 + 0.05j}, {"lam": 1.1, "side": "+"}])
+def test_a_solve_is_scipy_lu(name, points):
+    # one 2-D LU per point: bitwise SciPy's lu_solve(lu_factor(A)) on the
+    # whole stack, for per-point and for shared (broadcast) right-hand
+    # sides, at one point, and with |S| = 0 ("free")
+    model = sylvester_model(name)
+    system = BS.BoundarySystem(model, **points)
+    a = system._a()
+    s, k = a.shape[-1], a.shape[0]
+    rhs = np.random.default_rng(3).standard_normal((k, s, 2)) + 0.5j
+    shared = np.broadcast_to(np.eye(s), (k, s, s))
+    lu = scipy.linalg.lu_factor(a, check_finite=False)
+    for b in (rhs, shared):
+        got = system.a_solve(b)
+        assert got.shape == b.shape
+        assert np.array_equal(got, scipy.linalg.lu_solve(lu, b, check_finite=False))
+    if k == 1:
+        lu = scipy.linalg.lu_factor(a[0], check_finite=False)
+        assert np.array_equal(system.a_solve(rhs)[0], scipy.linalg.lu_solve(lu, rhs[0]))
+
+
 STACKS = [{"z": np.array([3.0 + 0.7j, -1.5 - 2.0j, 0.4 + 0.05j])},
           {"lam": np.array([0.3, 2.0, 5.5]), "side": "-"}]
 

@@ -250,6 +250,51 @@ def _outputs(act, samples, rows, cols, points):
             act.evaluate(samples[:, 0], points))
 
 
+def _reference_partials(model, act):
+    """int_{a_p}^{x_i} phi l_m and int_{x_i}^{b_p} psi l_m, (P, n, n) each,
+    by a 4n-point Gauss rule of phi l_m (psi l_m) on each interval,
+    converged at these wavenumbers."""
+    g = model.grid
+    sub_x, sub_w = np.polynomial.legendre.leggauss(4 * g.n)
+    a, b = g.edges[g.panel_index], g.edges[g.panel_index + 1]
+    out = []
+    for lo, hi, f in ((a, g.nodes, act.phi), (g.nodes, b, act.psi)):
+        half = 0.5 * (hi - lo)[:, None]
+        t = 0.5 * (lo + hi)[:, None] + half * sub_x
+        basis = g.lagrange_values(g.to_reference(g.panel_index[:, None], t).ravel())
+        values = np.einsum("xs,xsm->xm", half * sub_w * f(t)[0],
+                           basis.reshape(t.shape + (g.n,)))
+        out.append(values.reshape(g.npanels, g.n, g.n))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(ACTION_MODELS))
+def test_partials_match_a_converged_reference(name):
+    # the radial threshold, real k up to the grid's scan limit on both
+    # sides, and complex k: each panel's partials within 1e-13 of its scale
+    model = action_model(name)
+    top = math.sqrt(model.max_scan_energy())
+    ks = [1.0, top, -top, 3.0 - 1.5j, 3.2j] + ([0.0] if model.backend == "radial" else [])
+    for k in ks:
+        act = M.FreeResolventAction(model, k)
+        for got, want in zip(act._partials(0, model.grid.npanels), _reference_partials(model, act)):
+            err = np.abs(got[0] - want).max(axis=(1, 2))
+            assert np.all(err <= 1e-13 * np.abs(want).max(axis=(1, 2))), (k, err)
+
+
+def test_partial_tensors_integrate_the_interpolation_basis():
+    # tl + tr is the integral of L_j l_m (degree 3n - 2) over the reference
+    # panel, which the Gauss rule on the 2n points gives exactly: w_j l_m(y_j)
+    g = action_model("radial").grid
+    y, half, tl, tr = g.partial_tensors()
+    fine, fine_weights = np.polynomial.legendre.leggauss(2 * g.n)
+    assert tl.shape == tr.shape == (2 * g.n, g.n, g.n)
+    assert np.array_equal(half, 0.5 * np.diff(g.edges))
+    assert np.allclose(g.to_reference(np.arange(g.npanels)[:, None], y), fine, rtol=0, atol=1e-14)
+    full = fine_weights[:, None] * g.lagrange_values(fine)               # [j, m]
+    assert np.allclose(tl + tr, full[:, None, :], rtol=0, atol=1e-14)
+
+
 @pytest.mark.parametrize("name", sorted(ACTION_MODELS))
 class TestMirrorAction:
     """``conjugate`` is the action at -conj(k), from its source's kernel evaluation."""
