@@ -18,9 +18,11 @@ factorized, at a stack of spectral points: complex z, or boundary pairs
 runs the same code on every backend; sigma_min, solves, R_H applications
 and log det all come from it.  The sweeps over many independent points
 run in stacks of at most ``BATCH_POINTS`` (``over_stacks``): the
-``sigma_profile`` of a scan, threshold lam = 0 included, the eps samples
-of ``order_estimate``, the log|det| surface of ``locate_eigenvalues`` and
-the contour of ``eigenvalue_winding`` (and of the rank and trace of
+``sigma_profile`` of a scan, threshold lam = 0 included, and of the
+singularity probe of the ``calculus`` forms, the eps samples of
+``order_estimate``, the log|det| surface of ``locate_eigenvalues`` and
+the contour of ``eigenvalue_winding`` (one circle rule, ``_circle``,
+shared with the rank, trace and vector action of
 ``calculus.riesz_projection``).  Golden-section refinement, Newton steps,
 kernel vectors and inverses ask for one point at a time.
 
@@ -83,16 +85,12 @@ from .model import (
 
 __all__ = [
     "BoundarySystem",
-    "BoundaryValueOperator",
     "SpectralPointReport",
     "ResonantState",
     "BoundsReport",
-    "bs_operator",
     "bs_matrix",
     "sigma_min",
-    "log_det",
     "weighted_resolvent_H",
-    "resolvent_H_apply",
     "sigma_profile",
     "candidate_minima",
     "classify_minima",
@@ -278,13 +276,14 @@ class BoundarySystem:
     2-D calls in a slower wrapper).  ``sigma_min``, ``log_det`` and
     ``weighted_resolvent_norm`` come from one stacked SVD or slogdet;
     ``w_solve`` and ``resolvent_apply`` take samples as columns,
-    (K, N, m), or (N, m) shared by every point for ``resolvent_apply``.  These and ``k_support`` give a system built at
-    one point that point's float, complex or array (``_as_given``), with
-    the bits it has in any stack wherever the BLAS matrix product rounds
-    each row of a stacked contraction as it rounds a lone one.  ``k``,
-    ``kernel_vector`` and ``inverse`` serve one point and read the single
-    point of the stack.  Callers split long runs of points into stacks of
-    at most ``BATCH_POINTS`` (``over_stacks``).
+    (K, N, m), or (N[, m]) shared by every point for ``resolvent_apply``.
+    These and ``k_support`` give a system built at one point that point's
+    float, complex or array (``_as_given``), with the bits it has in any
+    stack wherever the BLAS matrix product rounds each row of a stacked
+    contraction as it rounds a lone one.  ``k``, ``kernel_vector`` and
+    ``inverse`` serve one point and read the single point of the stack.
+    Callers split long runs of points into stacks of at most
+    ``BATCH_POINTS`` (``over_stacks``).
 
     ``mirror`` is the system at the mirror point, (lam, -/+) for (lam, +/-)
     and conj z for z.  H0 is real, so its free action is
@@ -492,13 +491,16 @@ class BoundarySystem:
         Returns (R_H v, source) with source = C W (Id + K)^(-1) C R0 v, the
         compactly supported source of the scattered part.  ``samples`` is a
         vector or a matrix of column vectors, shared by every point, or
-        (K, N, m); the results are (K, N[, m]).
+        (K, N, m); the results are (K, N[, m]).  A vector runs as one
+        column, so R0 C W (Id + K)^(-1) C R0 v reads one source per point.
         """
         v = np.asarray(samples, dtype=complex)
-        c = self.model.c_values if v.ndim == 1 else self.model.c_values[:, None]
-        r0v = self.action.apply(v)
+        column = v.ndim == 1
+        c = self.model.c_values[:, None]
+        r0v = self.action.apply(v[:, None] if column else v)
         source = c * self.w_solve(c * r0v)
-        return r0v - self.action.apply(source), source
+        out = r0v - self.action.apply(source)
+        return (out[..., 0], source[..., 0]) if column else (out, source)
 
 
 def bs_matrix(model, z=None, lam=None, side=None):
@@ -524,27 +526,6 @@ def bs_matrix_dz(model, z):
     return (plus - BoundarySystem(model, z=z - h)._k_ss()) / (2.0 * h)[..., None, None]
 
 
-@dataclass
-class BoundaryValueOperator:
-    """Discretized K(lam, side) with norm diagnostics."""
-
-    lam: float
-    side: str
-    k_matrix: np.ndarray
-    norm: float
-    sigma_min: float
-
-
-def bs_operator(model, lam, side):
-    """Boundary-value operator K(lam, side) = C R0(lam +/- i0) C W."""
-    system = BoundarySystem(model, lam=lam, side=side)
-    k = system.k
-    return BoundaryValueOperator(
-        lam=float(lam), side=side, k_matrix=k,
-        norm=float(np.linalg.norm(k, 2)), sigma_min=system.sigma_min(),
-    )
-
-
 def sigma_min(model, lam, side):
     """Smallest singular value of the assembled N x N Id + K(lam, side).
 
@@ -555,11 +536,6 @@ def sigma_min(model, lam, side):
     """
     k = BoundarySystem(model, lam=lam, side=side).k
     return float(np.linalg.svd(np.eye(model.size) + k, compute_uv=False)[-1])
-
-
-def log_det(model, z=None, lam=None, side=None):
-    """log |det(Id + K)| and the phase, via LU."""
-    return BoundarySystem(model, z=z, lam=lam, side=side).log_det()
 
 
 def weighted_resolvent_H(model, z=None, lam=None, side=None, min_sigma=1e-10):
@@ -578,26 +554,6 @@ def weighted_resolvent_H(model, z=None, lam=None, side=None, min_sigma=1e-10):
             f"sigma_min(Id+K) = {s:.3e}: spectral singularity or eigenvalue nearby"
         )
     return np.eye(model.size) - system.inverse()
-
-
-def resolvent_H_apply(model, v_samples, z=None, lam=None, side=None):
-    """R_H(.) v on the grid via the factorized second resolvent identity,
-
-        R_H v = R0 v - R0 C W (Id + K)^(-1) C R0 v.
-
-    Returns (samples, action, correction_source) where ``action`` is the
-    free-resolvent action used (for exterior evaluation) and
-    ``correction_source`` = C W (Id + K)^(-1) C R0 v is the compactly
-    supported source of the scattered part.
-    """
-    if model.backend == "finite":
-        n = model.size
-        h = model.h
-        out = np.linalg.solve(h - complex(z) * np.eye(n), np.asarray(v_samples))
-        return out, None, None
-    system = BoundarySystem(model, z=z, lam=lam, side=side)
-    out, source = system.resolvent_apply(v_samples)
-    return out, system.action, source
 
 
 # ---------------------------------------------------------------------------
@@ -1197,10 +1153,19 @@ def locate_eigenvalues(model, re_range=(-10.0, 30.0), im_range=(-6.0, 6.0),
     return roots
 
 
+def _circle(center, radius, n):
+    """The n-point midpoint rule (z, dz) on |z - center| = radius, counterclockwise."""
+    e = np.exp(1j * (2.0 * math.pi * (np.arange(n) + 0.5) / n))
+    return center + radius * e, 1j * radius * e * (2.0 * math.pi / n)
+
+
+def _contour_trace(model, center, radius, n):
+    """(1 / 2 pi i) int tr[(Id + K)^(-1) K'(z)] dz on ``_circle``, its nodes
+    in stacks: the zeros of det(Id + K) inside, with multiplicity."""
+    zs, dz = _circle(center, radius, n)
+    return np.sum(over_stacks(lambda z: _logdet_derivative(model, z), zs) * dz) / (2j * math.pi)
+
+
 def eigenvalue_winding(model, center, radius, n_nodes=32):
     """Argument-principle count of det(Id + K(z)) zeros inside a circle."""
-    theta = 2 * math.pi * np.arange(n_nodes) / n_nodes
-    zs = center + radius * np.exp(1j * theta)
-    dz = 1j * radius * np.exp(1j * theta) * (2 * math.pi / n_nodes)
-    total = np.sum(over_stacks(lambda z: _logdet_derivative(model, z), zs) * dz)
-    return int(round((total / (2j * math.pi)).real))
+    return int(round(_contour_trace(model, center, radius, n_nodes).real))

@@ -26,11 +26,11 @@ one system and its mirror per stack of at most
 ``birman_schwinger.BATCH_POINTS`` values of z.  The cap bounds memory,
 not time: every point of a stack keeps its partials, support blocks and
 LU factors alive at once (about 0.6 MB a point on a well over 80 of 192
-nodes).  The contour rank and trace of a continuum ``riesz_projection``
-run in such stacks too; its vector action asks for one point at a time.
-So do the adaptive boundary-exact forms: their systems are cached per
-(lam, side), LU factors included, and shared across test pairs and
-intervals.
+nodes).  The contour rank, trace and vector action of a continuum
+``riesz_projection`` and the singularity probe of the boundary-exact
+forms (``bs.sigma_profile``) run in such stacks too.  The adaptive forms
+ask for one point at a time: their systems are cached per (lam, side),
+LU factors included, and shared across test pairs and intervals.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ __all__ = [
     "stone_apply",
     "functional_calculus_form",
     "regularized_calculus_form",
-    "stone_product_form",
     "stone_product_forms",
     "spectral_product_form",
     "distinct_eigenvalues",
@@ -244,46 +243,40 @@ def spectral_form(model, interval, u, v, f=None, blowup_scale=None, cache=None):
 
 def _assert_singularity_free(model, interval, cache):
     """Refuse an interval on which sigma_min(Id + K) falls below
-    ``bs.REGULAR_FLOOR``.
-
-    sigma_min is probed at equispaced points, both sides of a probe from one
-    free kernel, and each interior local minimum of a side's probes is refined
-    by golden-section search over its two neighbouring gaps to the scan's
-    width ``bs.REFINE_WIDTH``.  A minimum at an end probe is not refined.
-    Every value is kept in ``cache`` (floats, not systems) under
-    ("sigma_min", lam, side).
+    ``bs.REGULAR_FLOOR``, at a probe of ``bs.sigma_profile`` or at an
+    interior local minimum of a side's probes, refined over its two gaps to
+    the scan's width ``bs.REFINE_WIDTH``; or which a scan would refuse
+    (beyond the energy the grid resolves).  The verdict is kept in
+    ``cache`` under ("singularity_free", interval).
     """
+    key = ("singularity_free", tuple(interval))
+    if key in cache:
+        return
     a, b = interval
     lams = np.linspace(max(a, 1e-6), b, 24)
 
-    def sigma(lam, side):
-        key = ("sigma_min", float(lam), side)
-        if key not in cache:
-            cache[key] = bs.BoundarySystem(model, lam=lam, side=side).sigma_min()
-        if cache[key] < bs.REGULAR_FLOOR:
+    def check(side, lam, value):
+        if value < bs.REGULAR_FLOOR:
             raise AdmissibilityError(
                 f"interval [{a}, {b}] is not singularity-free: "
-                f"sigma_min(Id+K{side}) = {cache[key]:.3e} at lam = {lam:.6g}"
+                f"sigma_min(Id+K{side}) = {value:.3e} at lam = {lam:.6g}"
             )
-        return cache[key]
+        return value
 
-    vals = {"+": [], "-": []}
-    for lam in lams:
-        plus, minus = (("sigma_min", float(lam), side) for side in vals)
-        if plus not in cache or minus not in cache:
-            cache[plus], cache[minus] = bs._sigma_pair(model, lam)
-        for side in vals:
-            vals[side].append(sigma(lam, side))
-    for side, v in vals.items():
-        for i in range(1, len(lams) - 1):
-            if v[i] <= v[i - 1] and v[i] <= v[i + 1]:
-                bs._golden_min(lambda lam: sigma(lam, side), lams[i - 1], lams[i + 1],
-                               bs.REFINE_WIDTH)
+    profile = bs.sigma_profile(model, lams)
+    for side, v in profile.items():   # every probe before any refinement
+        check(side, lams[np.argmin(v)], v.min())
+    for side, v in profile.items():
+        sigma = lambda x: check(side, x, bs.BoundarySystem(model, lam=x, side=side).sigma_min())
+        for i in range(1, lams.size - 1):
+            if v[i] <= min(v[i - 1], v[i + 1]):
+                bs._golden_min(sigma, lams[i - 1], lams[i + 1], bs.REFINE_WIDTH)
+    cache[key] = True
 
 
-def stone_form(model, interval, u, v, check_regular=True, cache=None):
+def stone_form(model, interval, u, v, cache=None):
     """<u, 1_I(H) v> for a closed singularity-free interval."""
-    return functional_calculus_form(model, interval, None, u, v, check_regular, cache)
+    return functional_calculus_form(model, interval, None, u, v, cache)
 
 
 def stone_apply(model, interval, v):
@@ -307,10 +300,11 @@ def stone_apply(model, interval, v):
     return out + corr
 
 
-def functional_calculus_form(model, interval, f, u, v, check_regular=True, cache=None):
-    """<u, f(H) 1_I v> for bounded continuous f on I (f = None: 1_I)."""
+def functional_calculus_form(model, interval, f, u, v, cache=None):
+    """<u, f(H) 1_I v> for bounded continuous f on I (f = None: 1_I), on a
+    closed singularity-free interval; ``spectral_form`` takes any."""
     cache = {} if cache is None else cache
-    if check_regular and not model.w_is_zero:
+    if not model.w_is_zero:
         _assert_singularity_free(model, interval, cache)
     return spectral_form(model, interval, u, v, f=f, cache=cache)
 
@@ -546,11 +540,6 @@ def stone_product_forms(model, interval1, interval2, pairs, f1=None, f2=None):
     return [complex(c) for c in coef[0]]
 
 
-def stone_product_form(model, interval1, interval2, u, v):
-    """Single-pair convenience wrapper around ``stone_product_forms``."""
-    return stone_product_forms(model, interval1, interval2, [(u, v)])[0]
-
-
 def spectral_product_form(model, interval1, interval2, u, v, f1=None, f2=None):
     """<u, [f1 1_{I1}](H) [f2 1_{I2}](H) v> (weighted product form)."""
     return stone_product_forms(model, interval1, interval2, [(u, v)], f1=f1, f2=f2)[0]
@@ -599,9 +588,7 @@ def riesz_projection(model, lam, radius):
     projection carries ``diagnostics['trace']`` from contour quadrature.
     """
     n_nodes = 64
-    theta = 2.0 * math.pi * (np.arange(n_nodes) + 0.5) / n_nodes
-    zs = lam + radius * np.exp(1j * theta)
-    dz = 1j * radius * np.exp(1j * theta) * (2.0 * math.pi / n_nodes)
+    zs, dz = bs._circle(lam, radius, n_nodes)
     if model.backend == "finite":
         h = model.h
         n = h.shape[0]
@@ -625,22 +612,19 @@ def riesz_projection(model, lam, radius):
             diagnostics={"trace": complex(np.trace(pi))},
         )
     # continuum: argument-principle rank and trace via tr[(Id+K)^-1 K'],
-    # the contour nodes in stacks
-    mult = np.sum(bs.over_stacks(lambda z: bs._logdet_derivative(model, z), zs) * dz)
-    rank = int(round((mult / (2j * math.pi)).real))
+    # and the action from R_H on the same nodes, in stacks
+    trace = bs._contour_trace(model, lam, radius, n_nodes)
+    rank = int(round(trace.real))
     if rank < 1:
         raise ModelError("contour encloses no determinant zero (no eigenvalue)")
 
     def action(vec):
-        out = np.zeros_like(np.asarray(vec, dtype=complex))
-        for z, d in zip(zs, dz):
-            rv, _, _ = bs.resolvent_H_apply(model, vec, z=z)
-            out += -rv * d
-        return out / (2j * math.pi)
+        rv = bs.over_stacks(lambda z: bs.BoundarySystem(model, z=z).resolvent_apply(vec)[0], zs)
+        return -np.tensordot(dz, rv, axes=1) / (2j * math.pi)
 
     return SpectralProjection(
         "riesz", complex(lam), rank=rank,
-        diagnostics={"trace": complex(mult / (2j * math.pi))}, action=action,
+        diagnostics={"trace": complex(trace)}, action=action,
     )
 
 
@@ -738,7 +722,9 @@ def apply_h(model, samples, d2_profile=None):
 
 
 def regularizer_apply(model, reg, samples, d2_profile=None):
-    """r(H) v = R_H(z0)^m prod (H - lam_j)^(nu_j) v."""
+    """r(H) v = R_H(z0)^m prod (H - lam_j)^(nu_j) v, the m applications of
+    R_H(z0) from one system at z0 (solves with H - z0 on the finite
+    backend)."""
     reg.validate(model)
     out = np.asarray(samples, dtype=complex).copy()
     first = True
@@ -746,8 +732,14 @@ def regularizer_apply(model, reg, samples, d2_profile=None):
         for _ in range(nu):
             out = apply_h(model, out, d2_profile=d2_profile if first else None) - lam * out
             first = False
+    if model.backend == "finite":
+        shifted = model.h - reg.z0 * np.eye(model.size)
+        resolvent = lambda x: np.linalg.solve(shifted, x)
+    else:
+        system = bs.BoundarySystem(model, z=reg.z0)
+        resolvent = lambda x: system.resolvent_apply(x)[0]
     for _ in range(reg.total_order):
-        out, _, _ = bs.resolvent_H_apply(model, out, z=reg.z0)
+        out = resolvent(out)
     return out
 
 
@@ -826,25 +818,13 @@ class ContourSpec:
     nodes_per_piece: int = 64
 
     def pieces(self):
-        out = []
-        for center, radius in self.circles:
-            t = 2.0 * math.pi * (np.arange(self.nodes_per_piece) + 0.5) / self.nodes_per_piece
-            z = center + radius * np.exp(1j * t)
-            dz = 1j * radius * np.exp(1j * t) * (2 * math.pi / self.nodes_per_piece)
-            out.append((z, dz))
+        n, e = self.nodes_per_piece, self.eps
+        out = [bs._circle(center, radius, n) for center, radius in self.circles]
+        t = (np.arange(n) + 0.5) / n   # midpoint rule on each side
         for x0, x1 in self.rectangles:
-            n = self.nodes_per_piece
-            e = self.eps
-            for (za, zb) in (
-                (complex(x1, -e), complex(x1, e)),
-                (complex(x1, e), complex(x0, e)),
-                (complex(x0, e), complex(x0, -e)),
-                (complex(x0, -e), complex(x1, -e)),
-            ):
-                t = (np.arange(n) + 0.5) / n
-                z = za + (zb - za) * t
-                dz = np.full(n, (zb - za) / n, dtype=complex)
-                out.append((z, dz))
+            corners = [complex(x1, -e), complex(x1, e), complex(x0, e), complex(x0, -e)]
+            for za, zb in zip(corners, corners[1:] + corners[:1]):
+                out.append((za + (zb - za) * t, np.full(n, (zb - za) / n, dtype=complex)))
         return out
 
 

@@ -378,15 +378,19 @@ def cmd_resonant_state(cfg):
     }
 
 
+def _isolating_radius(lam, distinct):
+    """The contour radius of a finite Riesz projection at lam."""
+    others = [abs(lam - d) for d in distinct if d != lam]
+    return max(min(others) / 3, 1e-3) if others else 0.3
+
+
 def cmd_project(cfg):
     model = build_model(cfg)
     if model.backend == "finite":
         distinct = calc.distinct_eigenvalues(np.linalg.eigvals(model.h), tol=1e-8)
         out = []
         for lam in distinct:
-            radius = max(min(abs(lam - d) for d in distinct if d != lam) / 3, 1e-3) \
-                if len(distinct) > 1 else 0.3
-            proj = calc.riesz_projection(model, lam, radius)
+            proj = calc.riesz_projection(model, lam, _isolating_radius(lam, distinct))
             out.append({
                 "lambda": lam, "rank": proj.rank,
                 "idempotency": proj.idempotency, "commutation": proj.commutation,
@@ -431,9 +435,7 @@ def _verify_projections(cfg, model, rng):
     checks = []
     projs = []
     for lam in distinct[:4]:
-        others = [abs(lam - d) for d in distinct if d != lam]
-        radius = max(min(others) / 3, 1e-3) if others else 0.3
-        p = calc.riesz_projection(model, lam, radius)
+        p = calc.riesz_projection(model, lam, _isolating_radius(lam, distinct))
         projs.append(p)
         checks.append({"name": f"idempotency@{lam:.3f}", "value": p.idempotency,
                        "tol": 1e-8, "passed": p.idempotency <= 1e-8})
@@ -566,6 +568,7 @@ def cmd_verify(cfg):
 def cmd_export(report_path, fmt, out_dir):
     with open(report_path) as fh:
         payload = json.load(fh)
+    os.makedirs(out_dir, exist_ok=True)
     base = os.path.join(out_dir, "export")
     if fmt == "json":
         return {"written": [write_json(payload, base + ".json")]}

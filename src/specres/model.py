@@ -393,14 +393,6 @@ class OperatorModel:
 
     # -- continuum helpers ----------------------------------------------------
 
-    def admissible(self, lam):
-        """True when lam has boundary kernels (both sides) for this backend."""
-        if self.backend == "finite":
-            return False
-        if self.backend == "line1d":
-            return lam > 0
-        return lam >= 0
-
     def require_boundary(self, lam, side):
         """Refuse (lam, side) without boundary kernels; ``lam`` may be an
         array, refused when any of its points is."""
@@ -927,14 +919,13 @@ def factorize_potential(potential, weight, x=None):
 
     Requires the declared decay sigma >= 2 s so that W stays bounded;
     rejected otherwise, reporting the supremum trend of |W| along the
-    sampled axis.
+    sampled axis, and when c^2 underflows at a sample (W = V/0 there).
     """
     if x is None:
         x = np.linspace(0.0, 40.0, 2001)
     x = np.asarray(x, dtype=float)
     c = weight(x)
-    v = potential(x)
-    w = v / c**2
+    c2 = c**2
     if weight.kind == "power" and potential.sigma < 2 * weight.s - 1e-12:
         # unbounded W: exhibit the growing supremum on expanding windows
         probes = np.linspace(1.0, 200.0, 40)
@@ -945,6 +936,11 @@ def factorize_potential(potential, weight, x=None):
             "W = V/c^2 unbounded: sigma = %.3g < 2 s = %.3g; |W| trend tail %s"
             % (potential.sigma, 2 * weight.s, np.array2string(trend[-4:], precision=2))
         )
+    under = c2 < np.finfo(float).tiny
+    if under.any():
+        raise ModelError(f"c^2 underflows from x = {x[under][0]:.4g} for the {weight.kind} "
+                         f"weight (s = {weight.s:g}): W = V/c^2 is not representable")
+    w = potential(x) / c2
     return FactorizedPerturbation(w, bool(np.min(-w.imag) >= -1e-12))
 
 
@@ -1060,11 +1056,10 @@ def conjugation_check(model):
         w_q = model.grid.weights
         pair = np.sum(w_q * np.conj(j(u)) * j(v)) - np.sum(w_q * np.conj(v) * u)
         report["pairing"] = abs(pair)
-        # H0 is real: conj(G_{l+i0}) = G_{l-i0} entry-wise
-        lam = 2.0 if model.admissible(2.0) else 1.0
-        gp = _kernel_value(model.backend, boundary_wavenumber(lam, "+"),
+        # H0 is real: conj(G_{l+i0}) = G_{l-i0} entry-wise, here at l = 2
+        gp = _kernel_value(model.backend, boundary_wavenumber(2.0, "+"),
                            model.grid.nodes[:, None], model.grid.nodes[None, :])
-        gm = _kernel_value(model.backend, boundary_wavenumber(lam, "-"),
+        gm = _kernel_value(model.backend, boundary_wavenumber(2.0, "-"),
                            model.grid.nodes[:, None], model.grid.nodes[None, :])
         report["h0_commute"] = float(np.max(np.abs(np.conj(gp) - gm)))
         report["c_commute"] = 0.0  # c real by construction

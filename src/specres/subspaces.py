@@ -8,6 +8,7 @@ disappearing states matches the spectral data in the lower half-plane.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -50,8 +51,9 @@ class EvolutionCurve:
 def evolve_norm_curve(model, u, t_grid):
     """||e^{-itH} u|| on a time grid with a fitted decay classification.
 
-    Finite backend only, on at least 4 time points.  Growing modes that
-    overflow truncate the curve (flagged); a curve cut below 4 points is
+    Finite backend only, on at least 4 time points, stepped from the time
+    nearest 0 (``_propagate``).  Growing modes that overflow or pass 1e100
+    truncate the curve (flagged); a curve cut below 4 points is
     "growing".  Classification is a least-squares fit of log||.|| against
     {1, t} and {1, t, log(1+t)} on the tail of the curve.
     """
@@ -61,34 +63,12 @@ def evolve_norm_curve(model, u, t_grid):
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size < 4:
         raise ModelError(f"the decay fit needs at least 4 time points, got {t_grid.size}")
-    h = model.h
-    # propagate by stepping (Jordan-safe); uniform grids reuse one factor
-    steps = np.diff(t_grid)
-    uniform = steps.size > 0 and np.allclose(steps, steps[0], rtol=1e-12)
-    norms = np.empty(t_grid.size)
-    truncated = False
-    n_keep = t_grid.size
-    state = sla.expm(-1j * t_grid[0] * h) @ u
-    norms[0] = np.linalg.norm(state)
-    b = sla.expm(-1j * steps[0] * h) if uniform else None
-    for i in range(1, t_grid.size):
-        with np.errstate(over="raise", invalid="raise"):
-            try:
-                if uniform:
-                    state = b @ state
-                else:
-                    state = sla.expm(-1j * (t_grid[i] - t_grid[i - 1]) * h) @ state
-                norms[i] = np.linalg.norm(state)
-            except FloatingPointError:
-                truncated = True
-                n_keep = i
-                break
-        if not np.isfinite(norms[i]) or norms[i] > 1e100:
-            truncated = True
-            n_keep = i
-            break
-    t_grid = t_grid[:n_keep]
-    norms = norms[:n_keep]
+    states, lo, hi = _propagate(model.h, u, t_grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.array([np.linalg.norm(state) for state in states[lo:hi]])
+    n_keep = next((i for i, x in enumerate(norms) if not x <= 1e100), norms.size)
+    truncated = (lo, lo + n_keep) != (0, t_grid.size)
+    t_grid, norms = t_grid[lo:lo + n_keep], norms[:n_keep]
     if n_keep < 4:
         return EvolutionCurve(t_grid, norms, "growing", None, 0.0, truncated)
 
@@ -118,6 +98,29 @@ def evolve_norm_curve(model, u, t_grid):
     else:
         cls, rate, resid = "exponential", float(-slope), res_exp
     return EvolutionCurve(t_grid, norms, cls, rate, float(resid), truncated)
+
+
+def _propagate(h, u, times):
+    """(states, lo, hi): e^{-itH} u at the times of a sorted grid, the rows
+    states[lo:hi], stepped (Jordan-safe) from the time nearest 0 both ways,
+    one factor per direction on a uniform grid.  Each direction stops
+    before its first step that overflows."""
+    steps = np.diff(times)
+    uniform = steps.size > 0 and np.allclose(steps, steps[0], rtol=1e-12)
+    i0 = int(np.argmin(np.abs(times)))
+    states = np.empty((times.size, u.size), dtype=complex)
+    states[i0] = sla.expm(-1j * times[i0] * h) @ u
+    lo, hi = i0, i0 + 1
+    for sgn, stop in ((1, times.size), (-1, -1)):
+        run = range(i0 + sgn, stop, sgn)
+        step = sla.expm(-1j * (sgn * steps[0]) * h) if uniform and run else None
+        with np.errstate(over="raise", invalid="raise"), contextlib.suppress(FloatingPointError):
+            for i in run:
+                if not uniform:
+                    step = sla.expm(-1j * (times[i] - times[i - sgn]) * h)
+                states[i] = step @ states[i - sgn]
+                lo, hi = min(lo, i), max(hi, i + 1)
+    return states, lo, hi
 
 
 def _lstsq_with_residual(design, y):
@@ -275,38 +278,17 @@ def ac_certificate(model, u=None, w=None, witnesses=None, reg=None):
         if np.linalg.norm(u) == 0.0:
             return ACCertificate(0.0, [], "time_domain")
         witnesses = witnesses or _default_witnesses(model, rng)
-        h = model.h
         ts = np.linspace(-60.0, 60.0, 481)
-        dt = ts[1] - ts[0]
-        # Jordan-safe propagation by stepping from t = 0 both ways
-        i0 = ts.size // 2
-        states = {i0: sla.expm(-1j * ts[i0] * h) @ u}
-        fwd = sla.expm(-1j * dt * h)
-        bwd = sla.expm(1j * dt * h)
-        overflow_at = None
-        for i in range(i0 + 1, ts.size):
-            with np.errstate(over="raise", invalid="raise"):
-                try:
-                    states[i] = fwd @ states[i - 1]
-                except FloatingPointError:
-                    overflow_at = ts[i]
-                    break
-        for i in range(i0 - 1, -1, -1):
-            with np.errstate(over="raise", invalid="raise"):
-                try:
-                    states[i] = bwd @ states[i + 1]
-                except FloatingPointError:
-                    overflow_at = ts[i]
-                    break
-        if overflow_at is not None:
+        states, lo, hi = _propagate(model.h, u, ts)
+        if (lo, hi) != (0, ts.size):
             raise CertificateRefused(
-                f"|e^(-itH) u| overflows near t = {overflow_at:.3g}: "
+                f"|e^(-itH) u| overflows near t = {ts[lo - 1] if lo else ts[hi]:.3g}: "
                 "no finite time-correlation constant exists"
             )
         worst = None
         for v in witnesses:
             v = np.asarray(v, dtype=complex)
-            g = np.array([abs(np.vdot(states[i], v)) for i in range(ts.size)])
+            g = np.array([abs(np.vdot(state, v)) for state in states])
             third = ts.size // 3
             head = float(np.trapezoid(g[:third] ** 2, ts[:third]))
             mid = float(np.trapezoid(g[third:2 * third] ** 2, ts[third:2 * third]))

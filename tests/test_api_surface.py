@@ -13,6 +13,9 @@ by name, over the abstract syntax trees only (nothing is imported):
   parameter of ``def m(self, a, b=...)``;
 * ``Cls(...)`` is a call of ``Cls.__init__``.
 
+A second check imports every module and resolves each name of its
+``__all__``, so a removed function cannot stay exported.
+
 Run as a script, ``python tests/test_api_surface.py [ROOT]`` prints the
 findings for the tree under ROOT (default: this repository), then the
 allowed ones with their reasons.
@@ -21,6 +24,7 @@ allowed ones with their reasons.
 from __future__ import annotations
 
 import ast
+import importlib
 import math
 import pathlib
 import sys
@@ -130,6 +134,15 @@ def test_every_defaulted_parameter_has_a_caller_that_sets_it():
     assert findings == []
     # an entry that covers nothing any more goes
     assert set(allowed.values()) == set(ALLOWED)
+
+
+def test_every_exported_name_resolves():
+    # a name removed from a module but left in its __all__ breaks
+    # `from specres.<module> import *`
+    for path in sorted((ROOT / "src" / "specres").glob("*.py")):
+        module = importlib.import_module(f"specres.{path.stem}")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert missing == [], path.stem
 
 
 def test_the_scan_sees_keyword_positional_and_mapping_calls(tmp_path):

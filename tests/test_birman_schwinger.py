@@ -19,9 +19,9 @@ from specres.numerics import LimitSequence, extrapolate_to_zero
 
 class TestBoundaryOperator:
     def test_free_model_trivial(self, free_radial):
-        op = BS.bs_operator(free_radial, 1.0, "+")
-        assert op.norm <= 1e-14
-        assert op.sigma_min == pytest.approx(1.0)
+        k = BS.bs_matrix(free_radial, lam=1.0, side="+")
+        assert np.linalg.norm(k, 2) <= 1e-14
+        assert BS.BoundarySystem(free_radial, lam=1.0, side="+").sigma_min() == pytest.approx(1.0)
 
     def test_entries_match_direct_quadrature(self, small_well):
         # independent oracle: adaptive quadrature of c G c W against the
@@ -29,10 +29,10 @@ class TestBoundaryOperator:
         lam = 1.0
         k = math.sqrt(lam)
         g = small_well.grid
-        op = BS.bs_operator(small_well, lam, "+")
+        k_matrix = BS.bs_matrix(small_well, lam=lam, side="+")
         rng = np.random.default_rng(0)
         f = np.exp(-0.5 * ((g.nodes - 0.7) / 0.4) ** 2) * (1 + 0.3j)
-        kf = (op.k_matrix @ (g.sqrtw * f)) / g.sqrtw
+        kf = (k_matrix @ (g.sqrtw * f)) / g.sqrtw
 
         def integrand_re(y, x):
             gval = M._kernel_value("radial", k, x, y)
@@ -146,7 +146,7 @@ class TestScan:
         lam_sigma, _ = BS._golden_min(
             lambda l: BS.sigma_min(model, l, "+"), 0.9, 1.1, 1e-9)
         lam_det, _ = BS._golden_min(
-            lambda l: BS.log_det(model, lam=l, side="+")[0], 0.9, 1.1, 1e-9)
+            lambda l: BS.BoundarySystem(model, lam=l, side="+").log_det()[0], 0.9, 1.1, 1e-9)
         assert abs(lam_sigma - lam_det) <= 1e-6
 
 
@@ -471,7 +471,7 @@ class TestSylvesterReduction:
         model = sylvester_model(name)
         k = BS.bs_matrix(model, z=z)
         sign, logabs = np.linalg.slogdet(np.eye(model.size) + k)
-        value, phase = BS.log_det(model, z=z)
+        value, phase = BS.BoundarySystem(model, z=z).log_det()
         assert abs(value - logabs) <= 1e-12 * max(1.0, abs(logabs))
         assert abs(phase - sign) <= 1e-12
 
@@ -606,7 +606,7 @@ class TestSupportReduction:
         for mod, name in ((np.linalg, "slogdet"), (np.linalg, "solve"),
                           (scipy.linalg, "lu_factor"), (scipy.linalg, "lu_solve")):
             monkeypatch.setattr(mod, name, record(getattr(mod, name)))
-        BS.log_det(model, z=-0.4 - 2.2j)
+        BS.BoundarySystem(model, z=-0.4 - 2.2j).log_det()
         BS._logdet_derivative(model, -0.4 - 2.2j)
         assert {name for name, _ in orders} >= {"slogdet", "lu_factor"}
         assert all(shape[0] == support for _, shape in orders)
@@ -623,7 +623,7 @@ class TestSupportReduction:
             return contract(values, weights)
 
         monkeypatch.setattr(M, "_contract", counting_contract)
-        BS.log_det(model, z=-0.4 - 2.2j)
+        BS.BoundarySystem(model, z=-0.4 - 2.2j).log_det()
         # the left and the right partials, each over the panels of S once
         assert contracted == [support_panels.size] * 2
 
@@ -775,7 +775,24 @@ def test_a_stacked_system_is_its_points(name, points):
                 assert _rel(a[i], b) <= 1e-13
 
 
-STACK_Z = np.array([3.0 + 0.7j, -1.5 - 2.0j, 0.4 + 0.05j, 12.0 - 0.3j])
+@pytest.mark.parametrize("name", ["radial_well", "line_well", "rank_one"])
+def test_a_stack_applies_a_shared_vector_at_each_point(name):
+    # one vector, or the columns of a matrix, shared by every point of the
+    # stack: R_H v and its source per point, as at each point alone
+    model = sylvester_model(name)
+    zs = np.array([1.0 + 1.0j, 2.0 + 0.5j, 3.0 + 0.2j])
+    x = model.grid.nodes
+    v = M.GaussianBump(center=1.2, width=0.6)(x) + 0.3j * np.cos(x)
+    for samples in (v, np.stack([v, np.sin(x) + 0j], axis=1)):
+        got = BS.BoundarySystem(model, z=zs).resolvent_apply(samples)
+        for i, z in enumerate(zs):
+            want = BS.BoundarySystem(model, z=z).resolvent_apply(samples)
+            for a, b in zip(got, want):
+                assert a.shape == (zs.size,) + samples.shape
+                assert _rel(a[i], b) <= 1e-14
+
+
+STACK_Z =np.array([3.0 + 0.7j, -1.5 - 2.0j, 0.4 + 0.05j, 12.0 - 0.3j])
 STACK_LAM = np.array([0.3, 1.1, 2.0, 2.6])   # below every continuum case's scan limit
 
 

@@ -59,8 +59,8 @@ def smoothed_form(model, interval, u, v, f=None, n_lam=48, order=3):
     for e in eps:
         row = []
         for lam in rule.nodes:
-            plus, _, _ = BS.resolvent_H_apply(model, v, z=lam + 1j * e)
-            minus, _, _ = BS.resolvent_H_apply(model, v, z=lam - 1j * e)
+            plus, _ = BS.BoundarySystem(model, z=lam + 1j * e).resolvent_apply(v)
+            minus, _ = BS.BoundarySystem(model, z=lam - 1j * e).resolvent_apply(v)
             row.append(C.grid_inner(model, u, plus - minus))
         vals.append((rule.weights * fw) @ np.asarray(row) / (2j * np.pi))
     ext, _, _ = extrapolate_to_zero(LimitSequence(eps, vals, order=order))
@@ -127,22 +127,35 @@ class TestStoneForms:
         with pytest.raises(AdmissibilityError):
             C.stone_form(model, (1.0, 3.0), u, u)
 
+    def test_interval_beyond_the_resolved_energy_refused(self, small_well):
+        # the singularity probe refuses what a scan of the interval refuses
+        u, v = pair_for(small_well)
+        top = small_well.max_scan_energy()
+        with pytest.raises(AdmissibilityError, match="grid resolution"):
+            C.stone_form(small_well, (1.0, 1.5 * top), u, v)
+
+    def test_stone_apply_pairs_to_the_stone_form(self, small_well):
+        u, v = pair_for(small_well)
+        applied = C.grid_inner(small_well, u, C.stone_apply(small_well, (1.0, 4.0), v))
+        form = C.stone_form(small_well, (1.0, 4.0), u, v)
+        assert abs(applied - form) <= 1e-10 * abs(form)
+
     def test_idempotency_small_well(self, small_well):
         u, v = pair_for(small_well)
         interval = (1.0, 4.0)
         single = C.stone_form(small_well, interval, u, v)
-        double = C.stone_product_form(small_well, interval, interval, u, v)
+        double = C.spectral_product_form(small_well, interval, interval, u, v)
         assert abs(double - single) <= 2e-3
 
     def test_product_is_intersection(self, small_well):
         u, v = pair_for(small_well)
-        prod = C.stone_product_form(small_well, (1.0, 4.0), (2.0, 6.0), u, v)
+        prod = C.spectral_product_form(small_well, (1.0, 4.0), (2.0, 6.0), u, v)
         inter = C.stone_form(small_well, (2.0, 4.0), u, v)
         assert abs(prod - inter) <= 2e-3
 
     def test_disjoint_product_vanishes(self, small_well):
         u, v = pair_for(small_well)
-        prod = C.stone_product_form(small_well, (1.0, 2.0), (3.0, 5.0), u, v)
+        prod = C.spectral_product_form(small_well, (1.0, 2.0), (3.0, 5.0), u, v)
         assert abs(prod) <= 2e-3
 
     @pytest.mark.parametrize("name", sorted(FORM_MODELS))
@@ -157,7 +170,8 @@ class TestStoneForms:
             fp, fm = C._batched_forms(model, z, [(u, v), (v, u)])
             for j, (a, b) in enumerate([(u, v), (v, u)]):
                 for got, points in ((fp[..., j], z), (fm[..., j], np.conj(z))):
-                    ref = [C.grid_inner(model, a, BS.resolvent_H_apply(model, b, z=p)[0])
+                    ref = [C.grid_inner(model, a,
+                                        BS.BoundarySystem(model, z=p).resolvent_apply(b)[0])
                            for p in np.atleast_1d(points)]
                     assert np.shape(got) == np.shape(points)
                     assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
@@ -317,7 +331,7 @@ class TestRegularizerApply:
         reg = C.Regularizer(complex(1.0, 3.0), ((2.0, 1),), 0)
         a = C.regularizer_apply(model, reg, v, d2_profile=prof.second_derivative)
         # reversed order: resolvent first, then (H - lam)
-        mid, _, _ = BS.resolvent_H_apply(model, v, z=reg.z0)
+        mid, _ = BS.BoundarySystem(model, z=reg.z0).resolvent_apply(v)
         b = C.apply_h(model, mid) - 2.0 * mid
         assert np.linalg.norm(a - b) / np.linalg.norm(a) <= 1e-8
 
@@ -531,13 +545,13 @@ class TestAssemblyCounts:
 
         monkeypatch.setattr(M.FreeResolventAction, "matrix", counting_matrix)
         u, v = pair_for(small_well)
-        BS.resolvent_H_apply(small_well, v, lam=2.0, side="+")
+        BS.BoundarySystem(small_well, lam=2.0, side="+").resolvent_apply(v)
         assert len(assemblies) == 0
 
         cache = {}
-        first = C.stone_form(small_well, (1.0, 2.0), u, v, check_regular=False, cache=cache)
+        first = C.spectral_form(small_well, (1.0, 2.0), u, v, cache=cache)
         assemblies.clear()
-        second = C.stone_form(small_well, (1.0, 2.0), u, v, check_regular=False, cache=cache)
+        second = C.spectral_form(small_well, (1.0, 2.0), u, v, cache=cache)
         assert assemblies == []
         assert second == first
 
@@ -577,7 +591,7 @@ class TestAssemblyCounts:
         u, v = pair_for(small_well)
         cache = {}
         first = C.stone_form(small_well, (1.0, 2.0), u, v, cache=cache)
-        assert all(isinstance(val, (float, BS.BoundarySystem)) for val in cache.values())
+        assert all(isinstance(val, (bool, BS.BoundarySystem)) for val in cache.values())
         work = []
         original = M.FreeResolventAction.matrix
 

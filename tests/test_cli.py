@@ -109,6 +109,14 @@ class TestScanCommand:
             "lambda_max = 9.0", "lambda_max = 1e6"))
         assert cli.main(["scan", "--config", cfg, "--out", str(tmp_path)]) == 3
 
+    def test_underflowing_weight_exits_3(self, tmp_path, capsys):
+        # c^2 = <x>^-400 underflows on the grid, where W = V/c^2 would be 0/0
+        cfg = write_config(tmp_path, TUNED_SCAN_TEMPLATE.format(v0="-2-0.5j").replace(
+            "weight_s = 1.5", "weight_s = 200"))
+        assert cli.main(["scan", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "s = 200" in capsys.readouterr().err
+        assert not (tmp_path / "scan_report.json").exists()
+
     def test_single_node_grid_exits_3(self, tmp_path):
         # one panel of one node: the grid has no gap between nodes
         cfg = write_config(tmp_path, FREE_SCAN.replace(
@@ -294,6 +302,18 @@ suite = stone
         cfg = write_config(tmp_path, FREE_SCAN + "\n[verify]\nsuite = bounds\n")
         assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("suite, model", [
+        ("projections", "backend = finite\nsize = 6"),
+        ("ac", "backend = finite\nsize = 6"),
+        ("dissipative", "backend = radial\npotential = square_well\nv0 = -2i"),
+    ])
+    def test_suite_passes(self, tmp_path, suite, model):
+        cfg = write_config(tmp_path, f"[model]\n{model}\n\n[verify]\nsuite = {suite}\n")
+        assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rep = json.loads((tmp_path / "verify_report.json").read_text())
+        assert rep["results"]["checks"]
+        assert all(check["passed"] for check in rep["results"]["checks"])
+
     def test_unknown_suite_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, FREE_SCAN + "\n[verify]\nsuite = nonsense\n")
         assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -355,6 +375,17 @@ num_points = 3
         original = json.loads(open(report_path).read())
         exported = json.loads((tmp_path / "export.json").read_text())
         assert original == exported
+
+    @pytest.mark.parametrize("command, config, table", [
+        ("scan", FREE_SCAN, "scan"), ("evolve", "[model]\nbackend = finite\nsize = 4\n", "curve")])
+    def test_export_csv_writes_the_command_table(self, tmp_path, command, config, table):
+        cfg = write_config(tmp_path, config)
+        run, out = tmp_path / "run", tmp_path / "export"
+        assert cli.main([command, "--config", cfg, "--out", str(run), "--format", "csv"]) == 0
+        assert cli.main(["export", "--report", str(run / f"{command}_report.json"),
+                         "--out", str(out), "--format", "csv"]) == 0
+        assert ((out / f"export_{table}.csv").read_text()
+                == (run / f"{command}.csv").read_text())
 
     def test_project_finite(self, tmp_path):
         cfg = write_config(tmp_path, """
