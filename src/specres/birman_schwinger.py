@@ -58,6 +58,15 @@ line, and at most 2|S| always.  This is exact, so
 ``DETECTION_THRESHOLD`` and ``REGULAR_FLOOR`` keep their meaning.  The
 kernel vector of a resonant state lifts from the singular vector of M.
 
+The same structure factorizes A for a multiplication W whose support
+spans several panels: inside a panel A is a dense n x n block, and
+between two panels every entry is a rank-one product, so solves and
+det A come from the n x n blocks and one system of order 2P in the
+prefix and suffix moments of the solution, P the panels from the first
+to the last holding S (``_PanelFactors``; 5 blocks of 16 and order 10
+for the well over 80 nodes, in place of one LU of order 80).  The dense
+A is still written for the SVD of M.
+
 The module-level ``sigma_min`` stays at full order N: it is the
 assembled reference the tests compare against, and the layer that
 ``bench/test_bench.py::test_tracer_records_the_layers_of_one_sigma_min_and_restores_them``
@@ -118,14 +127,22 @@ REFINE_WIDTH = 1e-8
 #: refined minima closer than this are one singularity, reported once
 MERGE_WIDTH = 10 * REFINE_WIDTH
 
+#: largest ||E_q||_1 ||E_q^(-1)||_1 of an in-panel block E_q = I + D_q
+#: with which ``BoundarySystem`` factorizes A through its panels; a stack
+#: with a worse block factorizes A densely.  D_q is K for W restricted to
+#: panel q, so E_q is singular at the eigenvalues of that one-panel well
+#: even where A is regular.
+PANEL_CONDITION_MAX = 1e8
+
 #: most spectral points in one stack (a ``BoundarySystem`` at an array of
 #: points).  Memory sets it, not speed: every point of a stack keeps its
-#: in-panel partials, its |S| x |S| blocks (and their LU factors while it
-#: solves) and those of its mirror alive at once, about 0.6 MB per point on
-#: a well over 80 of 192 nodes, while stacks of 11 to 22 points already
-#: run as fast as longer ones.  The 440 product-form systems of the
-#: ``calculus`` benchmark peak at about 100 MB in stacks of 22 and at about
-#: 155 MB in stacks of 110.
+#: in-panel partials and the factors of A, and those of its mirror, alive
+#: at once, while stacks of 11 to 22 points already run as fast as longer
+#: ones.  On a well over 80 of 192 nodes (5 of 12 panels) a product-form
+#: point and its mirror hold 0.31 MB after a two-column R_H application
+#: (0.36 MB at the peak; tracemalloc): 0.2 MB of partials on the 12
+#: panels and 0.08 MB of in-panel blocks and their inverses, where the
+#: |S| x |S| blocks and LU factors of a dense A held 0.52 MB (0.65 MB).
 BATCH_POINTS = 22
 
 
@@ -183,43 +200,60 @@ def _k_block(model, act, rows, support):
     return _scale_k(model, act.block(rows, support), rows, support)
 
 
+def _panel_generators(model, act, rows, cols):
+    """The factors of K between panels, at every point of the action.
+
+    By the separable kernel G = pref phi(min) psi(max), K[i, j] = u_i a_j
+    for a node j in a panel left of the panel of node i, and v_i b_j for j
+    in a panel right of it.  Returns u and v, psi and phi at ``rows`` times
+    the row scale pref c sqrt(w) of K, (K, rows), and the phi and psi
+    moments at ``cols`` times c, (K, cols): a and b before the rest of the
+    column scale, ``_w_columns``, which a nonlocal W needs applied after
+    any masking of the columns."""
+    c = model.c_values
+    scale = act.pref[:, None] * c[rows] * model.grid.sqrtw[rows]
+    return (act.psi_nodes[:, rows] * scale, act.phi_nodes[:, rows] * scale,
+            act.phi_w[:, cols] * c[cols], act.psi_w[:, cols] * c[cols])
+
+
+def _w_columns(model, f, cols):
+    """f W / sqrt(w), f with one column per node of ``cols`` (indices
+    holding the support of W; any indices for a multiplication W): the
+    column scale of K after c."""
+    return model.right_apply_w(f, cols) / model.grid.sqrtw[cols]
+
+
 def _k_rest_factors(model, act):
     """K[T, S], T the nodes off the support S of W, as pieces (rows, u, f)
     with K[rows, S] = u @ f, or f when u is None, at every point of the
     action, written without the dense block: u is (K, rows, c), f is
     (K, c, |S|) and a dense f is (K, rows, |S|).
 
-    By the separable kernel G = pref phi(min) psi(max), the row of K at a
-    node x of T in a panel without nodes of S is psi(x) a + phi(x) b times
-    its row scale c sqrt(w)(x) pref, with a the phi moments of the S nodes
-    left of its panel and b the psi moments of those right of it, in the
-    column scale of K.  Rows between the same two panels of S share a and
-    b: their piece is u = [psi, phi] and f = [a; b], one column and one row
+    The row of K at a node x of T in a panel without nodes of S is
+    u(x) a + v(x) b on the S nodes left and right of its panel
+    (``_panel_generators``).  Rows between the same two panels of S share
+    a and b: their piece is [u, v] and f = [a; b], one column and one row
     when a or b is empty.  T rows in a panel of S are one dense piece from
     ``_k_block``.  The row sets are the model's ``rest_runs``.
     """
     support, _ = model.support_split
     if not support.size:
         return []
-    g = model.grid
     shared, runs = model.rest_runs
     pieces = []
     if shared.size:
         pieces.append((shared, None, _k_block(model, act, shared, support)))
-    c = model.c_values
-    phi_c, psi_c = act.phi_w[:, support] * c[support], act.psi_w[:, support] * c[support]
-    pref = act.pref[:, None]
+    u_all, v_all, phi_c, psi_c = _panel_generators(model, act, slice(None), support)
     for rows, left in runs:   # left: the S nodes left of the rows, a prefix of S
         u, f = [], []
         if left[0]:
-            u.append(act.psi_nodes[:, rows])
+            u.append(u_all[:, rows])
             f.append(np.where(left, phi_c, 0.0))
         if not left[-1]:
-            u.append(act.phi_nodes[:, rows])
+            u.append(v_all[:, rows])
             f.append(np.where(left, 0.0, psi_c))
-        u = np.stack(u, axis=-1) * (pref * c[rows] * g.sqrtw[rows])[..., None]
-        f = model.right_apply_w(np.stack(f, axis=-2), support) / g.sqrtw[support]
-        pieces.append((rows, u, f))
+        f = _w_columns(model, np.stack(f, axis=-2), support)
+        pieces.append((rows, np.stack(u, axis=-1), f))
     return pieces
 
 
@@ -229,6 +263,111 @@ def _column_norm(u):
     any stack."""
     x = u[..., 0]
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+
+
+def _norm_1(a):
+    """The 1-norm (largest column sum) of each matrix of a stack."""
+    return np.abs(a).sum(axis=-2).max(axis=-1)
+
+
+@dataclass(eq=False)
+class _PanelFactors:
+    """A = I + K_SS factorized through its panels at every point of a
+    stack, for a multiplication W on a continuum backend.
+
+    Take the P panels of the grid from the first to the last that holds
+    nodes of S, each with all n of its nodes: the nodes outside S, and the
+    panels between pieces of S, get the rows and columns of the identity,
+    which changes neither solves nor det A.  Between panels every entry of
+    K is a rank-one product (``_panel_generators``), so
+
+        A = E + (semiseparable coupling),   E = blockdiag(E_q),
+
+    with E_q = I + D_q and D_q the block of K inside panel q, written from
+    the in-panel partials of the free action.  With the prefix moments
+    alpha_q = sum_{p<q} a_p . x_p and the suffix moments
+    beta_q = sum_{p>q} b_p . x_p, A x = y reads
+
+        x_q = E_q^(-1) (y_q - u_q alpha_q - v_q beta_q),
+
+    and the 2P moments solve one system R = I + H E^(-1) F of order 2P,
+    A = E + F H with F = [u v] by panel and H the moment maps; so
+    det A = prod_q det E_q det R.  R is formed as S R S^(-1), S scaling
+    alpha_q by max |u_q| and beta_q by max |v_q|: at large Im k the
+    generators grow and decay like exp(+/- Im k x), and the scaled
+    entries, sigma_q / sigma_p a_p . E_p^(-1) u_p and alike, stay of
+    order one.
+
+    Kept, per point: E_q, E_q^(-1) and E_q^(-1) [u_q v_q] (each (P, n, n)
+    or (P, n, 2)), the moment rows [a_q; b_q], R and R^(-1) (2P x 2P): one
+    stacked inverse of (K, P, n, n) blocks and one of (K, 2P, 2P) per
+    stack.  A solve is matrix products on these.  ``build`` gives None
+    where some E_q has ||E_q||_1 ||E_q^(-1)||_1 > ``PANEL_CONDITION_MAX``.
+    """
+
+    e: np.ndarray         # (K, P, n, n): E_q
+    e_inv: np.ndarray     # (K, P, n, n): E_q^(-1)
+    gen: np.ndarray       # (K, P, n, 2): E_q^(-1) [u_q v_q], scaled
+    moments: np.ndarray   # (K, P, 2, n): [a_q; b_q]
+    mix: np.ndarray       # (K, 2, P, P): the scaled prefix and suffix sums
+    r: np.ndarray         # (K, 2P, 2P): R
+    r_inv: np.ndarray     # (K, 2P, 2P): R^(-1)
+    inside: np.ndarray    # (P n,): the nodes of S among those of the panels
+
+    @classmethod
+    def build(cls, model, act):
+        run, inside = model.support_run
+        n = model.grid.n
+        panels = slice(run.start // n, run.stop // n)
+        shape = (act.ks.size, panels.stop - panels.start, n)
+        u, v, a, b = _panel_generators(model, act, run, run)
+        u, v = (u * inside).reshape(shape), (v * inside).reshape(shape)
+        # W vanishes off S: so do the columns of a, b and D_q
+        a, b = (_w_columns(model, f, run).reshape(shape) for f in (a, b))
+        left, right = act._partials(panels.start, panels.stop)
+        e = u[..., None] * left[:, panels]
+        e += v[..., None] * right[:, panels]
+        e *= _w_columns(model, model.c_values[run], run).reshape(shape[1:])[:, None, :]
+        diag = np.arange(n)
+        e[..., diag, diag] += 1.0
+        try:
+            e_inv = np.linalg.inv(e)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(_norm_1(e) * _norm_1(e_inv) <= PANEL_CONDITION_MAX):
+            return None
+        uv = np.stack((u, v), axis=-1)
+        scale = np.abs(uv).max(axis=-2)   # (K, P, 2): max |u_q|, max |v_q|
+        scale[scale == 0.0] = 1.0         # the panels between pieces of S
+        gen = e_inv @ (uv / scale[..., None, :])
+        moments = np.stack((a, b), axis=-2)
+        # mix[side, q, p]: the scaled prefix (side 0, p < q) and suffix
+        # (side 1, p > q) sums, and R[(side, q), (c, p)] =
+        # I + mix[side, q, p] moments_p[side] . gen_p[c]
+        lower = np.tri(shape[1], k=-1)
+        mix = np.stack((lower, lower.T)) * scale.transpose(0, 2, 1)[..., None]
+        r = mix[:, :, :, None, :] * (moments @ gen).transpose(0, 2, 3, 1)[:, :, None]
+        r = r.reshape(shape[0], 2 * shape[1], -1)
+        diag = np.arange(2 * shape[1])
+        r[:, diag, diag] += 1.0
+        return cls(e, e_inv, gen, moments, mix, r, np.linalg.inv(r), inside.astype(bool))
+
+    def solve(self, rhs):
+        """A^(-1) rhs at every point, rhs (K, |S|, m) indexed by S."""
+        k, npan, n, _ = self.gen.shape
+        y = np.zeros((k, npan * n, rhs.shape[-1]), dtype=complex)
+        y[:, self.inside] = rhs
+        y = self.e_inv @ y.reshape(k, npan, n, -1)
+        # the scaled prefix and suffix sums of a_q . y_q and b_q . y_q
+        sums = self.mix @ (self.moments @ y).transpose(0, 2, 1, 3)
+        coef = (self.r_inv @ sums.reshape(k, 2 * npan, -1)).reshape(k, 2, npan, -1)
+        y -= self.gen @ coef.transpose(0, 2, 1, 3)
+        return y.reshape(k, npan * n, -1)[:, self.inside]
+
+    def log_det(self):
+        """(log |det A|, its phase) at every point."""
+        (sign_e, log_e), (sign_r, log_r) = np.linalg.slogdet(self.e), np.linalg.slogdet(self.r)
+        return log_e.sum(axis=-1) + log_r, np.prod(sign_e, axis=-1) * sign_r
 
 
 class BoundarySystem:
@@ -241,7 +380,7 @@ class BoundarySystem:
         Id + K = [[A, 0], [B, I]],   A = I + K_SS,   B = K_TS.
 
     Everything but K itself is computed from the blocks A and B, most of
-    it from the LU factors of A:
+    it from the factors of A (``_panel_factors``, else ``_factors``):
 
     * ``log_det``: det(Id + K) = det A (the Sylvester / Weinstein-Aronszajn
       identity);
@@ -256,8 +395,27 @@ class BoundarySystem:
       order |S| + 1 for a radial well with T right of it, |S| + 2 on the
       line, at most 2|S| always, and is A when T is empty.
 
+    A is factorized in one of two ways, chosen from the model:
+
+    * through its panels (``_PanelFactors``) for a multiplication W on a
+      continuum backend whose support spans more than one panel: in-panel
+      blocks of order n and one coupling system of order 2P, P the panels
+      from the first to the last holding S, from the in-panel partials of
+      the free action and the rank-one coupling between panels
+      (``_panel_generators``).  A stack with an in-panel block past
+      ``PANEL_CONDITION_MAX`` falls back to the dense LU.  ``a_solve``,
+      ``w_solve``, ``resolvent_apply``, ``log_det``, ``inverse``,
+      ``weighted_resolvent_norm`` and the Newton steps of
+      ``locate_eigenvalues`` (``_logdet_derivative``) read these factors;
+    * densely, by the LU of A (``_factors``) or slogdet of A, everywhere
+      else: the finite backend, a nonlocal W, and a support inside one
+      panel, where A is its own single in-panel block.
+
     K_SS is the block of the free kernel on S, written in one pass by
-    ``action.block`` and kept, times the weights of K.  K_TS is written by
+    ``action.block`` and kept, times the weights of K; it is written only
+    where the dense A is read: the SVD of M (``sigma_min``,
+    ``kernel_vector``, ``weighted_resolvent_norm``), ``k_support``,
+    ``bs_matrix_dz`` and the dense factorization.  K_TS is written by
     ``block`` only on the T rows that share a panel with S; every other
     run of T is a factor pair (``_k_rest_factors``).  ``action.apply``
     applies R0 through panel moments, and no method assembles the N x N
@@ -270,10 +428,11 @@ class BoundarySystem:
 
     Every array carries the point axis: the free action is one stacked
     ``FreeResolventAction``, ``_k_ss`` is (K, |S|, |S|), the pieces of
-    K_TS and M are (K, ...), and ``a_solve`` runs ``lu_solve`` on the LU
-    factors of A, one 2-D factorization per point, kept (the ``calculus``
-    cache reuses them across pairs; SciPy's batched LU loops over the same
-    2-D calls in a slower wrapper).  ``sigma_min``, ``log_det`` and
+    K_TS and M are (K, ...), the panel factors are one stacked inverse of
+    (K, P, n, n) blocks and one of (K, 2P, 2P), and the dense LU is one
+    2-D factorization per point (SciPy's batched LU loops over the same
+    2-D calls in a slower wrapper).  Either is kept: the ``calculus``
+    cache reuses it across pairs.  ``sigma_min``, ``log_det`` and
     ``weighted_resolvent_norm`` come from one stacked SVD or slogdet;
     ``w_solve`` and ``resolvent_apply`` take samples as columns,
     (K, N, m), or (N[, m]) shared by every point for ``resolvent_apply``.
@@ -291,13 +450,14 @@ class BoundarySystem:
     free kernel, and its K_SS is the conjugate of this system's free-kernel
     block on S times the weights of K (no second ``block``); the factors of
     its K_TS are the conjugate psi, phi and moments of that action.  A and
-    the LU of A are its own, because W is complex.
+    its factors are its own, because W is complex.
     """
 
     def __init__(self, model, z=None, lam=None, side=None):
         self.model = model
         self.support, self.rest = model.support_split
         self._lu = self._g_ss = self._r0_k = None
+        self._panels = None   # _PanelFactors; False where A is factorized densely
         self._source = None   # the system this one mirrors, if any
         if model.backend == "finite":
             if z is None:
@@ -342,7 +502,7 @@ class BoundarySystem:
     def _k_ss(self):
         """K_SS, (K, |S|, |S|), scaled on each call from the kept block of
         the free kernel, so a cached system holds one |S| x |S| block per
-        point besides its LU factors."""
+        point besides the factors of A."""
         s = self.support
         if self.action is None:
             return self._finite()[1][:, s[:, None], s]
@@ -364,7 +524,7 @@ class BoundarySystem:
         if self.action is None:
             return BoundarySystem(self.model, z=_as_given(np.conj(self.z), self.one))
         other = copy.copy(self)
-        other._lu = other._g_ss = None
+        other._lu = other._g_ss = other._panels = None
         other._source = self
         other.action = self.action.conjugate()
         return other
@@ -375,8 +535,20 @@ class BoundarySystem:
         a[:, i, i] += 1.0
         return a
 
+    def _panel_factors(self):
+        """The ``_PanelFactors`` of A, kept, or None where A is factorized
+        densely: on the finite backend, for a nonlocal W, for a support in
+        at most one panel (A is then its one in-panel block, or empty) and
+        for a stack with an ill-conditioned in-panel block."""
+        if self._panels is None:
+            structured = (self.action is not None and self.model.w_sample_matrix is None
+                          and self.support.size > 0
+                          and self.model.support_run[1].size > self.model.grid.n)
+            self._panels = structured and _PanelFactors.build(self.model, self.action) or False
+        return self._panels or None
+
     def _factors(self):
-        """The LU factors (lu, piv) of A, one pair per point, kept."""
+        """The dense LU factors (lu, piv) of A, one pair per point, kept."""
         if self._lu is None:
             self._lu = [sla.lu_factor(a, check_finite=False) for a in self._a()]
         return self._lu
@@ -434,14 +606,22 @@ class BoundarySystem:
         return float(sv[-1]), x
 
     def log_det(self):
-        """log |det(Id + K)| and the phase, as det A, from one stacked
-        slogdet."""
-        sign, logabs = np.linalg.slogdet(self._a())
+        """log |det(Id + K)| and the phase, as det A: from the panel factors,
+        or from one stacked slogdet of A."""
+        panels = self._panel_factors()
+        if panels is not None:
+            logabs, sign = panels.log_det()
+        else:
+            sign, logabs = np.linalg.slogdet(self._a())
         return _as_given(logabs, self.one), _as_given(sign, self.one)
 
     def a_solve(self, rhs):
         """A^(-1) rhs at every point, rhs (K, |S|, m) indexed by the support
-        S, by one 2-D ``lu_solve`` per point on the kept LU factors of A."""
+        S: by the panel factors, or by one 2-D ``lu_solve`` per point on
+        the kept LU factors of A."""
+        panels = self._panel_factors()
+        if panels is not None:
+            return panels.solve(rhs)
         return np.stack([sla.lu_solve(lu, b, check_finite=False)
                          for lu, b in zip(self._factors(), rhs)])
 

@@ -24,13 +24,14 @@ being a stack of one.  Those samples are independent points, so
 ``specres verify``) runs them through ``birman_schwinger.over_stacks``:
 one system and its mirror per stack of at most
 ``birman_schwinger.BATCH_POINTS`` values of z.  The cap bounds memory,
-not time: every point of a stack keeps its partials, support blocks and
-LU factors alive at once (about 0.6 MB a point on a well over 80 of 192
-nodes).  The contour rank, trace and vector action of a continuum
+not time: every point of a stack keeps its partials and the factors of
+its A = I + K_SS alive at once (0.31 MB a point with its mirror on a
+well over 80 of 192 nodes, where A factorizes through its 5 panels).
+The contour rank, trace and vector action of a continuum
 ``riesz_projection`` and the singularity probe of the boundary-exact
 forms (``bs.sigma_profile``) run in such stacks too.  The adaptive forms
 ask for one point at a time: their systems are cached per (lam, side),
-LU factors included, and shared across test pairs and intervals.
+factors of A included, and shared across test pairs and intervals.
 """
 
 from __future__ import annotations

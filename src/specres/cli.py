@@ -566,8 +566,15 @@ def cmd_verify(cfg):
 
 
 def cmd_export(report_path, fmt, out_dir):
-    with open(report_path) as fh:
-        payload = json.load(fh)
+    try:
+        with open(report_path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise SchemaError(f"cannot read the report file: {exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"malformed report file: {exc}") from None
+    if not isinstance(payload, dict) or not isinstance(payload.get("results", {}), dict):
+        raise SchemaError("malformed report file: not a report object")
     os.makedirs(out_dir, exist_ok=True)
     base = os.path.join(out_dir, "export")
     if fmt == "json":

@@ -308,7 +308,9 @@ class PanelGrid:
             pts = (mid[:, None] + scale[:, None] * fine).ravel()             # (n 2n)
             l_fine = _lagrange_basis(fine, bary, pts).reshape(n, 2 * n, 2 * n)
             l_nodes = self.lagrange_values(pts).reshape(n, 2 * n, n)
-            tensors.append(np.einsum("is,isj,ism->jim", scale[:, None] * fine_w, l_fine, l_nodes))
+            # C-contiguous, so _contract reshapes it without a copy
+            tensors.append(np.ascontiguousarray(
+                np.einsum("is,isj,ism->jim", scale[:, None] * fine_w, l_fine, l_nodes)))
         self._partial_tensors = tuple(tensors)
         return self._partial_tensors
 
@@ -451,6 +453,18 @@ class OperatorModel:
         split = np.searchsorted(panel[support], panel[free])
         left = np.arange(support.size)
         return rest[shared], [(free[split == cut], left < cut) for cut in np.unique(split)]
+
+    @cached_property
+    def support_run(self):
+        """The nodes of the panels from the first to the last holding nodes
+        of S, as a slice, and the mask of S on them (1.0 on S, 0.0
+        elsewhere), computed once per model (continuum backends, S not
+        empty): the layout of ``birman_schwinger._PanelFactors``."""
+        support, _ = self.support_split
+        n = self.grid.n
+        first, last = self.grid.panel_index[support[[0, -1]]]
+        run = slice(first * n, (last + 1) * n)
+        return run, self.support_mask()[run].astype(float)
 
     @property
     def w_is_zero(self):

@@ -603,13 +603,16 @@ class TestSupportReduction:
             raise AssertionError("full free-kernel assembly")
 
         monkeypatch.setattr(M.FreeResolventAction, "matrix", full_assembly)
-        for mod, name in ((np.linalg, "slogdet"), (np.linalg, "solve"),
+        for mod, name in ((np.linalg, "slogdet"), (np.linalg, "solve"), (np.linalg, "inv"),
                           (scipy.linalg, "lu_factor"), (scipy.linalg, "lu_solve")):
             monkeypatch.setattr(mod, name, record(getattr(mod, name)))
         BS.BoundarySystem(model, z=-0.4 - 2.2j).log_det()
         BS._logdet_derivative(model, -0.4 - 2.2j)
+        # in-panel blocks of order n and one coupling system of order 2P, P
+        # the panels of S (one run here), or A itself when S lies in one panel
+        panels = np.unique(model.grid.panel_index[model.support_mask()]).size
         assert {name for name, _ in orders} >= {"slogdet", "lu_factor"}
-        assert all(shape[0] == support for _, shape in orders)
+        assert all(shape[0] <= max(model.grid.n, 2 * panels) for _, shape in orders)
 
     def test_determinant_computes_partials_on_the_support_panels_only(self, monkeypatch):
         model = M.radial_model(M.square_well(-25.0 - 4.0j))
@@ -726,15 +729,30 @@ def test_finite_k_is_solved_once_per_system(monkeypatch):
     assert solves == [(model.size, model.size)]
 
 
-@pytest.mark.parametrize("name", ["radial_well", "line_well", "free"])
+def _backward_error(a, x, y):
+    """The largest normwise backward error ||a x - y|| / (||a|| ||x|| + ||y||)
+    (Frobenius norms) of the solutions x of a x = y on a stack."""
+    norm = functools.partial(np.linalg.norm, axis=(-2, -1))
+    return np.max(norm(a @ x - y) / (norm(a) * norm(x) + norm(y)))
+
+
+@pytest.mark.parametrize("name", ["radial_well", "line_well", "wide_well", "two_wells",
+                                  "rank_one", "finite", "free"])
 @pytest.mark.parametrize("points", [{"z": np.array([3.0 + 0.7j, -1.5 - 2.0j, 0.4 + 0.05j])},
                                     {"z": 0.4 + 0.05j}, {"lam": 1.1, "side": "+"}])
 def test_a_solve_is_scipy_lu(name, points):
-    # one 2-D LU per point: bitwise SciPy's lu_solve(lu_factor(A)) on the
-    # whole stack, for per-point and for shared (broadcast) right-hand
-    # sides, at one point, and with |S| = 0 ("free")
+    # a multiplication W over several panels solves through the panel
+    # factors of A, with the backward error of a dense LU; a support in one
+    # panel, a nonlocal W ("rank_one"), the finite backend and |S| = 0
+    # ("free") run one 2-D LU per point: bitwise SciPy's
+    # lu_solve(lu_factor(A)) on the whole stack, for per-point and for
+    # shared (broadcast) right-hand sides, and at one point
     model = sylvester_model(name)
+    if "lam" in points and model.backend == "finite":
+        points = {"z": 2.0 - 0.4j}
     system = BS.BoundarySystem(model, **points)
+    structured = system._panel_factors() is not None
+    assert structured == (name in ("wide_well", "two_wells"))
     a = system._a()
     s, k = a.shape[-1], a.shape[0]
     rhs = np.random.default_rng(3).standard_normal((k, s, 2)) + 0.5j
@@ -743,10 +761,112 @@ def test_a_solve_is_scipy_lu(name, points):
     for b in (rhs, shared):
         got = system.a_solve(b)
         assert got.shape == b.shape
-        assert np.array_equal(got, scipy.linalg.lu_solve(lu, b, check_finite=False))
-    if k == 1:
+        ref = scipy.linalg.lu_solve(lu, b, check_finite=False)
+        if structured:
+            assert _backward_error(a, got, b) <= 1e-13
+            assert _rel(got, ref) <= 1e-13 * np.max(np.linalg.cond(a))
+        else:
+            assert np.array_equal(got, ref)
+    if k == 1 and not structured:
         lu = scipy.linalg.lu_factor(a[0], check_finite=False)
         assert np.array_equal(system.a_solve(rhs)[0], scipy.linalg.lu_solve(lu, rhs[0]))
+
+
+# supports of a multiplication W over several panels, by shape: two
+# pieces with empty panels between them, every panel, and supports ending
+# inside a panel (no breakpoint there), on both continuum backends
+PANEL_CASES = {
+    **{name: SYLVESTER_CASES[name] for name in ("wide_well", "two_wells", "covering_well")},
+    "cut_well": lambda: M.radial_model(M.PotentialSpec(
+        func=lambda x: np.where(x < 4.5, -6.0 - 2.0j, 0.0), support=(0.0, 3.0)), **SMALL_GRID),
+    "line_wide": lambda: M.line_model(M.PotentialSpec(
+        pieces=((-9.0, 9.0, -2.0 - 1.0j),), support=(-9.0, 9.0)), **SMALL_GRID),
+    "line_cut": lambda: M.line_model(M.PotentialSpec(
+        func=lambda x: np.where(np.abs(x) < 5.0, -1.5 - 1.0j, 0.0), support=(-12.0, 12.0)),
+        **SMALL_GRID),
+}
+
+
+def test_panel_cases_cover_every_support_shape():
+    models = {name: build() for name, build in PANEL_CASES.items()}
+    assert {model.backend for model in models.values()} == {"radial", "line1d"}
+    panels = {name: np.unique(model.grid.panel_index[model.support_mask()])
+              for name, model in models.items()}
+    assert all(p.size > 1 for p in panels.values())
+    assert np.diff(panels["two_wells"]).max() > 1   # empty panels between the pieces
+    for name in ("cut_well", "line_cut"):           # part-filled panels
+        model = models[name]
+        assert np.count_nonzero(model.support_mask()) < panels[name].size * model.grid.n
+
+
+def _draw_points(model, data):
+    """Drawn points for ``BoundarySystem``: off-axis z = k^2 with Im k up to
+    5, or lam on one side, the radial threshold lam = 0 among them; a stack
+    of one to four, or one point alone."""
+    if data.draw(st.booleans(), label="boundary"):
+        lo = 0.0 if model.backend == "radial" else 1e-3
+        top = model.max_scan_energy()
+        lams = data.draw(st.lists(st.just(lo) | st.floats(lo, top), min_size=1, max_size=4))
+        point = {"lam": np.array(lams), "side": data.draw(st.sampled_from("+-"))}
+        key = "lam"
+    else:
+        ks = data.draw(st.lists(st.builds(complex, st.floats(-4.0, 4.0), st.floats(0.05, 5.0)),
+                                min_size=1, max_size=4))
+        point, key = {"z": np.array(ks) ** 2}, "z"
+    if point[key].size == 1 and data.draw(st.booleans(), label="alone"):
+        point[key] = point[key][0]
+    return point
+
+
+@settings(sylvester_settings, max_examples=60)
+@given(name=st.sampled_from(sorted(PANEL_CASES)), data=st.data())
+def test_panel_factors_match_the_dense_reference(name, data):
+    # a_solve on the panel factors has the backward error of a dense LU,
+    # and log det from them is slogdet of the assembled A, on a stack or
+    # its mirror
+    model = PANEL_CASES[name]()
+    system = BS.BoundarySystem(model, **_draw_points(model, data))
+    if data.draw(st.booleans(), label="mirror"):
+        system = system.mirror()
+    assert system._panel_factors() is not None
+    a = system._a()
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    rhs = rng.standard_normal(a.shape[:2] + (2,)) + 1j * rng.standard_normal(a.shape[:2] + (2,))
+    assert _backward_error(a, system.a_solve(rhs), rhs) <= 1e-13
+    ref_sign, ref_logabs = np.linalg.slogdet(a)
+    logabs, phase = (np.atleast_1d(x) for x in system.log_det())
+    assert np.all(np.abs(logabs - ref_logabs) <= 1e-12 * np.maximum(1.0, np.abs(ref_logabs)))
+    assert np.all(np.abs(phase - ref_sign) <= 1e-12)
+
+
+def test_an_ill_conditioned_panel_block_solves_densely(monkeypatch):
+    # D_q is K for W restricted to panel q, so I + D_q is singular at the
+    # eigenvalues of that one-panel well even where A is regular: at an
+    # eigenvalue z* of a deep well filling the panel [0, 1], the well that
+    # continues over [1, 3] solves with the dense LU of A
+    deep = ((0.0, 1.0, -100.0 - 4.0j),)
+    one_panel = M.radial_model(M.PotentialSpec(pieces=deep, support=(0.0, 3.0)))
+    full = M.radial_model(M.PotentialSpec(pieces=deep + ((1.0, 3.0, -2.0 - 1.0j),),
+                                          support=(0.0, 3.0)))
+    assert np.array_equal(one_panel.grid.edges, full.grid.edges)
+    assert np.array_equal(np.unique(one_panel.grid.panel_index[one_panel.support_mask()]), [0])
+    roots = BS.locate_eigenvalues(one_panel, re_range=(-100.0, 0.0), im_range=(-8.0, 2.0))
+    assert roots
+    rhs = np.random.default_rng(4).standard_normal((1, np.count_nonzero(full.support_mask()), 2))
+    for root in roots:
+        system = BS.BoundarySystem(full, z=root["z"])
+        assert system.sigma_min() > 1e-5   # A is regular at z*
+        assert system._panel_factors() is None
+        a = system._a()
+        lu = scipy.linalg.lu_factor(a[0], check_finite=False)
+        assert np.array_equal(system.a_solve(rhs)[0], scipy.linalg.lu_solve(lu, rhs[0]))
+        ref_sign, ref_logabs = np.linalg.slogdet(a[0])
+        assert system.log_det() == (ref_logabs, ref_sign)
+        # and without the guard the panel blocks would have served it badly
+        with monkeypatch.context() as patch:
+            patch.setattr(BS, "PANEL_CONDITION_MAX", math.inf)
+            unguarded = BS.BoundarySystem(full, z=root["z"])
+            assert _backward_error(a, unguarded.a_solve(rhs), rhs) > 1e-10
 
 
 STACKS = [{"z": np.array([3.0 + 0.7j, -1.5 - 2.0j, 0.4 + 0.05j])},

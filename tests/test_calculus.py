@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from specres import birman_schwinger as BS
 from specres import calculus as C
 from specres import families as F
 from specres import model as M
+from specres import subspaces as S
 from specres.model import AdmissibilityError, ModelError
 from specres.numerics import LimitSequence, extrapolate_to_zero, gauss_legendre
 
@@ -586,6 +588,44 @@ class TestAssemblyCounts:
         for side in ("+", "-"):
             assert np.allclose(profile[side], [BS.sigma_min(small_well, lam, side)
                                                for lam in grid], rtol=1e-12, atol=0.0)
+
+    def test_solves_on_a_multiplication_w_run_through_the_panels(self, monkeypatch):
+        # the product-form, jump-term and Stone-pairing paths factorize
+        # A = I + K_SS through its panels: no dense LU, no block of the free
+        # kernel on S x S, and no factorization of order above max(n, 2P),
+        # P the panels holding S (4 of 6 here, |S| = 40)
+        model = M.radial_model(M.square_well(0.15 - 0.1j, 6.0), panels=6, nodes_per_panel=10)
+        support = np.flatnonzero(model.support_mask())
+        panels = np.unique(model.grid.panel_index[support]).size
+        assert panels > 1 and support.size > max(model.grid.n, 2 * panels)
+        orders = []
+
+        def refuse_lu(*args, **kwargs):
+            raise AssertionError("dense LU of A")
+
+        def record(fn):
+            def wrapped(a, *args, **kwargs):
+                orders.append(a.shape[-1])
+                return fn(a, *args, **kwargs)
+            return wrapped
+
+        def checked_block(act, rows, cols):
+            assert not (np.array_equal(rows, support) and np.array_equal(cols, support))
+            return block(act, rows, cols)
+
+        block = M.FreeResolventAction.block
+        monkeypatch.setattr(M.FreeResolventAction, "block", checked_block)
+        monkeypatch.setattr(scipy.linalg, "lu_factor", refuse_lu)
+        for name in ("inv", "solve", "slogdet"):
+            monkeypatch.setattr(np.linalg, name, record(getattr(np.linalg, name)))
+        u, v = pair_for(model)
+        C.stone_product_forms(model, (1.0, 2.0), (1.5, 3.0), [(u, v)])
+        S._jump_terms(model, np.array([0.5, 2.0, 4.0]), model.c_values * v)
+        cache = {}
+        for lam in (1.2, 2.5):
+            for side in ("+", "-"):
+                C._correction_pairing(model, lam, side, u, v, cache)
+        assert orders and max(orders) <= max(model.grid.n, 2 * panels)
 
     def test_singularity_probe_reuses_the_cache(self, small_well, monkeypatch):
         u, v = pair_for(small_well)

@@ -387,6 +387,19 @@ num_points = 3
         assert ((out / f"export_{table}.csv").read_text()
                 == (run / f"{command}.csv").read_text())
 
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read the report file"), ("{not json", "malformed report file"),
+        ("[1, 2]", "malformed report file: not a report object")])
+    def test_export_of_a_missing_or_malformed_report_exits_2(self, tmp_path, capsys,
+                                                             text, message):
+        report = tmp_path / "report.json"
+        if text is not None:
+            report.write_text(text)
+        out = tmp_path / "export"
+        assert cli.main(["export", "--report", str(report), "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_project_finite(self, tmp_path):
         cfg = write_config(tmp_path, """
 [model]

@@ -296,6 +296,23 @@ def test_partial_tensors_integrate_the_interpolation_basis():
 
 
 @pytest.mark.parametrize("name", sorted(ACTION_MODELS))
+def test_contiguous_partial_tensors_leave_the_partials_unchanged(name):
+    # the tensors are C-contiguous, and contracting against a strided copy
+    # (the layout np.einsum writes) gives the partials bit for bit
+    model = action_model(name)
+    g = model.grid
+    y, half, tl, tr = g.partial_tensors()
+    assert tl.flags.c_contiguous and tr.flags.c_contiguous
+    act = M.FreeResolventAction(model, np.array([1.0, 3.0 - 1.5j, 3.2j]))
+    for got, f, t in zip(act._partials(0, g.npanels), (act.phi, act.psi), (tl, tr)):
+        strided = t.transpose(1, 0, 2).copy().transpose(1, 0, 2)
+        assert not strided.flags.c_contiguous and np.array_equal(strided, t)
+        values = f(y).transpose(1, 0, 2) * half[:, None, None]
+        real, imag = M._contract(values, strided)
+        assert np.array_equal(got.real, real) and np.array_equal(got.imag, imag)
+
+
+@pytest.mark.parametrize("name", sorted(ACTION_MODELS))
 class TestMirrorAction:
     """``conjugate`` is the action at -conj(k), from its source's kernel evaluation."""
 
