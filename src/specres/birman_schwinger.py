@@ -127,11 +127,12 @@ REFINE_WIDTH = 1e-8
 #: refined minima closer than this are one singularity, reported once
 MERGE_WIDTH = 10 * REFINE_WIDTH
 
-#: largest ||E_q||_1 ||E_q^(-1)||_1 of an in-panel block E_q = I + D_q
-#: with which ``BoundarySystem`` factorizes A through its panels; a stack
-#: with a worse block factorizes A densely.  D_q is K for W restricted to
-#: panel q, so E_q is singular at the eigenvalues of that one-panel well
-#: even where A is regular.
+#: largest ||X||_1 ||X^(-1)||_1 of an in-panel block X = E_q = I + D_q
+#: (the second norm estimated, ``_probe``) or of the coupling system
+#: X = R, with which ``BoundarySystem`` factorizes A through its panels;
+#: a stack with a worse or singular one factorizes A densely.  D_q is K
+#: for W restricted to panel q, so E_q is singular at the eigenvalues of
+#: that one-panel well even where A is regular; R is as singular as A.
 PANEL_CONDITION_MAX = 1e8
 
 #: most spectral points in one stack (a ``BoundarySystem`` at an array of
@@ -139,10 +140,10 @@ PANEL_CONDITION_MAX = 1e8
 #: in-panel partials and the factors of A, and those of its mirror, alive
 #: at once, while stacks of 11 to 22 points already run as fast as longer
 #: ones.  On a well over 80 of 192 nodes (5 of 12 panels) a product-form
-#: point and its mirror hold 0.31 MB after a two-column R_H application
-#: (0.36 MB at the peak; tracemalloc): 0.2 MB of partials on the 12
-#: panels and 0.08 MB of in-panel blocks and their inverses, where the
-#: |S| x |S| blocks and LU factors of a dense A held 0.52 MB (0.65 MB).
+#: point and its mirror hold 0.28 MB after a two-column R_H application
+#: (0.35 MB at the peak; tracemalloc): 0.2 MB of partials on the 12
+#: panels and 0.04 MB of in-panel blocks, where the |S| x |S| blocks and
+#: LU factors of a dense A held 0.51 MB (0.65 MB).
 BATCH_POINTS = 22
 
 
@@ -205,15 +206,15 @@ def _panel_generators(model, act, rows, cols):
 
     By the separable kernel G = pref phi(min) psi(max), K[i, j] = u_i a_j
     for a node j in a panel left of the panel of node i, and v_i b_j for j
-    in a panel right of it.  Returns u and v, psi and phi at ``rows`` times
-    the row scale pref c sqrt(w) of K, (K, rows), and the phi and psi
-    moments at ``cols`` times c, (K, cols): a and b before the rest of the
-    column scale, ``_w_columns``, which a nonlocal W needs applied after
-    any masking of the columns."""
+    in a panel right of it.  Returns [u, v], psi and phi at ``rows`` times
+    the row scale pref c sqrt(w) of K, (K, rows, 2), and [a; b], the phi
+    and psi moments at ``cols`` times c, (K, 2, cols): a and b before the
+    rest of the column scale, ``_w_columns``, which a nonlocal W needs
+    applied after any masking of the columns."""
     c = model.c_values
     scale = act.pref[:, None] * c[rows] * model.grid.sqrtw[rows]
-    return (act.psi_nodes[:, rows] * scale, act.phi_nodes[:, rows] * scale,
-            act.phi_w[:, cols] * c[cols], act.psi_w[:, cols] * c[cols])
+    return (np.stack((act.psi_nodes[:, rows], act.phi_nodes[:, rows]), axis=-1) * scale[..., None],
+            np.stack((act.phi_w[:, cols], act.psi_w[:, cols]), axis=1) * c[cols])
 
 
 def _w_columns(model, f, cols):
@@ -243,15 +244,15 @@ def _k_rest_factors(model, act):
     pieces = []
     if shared.size:
         pieces.append((shared, None, _k_block(model, act, shared, support)))
-    u_all, v_all, phi_c, psi_c = _panel_generators(model, act, slice(None), support)
+    uv, ab = _panel_generators(model, act, slice(None), support)
     for rows, left in runs:   # left: the S nodes left of the rows, a prefix of S
         u, f = [], []
         if left[0]:
-            u.append(u_all[:, rows])
-            f.append(np.where(left, phi_c, 0.0))
+            u.append(uv[:, rows, 0])
+            f.append(np.where(left, ab[:, 0], 0.0))
         if not left[-1]:
-            u.append(v_all[:, rows])
-            f.append(np.where(left, 0.0, psi_c))
+            u.append(uv[:, rows, 1])
+            f.append(np.where(left, 0.0, ab[:, 1]))
         f = _w_columns(model, np.stack(f, axis=-2), support)
         pieces.append((rows, np.stack(u, axis=-1), f))
     return pieces
@@ -265,9 +266,24 @@ def _column_norm(u):
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
+def _probe(n):
+    """A fixed right-hand side of n unimodular entries, with golden-ratio
+    phases: x = X^(-1) probe gives ||X^(-1)||_1 >= ||x||_1 / n, within a
+    modest factor unless the probe is by accident nearly orthogonal to the
+    left singular vector of the smallest singular value (the one-step
+    condition estimate of Hager's method)."""
+    return np.exp(2j * np.pi * 0.6180339887498949 * np.arange(n))
+
+
 def _norm_1(a):
     """The 1-norm (largest column sum) of each matrix of a stack."""
     return np.abs(a).sum(axis=-2).max(axis=-1)
+
+
+def _ill_conditioned(x, inv_norm):
+    """Whether some matrix X of the stack x has ||X||_1 ||X^(-1)||_1 above
+    ``PANEL_CONDITION_MAX``, given ||X^(-1)||_1 or an estimate of it."""
+    return not (_norm_1(x) * inv_norm).max() <= PANEL_CONDITION_MAX
 
 
 @dataclass(eq=False)
@@ -298,76 +314,95 @@ class _PanelFactors:
     entries, sigma_q / sigma_p a_p . E_p^(-1) u_p and alike, stay of
     order one.
 
-    Kept, per point: E_q, E_q^(-1) and E_q^(-1) [u_q v_q] (each (P, n, n)
-    or (P, n, 2)), the moment rows [a_q; b_q], R and R^(-1) (2P x 2P): one
-    stacked inverse of (K, P, n, n) blocks and one of (K, 2P, 2P) per
-    stack.  A solve is matrix products on these.  ``build`` gives None
-    where some E_q has ||E_q||_1 ||E_q^(-1)||_1 > ``PANEL_CONDITION_MAX``.
+    Kept, per point: E_q, E_q^(-1) [u_q v_q], the moment rows [a_q; b_q]
+    and R^(-1).  NumPy keeps no stacked LU, and a solve with a few columns
+    costs half an explicit inverse of the (K, P, n, n) blocks, so each
+    solve runs one stacked ``np.linalg.solve`` on them; the one that
+    builds the factors carries its right-hand side beside [u v], since
+    most systems are solved once.  ``build`` gives None where some E_q or
+    R is singular or has ||X||_1 ||X^(-1)||_1 above
+    ``PANEL_CONDITION_MAX``, ||E_q^(-1)||_1 estimated from one more
+    column of that solve (``_probe``).
     """
 
     e: np.ndarray         # (K, P, n, n): E_q
-    e_inv: np.ndarray     # (K, P, n, n): E_q^(-1)
     gen: np.ndarray       # (K, P, n, 2): E_q^(-1) [u_q v_q], scaled
     moments: np.ndarray   # (K, P, 2, n): [a_q; b_q]
     mix: np.ndarray       # (K, 2, P, P): the scaled prefix and suffix sums
-    r: np.ndarray         # (K, 2P, 2P): R
     r_inv: np.ndarray     # (K, 2P, 2P): R^(-1)
     inside: np.ndarray    # (P n,): the nodes of S among those of the panels
 
     @classmethod
-    def build(cls, model, act):
+    def build(cls, model, act, rhs=None):
+        """(factors, A^(-1) rhs) at every point of the action, rhs
+        (K, |S|, m) indexed by S or None (then the solution is None); the
+        factors are None, and so is the solution, where the guard sends A
+        to the dense LU."""
         run, inside = model.support_run
         n = model.grid.n
         panels = slice(run.start // n, run.stop // n)
-        shape = (act.ks.size, panels.stop - panels.start, n)
-        u, v, a, b = _panel_generators(model, act, run, run)
-        u, v = (u * inside).reshape(shape), (v * inside).reshape(shape)
-        # W vanishes off S: so do the columns of a, b and D_q
-        a, b = (_w_columns(model, f, run).reshape(shape) for f in (a, b))
+        k, npan = act.ks.size, panels.stop - panels.start
+        shape = (k, npan, n)
+        uv, moments = _panel_generators(model, act, run, run)
+        uv = (uv * inside[:, None]).reshape(shape + (2,))
+        # W vanishes off S: so do the columns of the moments and of D_q
+        moments = _w_columns(model, moments, run).reshape(k, 2, npan, n).transpose(0, 2, 1, 3)
         left, right = act._partials(panels.start, panels.stop)
-        e = u[..., None] * left[:, panels]
-        e += v[..., None] * right[:, panels]
-        e *= _w_columns(model, model.c_values[run], run).reshape(shape[1:])[:, None, :]
-        diag = np.arange(n)
-        e[..., diag, diag] += 1.0
-        try:
-            e_inv = np.linalg.inv(e)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(_norm_1(e) * _norm_1(e_inv) <= PANEL_CONDITION_MAX):
-            return None
-        uv = np.stack((u, v), axis=-1)
+        e = uv[..., :1] * left[:, panels]
+        e += uv[..., 1:] * right[:, panels]
+        e *= _w_columns(model, model.c_values[run], run).reshape(npan, 1, n)
+        e.reshape(k, npan, -1)[..., :: n + 1] += 1.0
         scale = np.abs(uv).max(axis=-2)   # (K, P, 2): max |u_q|, max |v_q|
         scale[scale == 0.0] = 1.0         # the panels between pieces of S
-        gen = e_inv @ (uv / scale[..., None, :])
-        moments = np.stack((a, b), axis=-2)
-        # mix[side, q, p]: the scaled prefix (side 0, p < q) and suffix
-        # (side 1, p > q) sums, and R[(side, q), (c, p)] =
-        # I + mix[side, q, p] moments_p[side] . gen_p[c]
-        lower = np.tri(shape[1], k=-1)
-        mix = np.stack((lower, lower.T)) * scale.transpose(0, 2, 1)[..., None]
-        r = mix[:, :, :, None, :] * (moments @ gen).transpose(0, 2, 3, 1)[:, :, None]
-        r = r.reshape(shape[0], 2 * shape[1], -1)
-        diag = np.arange(2 * shape[1])
-        r[:, diag, diag] += 1.0
-        return cls(e, e_inv, gen, moments, mix, r, np.linalg.inv(r), inside.astype(bool))
+        # one solve for [u v] / scale, the probe and the right-hand side
+        m = 0 if rhs is None else rhs.shape[-1]
+        cols = np.zeros(shape + (3 + m,), dtype=complex)
+        np.divide(uv, scale[..., None, :], out=cols[..., :2])
+        cols[..., 2] = _probe(n)
+        if m:
+            cols.reshape(k, npan * n, -1)[:, inside, 3:] = rhs
+        try:
+            x = np.linalg.solve(e, cols)
+            t = moments @ x   # (K, P, 2, 3 + m): the moments of every column
+            # mix[side, q, p]: the scaled prefix (side 0, p < q) and suffix
+            # (side 1, p > q) sums, and R[(side, q), (c, p)] =
+            # I + mix[side, q, p] moments_p[side] . gen_p[c]
+            lower = np.tri(npan, k=-1, dtype=bool)
+            mix = np.array((lower, lower.T)) * scale.transpose(0, 2, 1)[..., None]
+            r = (mix[:, :, :, None, :] * t[..., :2].transpose(0, 2, 3, 1)[:, :, None]
+                 ).reshape(k, 2 * npan, -1)
+            r.reshape(k, -1)[:, :: 2 * npan + 1] += 1.0
+            r_inv = np.linalg.inv(r)
+        except np.linalg.LinAlgError:
+            return None, None
+        if (_ill_conditioned(e, np.abs(x[..., 2]).sum(axis=-1) / n)
+                or _ill_conditioned(r, _norm_1(r_inv))):
+            return None, None
+        factors = cls(e, x[..., :2], moments, mix, r_inv, inside)
+        return factors, factors._couple(x[..., 3:], t[..., 3:]) if m else None
+
+    def _couple(self, y, t):
+        """A^(-1) rhs, (K, |S|, m), from y = E^(-1) rhs on the panels,
+        (K, P, n, m), and its moments t = [a_q; b_q] y_q, (K, P, 2, m):
+        the correction that R gives the scaled prefix and suffix sums of
+        t."""
+        k, npan, n, m = y.shape
+        coef = self.r_inv @ (self.mix @ t.transpose(0, 2, 1, 3)).reshape(k, 2 * npan, m)
+        y = y - self.gen @ coef.reshape(k, 2, npan, m).transpose(0, 2, 1, 3)
+        return y.reshape(k, npan * n, m)[:, self.inside]
 
     def solve(self, rhs):
         """A^(-1) rhs at every point, rhs (K, |S|, m) indexed by S."""
         k, npan, n, _ = self.gen.shape
         y = np.zeros((k, npan * n, rhs.shape[-1]), dtype=complex)
         y[:, self.inside] = rhs
-        y = self.e_inv @ y.reshape(k, npan, n, -1)
-        # the scaled prefix and suffix sums of a_q . y_q and b_q . y_q
-        sums = self.mix @ (self.moments @ y).transpose(0, 2, 1, 3)
-        coef = (self.r_inv @ sums.reshape(k, 2 * npan, -1)).reshape(k, 2, npan, -1)
-        y -= self.gen @ coef.transpose(0, 2, 1, 3)
-        return y.reshape(k, npan * n, -1)[:, self.inside]
+        y = np.linalg.solve(self.e, y.reshape(k, npan, n, -1))
+        return self._couple(y, self.moments @ y)
 
     def log_det(self):
-        """(log |det A|, its phase) at every point."""
-        (sign_e, log_e), (sign_r, log_r) = np.linalg.slogdet(self.e), np.linalg.slogdet(self.r)
-        return log_e.sum(axis=-1) + log_r, np.prod(sign_e, axis=-1) * sign_r
+        """(log |det A|, its phase) at every point, det R = 1 / det R^(-1)."""
+        (sign_e, log_e), (sign_r, log_r) = np.linalg.slogdet(self.e), np.linalg.slogdet(self.r_inv)
+        return log_e.sum(axis=-1) - log_r, np.prod(sign_e, axis=-1) * np.conj(sign_r)
 
 
 class BoundarySystem:
@@ -402,8 +437,9 @@ class BoundarySystem:
       blocks of order n and one coupling system of order 2P, P the panels
       from the first to the last holding S, from the in-panel partials of
       the free action and the rank-one coupling between panels
-      (``_panel_generators``).  A stack with an in-panel block past
-      ``PANEL_CONDITION_MAX`` falls back to the dense LU.  ``a_solve``,
+      (``_panel_generators``).  A stack with an in-panel block or a
+      coupling system that is singular or past ``PANEL_CONDITION_MAX``
+      falls back to the dense LU.  ``a_solve``,
       ``w_solve``, ``resolvent_apply``, ``log_det``, ``inverse``,
       ``weighted_resolvent_norm`` and the Newton steps of
       ``locate_eigenvalues`` (``_logdet_derivative``) read these factors;
@@ -428,11 +464,12 @@ class BoundarySystem:
 
     Every array carries the point axis: the free action is one stacked
     ``FreeResolventAction``, ``_k_ss`` is (K, |S|, |S|), the pieces of
-    K_TS and M are (K, ...), the panel factors are one stacked inverse of
-    (K, P, n, n) blocks and one of (K, 2P, 2P), and the dense LU is one
-    2-D factorization per point (SciPy's batched LU loops over the same
-    2-D calls in a slower wrapper).  Either is kept: the ``calculus``
-    cache reuses it across pairs.  ``sigma_min``, ``log_det`` and
+    K_TS and M are (K, ...), the panel factors are (K, P, n, n) blocks,
+    solved by one stacked ``np.linalg.solve`` per solve, and the inverse
+    of a (K, 2P, 2P) coupling system, and the dense LU is one 2-D
+    factorization per point (SciPy's batched LU loops over the same 2-D
+    calls in a slower wrapper).  Either is kept: the ``calculus`` cache
+    reuses it across pairs.  ``sigma_min``, ``log_det`` and
     ``weighted_resolvent_norm`` come from one stacked SVD or slogdet;
     ``w_solve`` and ``resolvent_apply`` take samples as columns,
     (K, N, m), or (N[, m]) shared by every point for ``resolvent_apply``.
@@ -535,17 +572,22 @@ class BoundarySystem:
         a[:, i, i] += 1.0
         return a
 
-    def _panel_factors(self):
+    def _panel_factors(self, rhs=None):
         """The ``_PanelFactors`` of A, kept, or None where A is factorized
         densely: on the finite backend, for a nonlocal W, for a support in
         at most one panel (A is then its one in-panel block, or empty) and
-        for a stack with an ill-conditioned in-panel block."""
+        where the guard of ``_PanelFactors.build`` refuses the stack.  With
+        ``rhs``, also A^(-1) rhs from the build when this call builds the
+        factors, else None."""
+        x = None
         if self._panels is None:
             structured = (self.action is not None and self.model.w_sample_matrix is None
                           and self.support.size > 0
                           and self.model.support_run[1].size > self.model.grid.n)
-            self._panels = structured and _PanelFactors.build(self.model, self.action) or False
-        return self._panels or None
+            panels, x = (_PanelFactors.build(self.model, self.action, rhs) if structured
+                         else (None, None))
+            self._panels = panels or False
+        return self._panels or None, x
 
     def _factors(self):
         """The dense LU factors (lu, piv) of A, one pair per point, kept."""
@@ -608,7 +650,7 @@ class BoundarySystem:
     def log_det(self):
         """log |det(Id + K)| and the phase, as det A: from the panel factors,
         or from one stacked slogdet of A."""
-        panels = self._panel_factors()
+        panels, _ = self._panel_factors()
         if panels is not None:
             logabs, sign = panels.log_det()
         else:
@@ -619,7 +661,9 @@ class BoundarySystem:
         """A^(-1) rhs at every point, rhs (K, |S|, m) indexed by the support
         S: by the panel factors, or by one 2-D ``lu_solve`` per point on
         the kept LU factors of A."""
-        panels = self._panel_factors()
+        panels, x = self._panel_factors(rhs)
+        if x is not None:
+            return x
         if panels is not None:
             return panels.solve(rhs)
         return np.stack([sla.lu_solve(lu, b, check_finite=False)

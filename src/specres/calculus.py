@@ -25,7 +25,7 @@ being a stack of one.  Those samples are independent points, so
 one system and its mirror per stack of at most
 ``birman_schwinger.BATCH_POINTS`` values of z.  The cap bounds memory,
 not time: every point of a stack keeps its partials and the factors of
-its A = I + K_SS alive at once (0.31 MB a point with its mirror on a
+its A = I + K_SS alive at once (0.28 MB a point with its mirror on a
 well over 80 of 192 nodes, where A factorizes through its 5 panels).
 The contour rank, trace and vector action of a continuum
 ``riesz_projection`` and the singularity probe of the boundary-exact

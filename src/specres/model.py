@@ -457,14 +457,14 @@ class OperatorModel:
     @cached_property
     def support_run(self):
         """The nodes of the panels from the first to the last holding nodes
-        of S, as a slice, and the mask of S on them (1.0 on S, 0.0
-        elsewhere), computed once per model (continuum backends, S not
-        empty): the layout of ``birman_schwinger._PanelFactors``."""
+        of S, as a slice, and the boolean mask of S on them, computed once
+        per model (continuum backends, S not empty): the layout of
+        ``birman_schwinger._PanelFactors``."""
         support, _ = self.support_split
         n = self.grid.n
         first, last = self.grid.panel_index[support[[0, -1]]]
         run = slice(first * n, (last + 1) * n)
-        return run, self.support_mask()[run].astype(float)
+        return run, self.support_mask()[run]
 
     @property
     def w_is_zero(self):

@@ -751,7 +751,7 @@ def test_a_solve_is_scipy_lu(name, points):
     if "lam" in points and model.backend == "finite":
         points = {"z": 2.0 - 0.4j}
     system = BS.BoundarySystem(model, **points)
-    structured = system._panel_factors() is not None
+    structured = system._panel_factors()[0] is not None
     assert structured == (name in ("wide_well", "two_wells"))
     a = system._a()
     s, k = a.shape[-1], a.shape[0]
@@ -828,7 +828,7 @@ def test_panel_factors_match_the_dense_reference(name, data):
     system = BS.BoundarySystem(model, **_draw_points(model, data))
     if data.draw(st.booleans(), label="mirror"):
         system = system.mirror()
-    assert system._panel_factors() is not None
+    assert system._panel_factors()[0] is not None
     a = system._a()
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     rhs = rng.standard_normal(a.shape[:2] + (2,)) + 1j * rng.standard_normal(a.shape[:2] + (2,))
@@ -837,6 +837,20 @@ def test_panel_factors_match_the_dense_reference(name, data):
     logabs, phase = (np.atleast_1d(x) for x in system.log_det())
     assert np.all(np.abs(logabs - ref_logabs) <= 1e-12 * np.maximum(1.0, np.abs(ref_logabs)))
     assert np.all(np.abs(phase - ref_sign) <= 1e-12)
+
+
+def _record_guards(monkeypatch):
+    """The (order, refused) of every matrix stack the guard of the panel
+    factors checks, in order: in-panel blocks, then the coupling system."""
+    guarded = []
+    ill_conditioned = BS._ill_conditioned
+
+    def record(x, inv_norm):
+        guarded.append((x.shape[-1], ill_conditioned(x, inv_norm)))
+        return guarded[-1][1]
+
+    monkeypatch.setattr(BS, "_ill_conditioned", record)
+    return guarded
 
 
 def test_an_ill_conditioned_panel_block_solves_densely(monkeypatch):
@@ -853,10 +867,13 @@ def test_an_ill_conditioned_panel_block_solves_densely(monkeypatch):
     roots = BS.locate_eigenvalues(one_panel, re_range=(-100.0, 0.0), im_range=(-8.0, 2.0))
     assert roots
     rhs = np.random.default_rng(4).standard_normal((1, np.count_nonzero(full.support_mask()), 2))
+    guarded = _record_guards(monkeypatch)
     for root in roots:
         system = BS.BoundarySystem(full, z=root["z"])
         assert system.sigma_min() > 1e-5   # A is regular at z*
-        assert system._panel_factors() is None
+        guarded.clear()
+        assert system._panel_factors()[0] is None
+        assert guarded == [(full.grid.n, True)]   # refused by its in-panel block
         a = system._a()
         lu = scipy.linalg.lu_factor(a[0], check_finite=False)
         assert np.array_equal(system.a_solve(rhs)[0], scipy.linalg.lu_solve(lu, rhs[0]))
@@ -867,6 +884,30 @@ def test_an_ill_conditioned_panel_block_solves_densely(monkeypatch):
             patch.setattr(BS, "PANEL_CONDITION_MAX", math.inf)
             unguarded = BS.BoundarySystem(full, z=root["z"])
             assert _backward_error(a, unguarded.a_solve(rhs), rhs) > 1e-10
+
+
+def test_a_singular_coupling_system_solves_densely(monkeypatch):
+    # det A = prod_q det E_q det R: at an eigenvalue z* of a well over
+    # several panels A is singular to rounding while its in-panel blocks
+    # are regular, so R is singular, and its guard sends the stack to the
+    # dense LU and slogdet instead of raising
+    model = sylvester_model("wide_well")
+    roots = BS.locate_eigenvalues(model)
+    assert roots
+    guarded = _record_guards(monkeypatch)
+    panels = np.unique(model.grid.panel_index[model.support_mask()]).size
+    rhs = np.random.default_rng(5).standard_normal((1, np.count_nonzero(model.support_mask()), 2))
+    for root in roots:
+        system = BS.BoundarySystem(model, z=root["z"])
+        assert system.sigma_min() < 1e-12
+        guarded.clear()
+        assert system._panel_factors()[0] is None
+        assert guarded == [(model.grid.n, False), (2 * panels, True)]
+        a = system._a()
+        lu = scipy.linalg.lu_factor(a[0], check_finite=False)
+        assert np.array_equal(system.a_solve(rhs)[0], scipy.linalg.lu_solve(lu, rhs[0]))
+        ref_sign, ref_logabs = np.linalg.slogdet(a[0])
+        assert system.log_det() == (ref_logabs, ref_sign)
 
 
 STACKS = [{"z": np.array([3.0 + 0.7j, -1.5 - 2.0j, 0.4 + 0.05j])},
