@@ -19,12 +19,12 @@ runs the same code on every backend; sigma_min, solves, R_H applications
 and log det all come from it.  The sweeps over many independent points
 run in stacks of at most ``BATCH_POINTS`` (``over_stacks``): the
 ``sigma_profile`` of a scan, threshold lam = 0 included, and of the
-singularity probe of the ``calculus`` forms, the eps samples of
-``order_estimate``, the log|det| surface of ``locate_eigenvalues`` and
-the contour of ``eigenvalue_winding`` (one circle rule, ``_circle``,
-shared with the rank, trace and vector action of
-``calculus.riesz_projection``).  Golden-section refinement, Newton steps,
-kernel vectors and inverses ask for one point at a time.
+singularity probe of the ``calculus`` forms, their quadrature nodes, the
+eps samples of ``order_estimate``, the log|det| surface of
+``locate_eigenvalues`` and the contour of ``eigenvalue_winding`` (one
+circle rule, ``_circle``, shared with the rank, trace and vector action
+of ``calculus.riesz_projection``).  Golden-section refinement, Newton
+steps, kernel vectors and inverses ask for one point at a time.
 
 K = C R0 C W has no columns off the support S of W.  Ordering the nodes
 as (S, T), Id + K = [[A, 0], [B, I]] with A = I + K_SS and B = K_TS, so
@@ -141,9 +141,9 @@ PANEL_CONDITION_MAX = 1e8
 #: at once, while stacks of 11 to 22 points already run as fast as longer
 #: ones.  On a well over 80 of 192 nodes (5 of 12 panels) a product-form
 #: point and its mirror hold 0.28 MB after a two-column R_H application
-#: (0.35 MB at the peak; tracemalloc): 0.2 MB of partials on the 12
-#: panels and 0.04 MB of in-panel blocks, where the |S| x |S| blocks and
-#: LU factors of a dense A held 0.51 MB (0.65 MB).
+#: (0.35 MB at the peak; tracemalloc), 0.2 MB of it partials on the 12
+#: panels; so does a node of an adaptive rule (24, two stacks of 12), and
+#: the Stone forms' cache keeps them all (27 MB for a ``calculus`` pass).
 BATCH_POINTS = 22
 
 
@@ -469,9 +469,9 @@ class BoundarySystem:
     of a (K, 2P, 2P) coupling system, and the dense LU is one 2-D
     factorization per point (SciPy's batched LU loops over the same 2-D
     calls in a slower wrapper).  Either is kept: the ``calculus`` cache
-    reuses it across pairs.  ``sigma_min``, ``log_det`` and
-    ``weighted_resolvent_norm`` come from one stacked SVD or slogdet;
-    ``w_solve`` and ``resolvent_apply`` take samples as columns,
+    reuses it across pairs, per stack of quadrature nodes.  ``sigma_min``,
+    ``log_det`` and ``weighted_resolvent_norm`` come from one stacked SVD
+    or slogdet; ``w_solve`` and ``resolvent_apply`` take samples as columns,
     (K, N, m), or (N[, m]) shared by every point for ``resolvent_apply``.
     These and ``k_support`` give a system built at one point that point's
     float, complex or array (``_as_given``), with the bits it has in any

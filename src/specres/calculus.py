@@ -28,10 +28,10 @@ not time: every point of a stack keeps its partials and the factors of
 its A = I + K_SS alive at once (0.28 MB a point with its mirror on a
 well over 80 of 192 nodes, where A factorizes through its 5 panels).
 The contour rank, trace and vector action of a continuum
-``riesz_projection`` and the singularity probe of the boundary-exact
-forms (``bs.sigma_profile``) run in such stacks too.  The adaptive forms
-ask for one point at a time: their systems are cached per (lam, side),
-factors of A included, and shared across test pairs and intervals.
+``riesz_projection``, the singularity probe of the boundary-exact forms
+(``bs.sigma_profile``) and the 24 Gauss nodes of a subinterval of the
+adaptive forms (each point with its bits alone) run in such stacks too;
+the Stone forms cache theirs, factors of A included, across test pairs.
 """
 
 from __future__ import annotations
@@ -118,8 +118,6 @@ def mode_transform(model, samples, k):
 def free_form(model, interval, u, v, f=None, n_k=None):
     """<u, [f 1_I](H0) v> via the explicit spectral measure of H0."""
     a, b = interval
-    if a >= b:
-        return 0.0 + 0.0j
     ka, kb = math.sqrt(max(a, 0.0)), math.sqrt(max(b, 0.0))
     if kb <= ka:
         return 0.0 + 0.0j
@@ -160,32 +158,31 @@ def free_apply(model, interval, v):
 # ---------------------------------------------------------------------------
 
 
-def _adaptive(func, a, b, rtol=1e-4, max_depth=12, blowup_scale=None, _depth=0):
-    """Recursive panel quadrature; raises IntegrandBlowupError when panel
-    refinement keeps amplifying the local integrand."""
-    coarse_rule = gauss_legendre(8, a, b)
-    fine_rule = gauss_legendre(16, a, b)
-    fc = np.asarray([func(x) for x in coarse_rule.nodes])
-    ff = np.asarray([func(x) for x in fine_rule.nodes])
-    coarse = coarse_rule.weights @ fc
-    fine = fine_rule.weights @ ff
-    scale = max(np.max(np.abs(ff)), 1e-300)
+def _adaptive(values, a, b, rtol=1e-4, blowup_scale=None, _depth=0):
+    """Recursive panel quadrature by 8- and 16-point Gauss rules, the 24
+    nodes of a subinterval as one stack, values(nodes) -> (24, ...); raises
+    IntegrandBlowupError when refinement keeps amplifying the integrand."""
+    rules = gauss_legendre(8, a, b), gauss_legendre(16, a, b)
+    f = values(np.concatenate([rule.nodes for rule in rules]))
+    coarse, fine = rules[0].weights @ f[:8], rules[1].weights @ f[8:]
+    scale = max(np.max(np.abs(f[8:])), 1e-300)
     if blowup_scale and scale > blowup_scale:
         raise IntegrandBlowupError(
             f"integrand magnitude {scale:.3e} exceeds blow-up bound "
             f"{blowup_scale:.3e} on [{a:.6g}, {b:.6g}]"
         )
     err = np.max(np.abs(fine - coarse))
-    if err <= rtol * max(1.0, float(np.max(np.abs(fine)))) or _depth >= max_depth:
-        if _depth >= max_depth and err > 10 * rtol * max(1.0, float(np.max(np.abs(fine)))):
+    deepest = _depth >= 12
+    if err <= rtol * max(1.0, float(np.max(np.abs(fine)))) or deepest:
+        if deepest and err > 10 * rtol * max(1.0, float(np.max(np.abs(fine)))):
             raise IntegrandBlowupError(
                 f"quadrature failed to converge on [{a:.6g}, {b:.6g}] "
                 f"(residual {err:.3e}); integrand likely singular"
             )
         return fine
     mid = 0.5 * (a + b)
-    left = _adaptive(func, a, mid, rtol, max_depth, blowup_scale, _depth + 1)
-    right = _adaptive(func, mid, b, rtol, max_depth, blowup_scale, _depth + 1)
+    left = _adaptive(values, a, mid, rtol, blowup_scale, _depth + 1)
+    right = _adaptive(values, mid, b, rtol, blowup_scale, _depth + 1)
     return left + right
 
 
@@ -194,29 +191,28 @@ def _adaptive(func, a, b, rtol=1e-4, max_depth=12, blowup_scale=None, _depth=0):
 # ---------------------------------------------------------------------------
 
 
-def _boundary_system(model, lam, side, cache):
-    """The BoundarySystem at (lam, side), shared through ``cache``; both
-    sides at lam are cached together, the minus side the mirror of the
-    plus side."""
-    if (lam, side) not in cache:
-        plus = bs.BoundarySystem(model, lam=lam, side="+")
-        cache[(lam, "+")], cache[(lam, "-")] = plus, plus.mirror()
-    return cache[(lam, side)]
+def _correction_pairing(model, lams, u, v, cache):
+    """<C R0(l -/+ i0) u, W (Id + K(l, +/-))^(-1) C R0(l +/- i0) v>, the
+    W-localized form of <u, R0 C W (Id - C R_H C W) C R0 v>, at every lam
+    of a 1-D array: (K, 2), plus side first.  Each stack of ``bs.over_stacks``
+    keeps its plus-side system and mirror in ``cache`` under (stack, side);
+    all four R0 applications come from the plus side, R0(l - i0) x =
+    conj(R0(l + i0) conj x), bitwise the mirror's own."""
+    c, w = model.c_values, model.grid.weights
 
+    def pairings(stack):
+        key = tuple(stack.tolist())
+        if (key, "+") not in cache:
+            plus = bs.BoundarySystem(model, lam=stack, side="+")
+            cache[(key, "+")], cache[(key, "-")] = plus, plus.mirror()
+        plus, minus = cache[(key, "+")], cache[(key, "-")]
+        ru, rv = plus.action.apply(u), plus.action.apply(v)
+        ru_minus, rv_minus = (np.conj(plus.action.apply(np.conj(x))) for x in (u, v))
+        tp = np.sum(w * np.conj(c * ru_minus) * plus.w_solve(c * rv), axis=-1)
+        tm = np.sum(w * np.conj(c * ru) * minus.w_solve(c * rv_minus), axis=-1)
+        return np.stack([tp, tm], axis=-1)
 
-def _correction_pairing(model, lam, side, u, v, cache):
-    """<C R0(l -/+ i0) u, W (Id + K(l, +/-))^(-1) C R0(l, +/-) v>.
-
-    This is the W-localized form of <u, R0 C W (Id - C R_H C W) C R0 v>,
-    the full second-plus-third order correction of the resolvent
-    expansion.  Both sides' systems at lam come from ``cache``.
-    """
-    system = _boundary_system(model, lam, side, cache)
-    other = _boundary_system(model, lam, "-" if side == "+" else "+", cache)
-    c = model.c_values
-    left = c * other.action.apply(u)
-    wsol = system.w_solve(c * system.action.apply(v))
-    return complex(np.sum(model.grid.weights * np.conj(left) * wsol))
+    return bs.over_stacks(pairings, lams)
 
 
 def spectral_form(model, interval, u, v, f=None, blowup_scale=None, cache=None):
@@ -231,11 +227,11 @@ def spectral_form(model, interval, u, v, f=None, blowup_scale=None, cache=None):
         return free
     cache = {} if cache is None else cache
 
-    def integrand(k):
-        lam = k * k
-        tp = _correction_pairing(model, lam, "+", u, v, cache)
-        tm = _correction_pairing(model, lam, "-", u, v, cache)
-        return -fval(lam) * (tp - tm) / (2j * math.pi) * 2.0 * k
+    def integrand(ks):
+        # each point's value in Python's complex arithmetic, as it is alone
+        pairs = _correction_pairing(model, ks * ks, u, v, cache).tolist()
+        return np.array([-fval(k * k) * (tp - tm) / (2j * math.pi) * 2.0 * k
+                         for k, (tp, tm) in zip(ks, pairs)])
 
     ka, kb = math.sqrt(max(a, 0.0)), math.sqrt(b)
     corr = _adaptive(integrand, ka, kb, blowup_scale=blowup_scale)
@@ -288,14 +284,14 @@ def stone_apply(model, interval, v):
     if model.w_is_zero:
         return out
 
-    def vec_integrand(k):
-        lam = k * k
-        plus = bs.BoundarySystem(model, lam=lam, side="+")
-        pieces = []
-        for system, sgn in ((plus, 1.0), (plus.mirror(), -1.0)):
-            _, src = system.resolvent_apply(v)
-            pieces.append(sgn * system.action.evaluate(src, pts))
-        return -(pieces[0] + pieces[1]) / (2j * math.pi) * 2.0 * k
+    def jump(lams):
+        plus = bs.BoundarySystem(model, lam=lams, side="+")
+        pieces = [sgn * system.action.evaluate(system.resolvent_apply(v)[1], pts)
+                  for system, sgn in ((plus, 1.0), (plus.mirror(), -1.0))]
+        return pieces[0] + pieces[1]
+
+    def vec_integrand(ks):
+        return -bs.over_stacks(jump, ks * ks) / (2j * math.pi) * 2.0 * ks[:, None]
 
     corr = _adaptive(vec_integrand, math.sqrt(max(a, 0.0)), math.sqrt(b))
     return out + corr
@@ -407,11 +403,9 @@ def regularized_calculus_form(model, interval, rf, u, v, cache=None):
     # blow-up bound: the regularized integrand should stay within a few
     # orders of magnitude of its median scale on the interval
     probe = np.linspace(max(interval[0], 1e-6), interval[1], 16)
-    probe_vals = []
     cache = {} if cache is None else cache
-    for lam in probe:
-        tp = _correction_pairing(model, lam, "+", u, v, cache)
-        probe_vals.append(abs(complex(rf(lam))) * abs(tp))
+    tps = _correction_pairing(model, probe, u, v, cache)[:, 0].tolist()
+    probe_vals = [abs(complex(rf(lam))) * abs(tp) for lam, tp in zip(probe, tps)]
     blow = 1e6 * max(np.median(probe_vals), 1e-12) / max(norm_u * norm_v, 1e-300)
     val = spectral_form(
         model, interval, u, v, f=rf, blowup_scale=blow * norm_u * norm_v, cache=cache,
@@ -773,13 +767,17 @@ def resolution_residual(model, reg, pairs, lam_max=100.0, rtol=1e-4,
             pv = proj.action(v)
             disc += complex(reg(zj)) * grid_inner(model, u, pv)
 
-        def integrand(k):
-            lam = k * k
-            system = bs.BoundarySystem(model, lam=lam, side="+")
+        def jump(lams):
+            system = bs.BoundarySystem(model, lam=lams, side="+")
             plus, _ = system.resolvent_apply(v)
             minus, _ = system.mirror().resolvent_apply(v)
-            jump = grid_inner(model, u, plus - minus)
-            return complex(reg(lam)) * jump / (2j * math.pi) * 2.0 * k
+            return np.sum(model.grid.weights * np.conj(u) * (plus - minus), axis=-1)
+
+        def integrand(ks):
+            # each point's value in Python's complex arithmetic, as it is alone
+            jumps = bs.over_stacks(jump, ks * ks).tolist()
+            return np.array([complex(reg(k * k)) * j / (2j * math.pi) * 2.0 * k
+                             for k, j in zip(ks, jumps)])
 
         norm_uv = grid_norm(model, u) * grid_norm(model, v)
         edges = [1e-4] + sing_ks + [math.sqrt(lam_max)]
@@ -789,7 +787,7 @@ def resolution_residual(model, reg, pairs, lam_max=100.0, rtol=1e-4,
             ess += _adaptive(integrand, a, b, rtol=rtol,
                              blowup_scale=1e7 * norm_uv)
         k_hi = math.sqrt(lam_max)
-        tail_scale = abs(integrand(k_hi)) + abs(integrand(0.97 * k_hi))
+        tail_scale = sum(map(abs, integrand(np.array([k_hi, 0.97 * k_hi])).tolist()))
         tail_est = tail_scale * k_hi  # |r~| <= c/lam decay integrated
         resid = abs(lhs - disc - ess) / max(norm_uv, 1e-300)
         out.append({

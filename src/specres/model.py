@@ -681,7 +681,8 @@ class FreeResolventAction:
         these, and it reads the conjugates of whatever partials this action
         has or computes on its request, so it never evaluates phi or psi on
         the partial tensors; its blocks, and a matrix it assembles from
-        them, are bitwise the conjugates of this action's.  The mirror
+        them, are bitwise the conjugates of this action's; so is ``apply``,
+        conj(R0(k) conj x), which a caller holding both takes here.  The mirror
         holds this action, not the other way round, so the pair forms no
         reference cycle.  The mirror of a mirror is its source."""
         if self._source is not None:
@@ -813,7 +814,7 @@ class FreeResolventAction:
 
     def evaluate(self, samples, points):
         """(R0 g)(x) at arbitrary points, exterior points included, for a
-        vector g: (K, points).
+        vector g shared by every point, or one per point, (K, N): (K, points).
 
         Inside the grid the partial integrals over the panel of x run on
         the Lagrange interpolant of the samples there, by the 2n-point
@@ -826,7 +827,7 @@ class FreeResolventAction:
         g = self.grid
         samples = np.asarray(samples, dtype=complex)
         points = np.atleast_1d(np.asarray(points, dtype=float))
-        cols, before, after = (a[..., 0] for a in self._moments(samples))
+        cols, before, after = (a[..., 0] for a in self._moments(samples[..., None]))
         out = np.empty(self.ks.shape + points.shape, dtype=complex)
         above, below = points >= g.hi, points <= g.lo
         out[:, above] = self.psi(points[above]) * before[:, -1:]
@@ -841,7 +842,7 @@ class FreeResolventAction:
             half = 0.5 * (hi - lo)[:, None]
             pts = 0.5 * (lo + hi)[:, None] + half * sub_x
             basis = g.lagrange_values(g.to_reference(p[:, None], pts).ravel())
-            interp = np.einsum("xsm,xm->xs", basis.reshape(pts.shape + (g.n,)), cols[p])
+            interp = np.einsum("xsm,...xm->...xs", basis.reshape(*pts.shape, g.n), cols[..., p, :])
             return np.sum(half * sub_w * f(pts) * interp, axis=-1)
 
         a, b = g.edges[p], g.edges[p + 1]

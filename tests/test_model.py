@@ -213,6 +213,18 @@ class TestPanelMomentApply:
                                   one.conjugate().apply(own[i]), one.conjugate().block(rows, cols))):
                 assert _normwise(got, want) <= 1e-14
 
+    def test_a_stack_evaluates_each_point_on_its_own_samples(self, name):
+        # samples (K, N), one vector per point, give each point's value off
+        # the grid as one action at that point alone gives it, bit for bit
+        model = action_model(name)
+        ks = np.array([1.7, -0.4 + 2.0j, 0.3 + 0.01j, -2.5])
+        own = np.stack([_samples(model, seed, 0) for seed in range(ks.size)])
+        points = [model.grid.lo - 1.0, -0.3, 0.5, 3.0, 7.7, model.grid.hi + 1.0]
+        out = M.FreeResolventAction(model, ks).evaluate(own, points)
+        assert out.shape == (ks.size, len(points))
+        for i, k in enumerate(ks):
+            assert np.array_equal(out[i], M.FreeResolventAction(model, k).evaluate(own[i], points))
+
     def test_apply_forms_no_matrix(self, name, monkeypatch):
         def full_assembly(act):
             raise AssertionError("N x N free-kernel assembly")
@@ -345,6 +357,18 @@ class TestMirrorAction:
         for got, want in zip(_outputs(source, f, rows, cols, points),
                              _outputs(unmirrored, f, rows, cols, points)):
             assert _normwise(got, want) <= 1e-14
+
+    @pytest.mark.parametrize("ks", [1.7, [1.7, -0.4 + 2.0j, 0.3 + 0.01j]])
+    def test_the_mirror_applies_the_conjugate_of_its_source(self, name, ks):
+        # R0(-conj k) x = conj(R0(k) conj x) bit for bit, for a vector, columns
+        # and columns per point: a caller holding the source takes the
+        # mirror's applications from it
+        model = action_model(name)
+        source = M.FreeResolventAction(model, np.array(ks))
+        mirror = source.conjugate()
+        per_point = np.stack([_samples(model, seed, 2) for seed in range(source.ks.size)])
+        for x in (_samples(model, 1, 0), _samples(model, 2, 3), per_point):
+            assert np.array_equal(mirror.apply(x), np.conj(source.apply(np.conj(x))))
 
     def test_the_pair_evaluates_the_kernel_once(self, name, monkeypatch):
         contracted = []
