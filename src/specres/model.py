@@ -681,8 +681,8 @@ class FreeResolventAction:
         these, and it reads the conjugates of whatever partials this action
         has or computes on its request, so it never evaluates phi or psi on
         the partial tensors; its blocks, and a matrix it assembles from
-        them, are bitwise the conjugates of this action's; so is ``apply``,
-        conj(R0(k) conj x), which a caller holding both takes here.  The mirror
+        them, are bitwise the conjugates of this action's; its ``apply`` is
+        bitwise conj(R0(k) conj x), so callers may take it from here.  The mirror
         holds this action, not the other way round, so the pair forms no
         reference cycle.  The mirror of a mirror is its source."""
         if self._source is not None:
