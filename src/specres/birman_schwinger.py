@@ -23,8 +23,11 @@ singularity probe of the ``calculus`` forms, their quadrature nodes, the
 eps samples of ``order_estimate``, the log|det| surface of
 ``locate_eigenvalues`` and the contour of ``eigenvalue_winding`` (one
 circle rule, ``_circle``, shared with the rank, trace and vector action
-of ``calculus.riesz_projection``).  Golden-section refinement, Newton
-steps, kernel vectors and inverses ask for one point at a time.
+of ``calculus.riesz_projection``).  On a support spanning several
+panels those stacks share the usable CPUs, the calling thread and a pool
+of worker threads, with the bits they have serially.  Golden-section
+refinement, Newton steps, kernel vectors and inverses ask for one point
+at a time.
 
 K = C R0 C W has no columns off the support S of W.  Ordering the nodes
 as (S, T), Id + K = [[A, 0], [B, I]] with A = I + K_SS and B = K_TS, so
@@ -75,8 +78,12 @@ traces.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,14 +144,20 @@ PANEL_CONDITION_MAX = 1e8
 
 #: most spectral points in one stack (a ``BoundarySystem`` at an array of
 #: points).  Memory sets it, not speed: every point of a stack keeps its
-#: in-panel partials and the factors of A, and those of its mirror, alive
-#: at once, while stacks of 11 to 22 points already run as fast as longer
-#: ones.  On a well over 80 of 192 nodes (5 of 12 panels) a product-form
-#: point and its mirror hold 0.28 MB after a two-column R_H application
-#: (0.35 MB at the peak; tracemalloc), 0.2 MB of it partials on the 12
-#: panels; so does a node of an adaptive rule (24, two stacks of 12), and
-#: the Stone forms' cache keeps them all (27 MB for a ``calculus`` pass).
+#: in-panel partials and the factors of A, and its mirror's factors of A,
+#: alive at once, while stacks of 11 to 22 points already run as fast as
+#: longer ones.  On a well over 80 of 192 nodes (5 of 12 panels) a
+#: product-form point and its mirror hold 0.18 MB after a two-column R_H
+#: application (0.23 MB at the peak; tracemalloc), 0.1 MB of it the
+#: partials of the plus side on the 12 panels (a mirror keeps none); so
+#: does a node of an adaptive rule (24, two stacks of 12), and the Stone
+#: forms' cache keeps them all (17 MB for a ``calculus`` pass).
 BATCH_POINTS = 22
+
+_thread_cap = None              # the cap of ``thread_cap``; None: every usable CPU
+_pool = (0, None)               # (workers, executor) of ``over_stacks``, made on first use
+_pool_lock = threading.Lock()
+_in_stack = threading.local()   # .active: this thread runs a stack of a pooled call
 
 
 def point_batches(points):
@@ -154,11 +167,113 @@ def point_batches(points):
     return np.array_split(points, -(-points.size // BATCH_POINTS))
 
 
-def over_stacks(values, points):
+@contextlib.contextmanager
+def thread_cap(threads):
+    """Inside the block ``over_stacks`` runs on at most ``threads``
+    threads, the calling one included (``specres --threads``)."""
+    global _thread_cap
+    saved, _thread_cap = _thread_cap, threads
+    try:
+        yield
+    finally:
+        _thread_cap = saved
+
+
+def _stack_pool():
+    """(workers, executor): the worker threads of ``over_stacks``, one
+    fewer than the usable CPUs under ``thread_cap``, the caller being the
+    other; None when that is none.  Made on first use, and again when that
+    number changes."""
+    global _pool
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers or 1, math.inf if _thread_cap is None else _thread_cap) - 1
+    if workers < 1:
+        return None
+    with _pool_lock:
+        if _pool[0] != workers:
+            if _pool[1] is not None:
+                _pool[1].shutdown(wait=False)
+            _pool = workers, ThreadPoolExecutor(workers, thread_name_prefix="specres-stack")
+        return _pool
+
+
+def _forget_pool():
+    """In a forked child: the parent's pool threads do not exist there, so
+    the child makes its own pool on first use."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = (0, None), threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):   # POSIX
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _pooled(values, stack):
+    """values(stack) in a stack of a pooled call: ``over_stacks`` calls
+    made inside it run serially."""
+    _in_stack.active = True
+    try:
+        return values(stack)
+    finally:
+        _in_stack.active = False
+
+
+def _spans_panels(model):
+    """Whether ``BoundarySystem`` factorizes A through its panels: a
+    multiplication W on a continuum backend whose support spans more than
+    one panel."""
+    return (model.backend != "finite" and model.w_sample_matrix is None
+            and model.support_split[0].size > 0
+            and model.support_run[1].size > model.grid.n)
+
+
+def over_stacks(model, values, points):
     """``values(stack)``, a (K, ...) array for a stack of K points, at
     every point of a non-empty 1-D array, evaluated on its
-    ``point_batches``."""
-    return np.concatenate([values(stack) for stack in point_batches(points)])
+    ``point_batches`` and concatenated in their order.
+
+    When A factorizes through the panels of the model (``_spans_panels``),
+    the stacks are shared with the worker threads of ``_stack_pool``: the
+    calling thread evaluates every (workers + 1)-th stack, the first
+    included, and the pool the others; NumPy releases the GIL in its
+    kernels, so they overlap.  A stack gives the same bits on any thread.
+    On a one-panel support (dense A: the ``scan`` and ``eigen`` wells)
+    the stacks are too short to pay for a second thread, and they run in
+    this thread one after another, as do the stacks of a call made inside
+    a stack of a pooled one.  Pooled, two stacks and their systems are
+    alive at once: on the well over 80 of 192 nodes the product forms of
+    a ``calculus`` pass peak at 12 MB above their start and the ac jump
+    terms at 10.5 MB, against 7.2 and 7.0 MB serially (tracemalloc).
+
+    A failing stack raises once every stack submitted to the pool has
+    finished or been cancelled (those after the failure are): the
+    exception of the first failing stack, as the serial loop would."""
+    stacks = point_batches(points)
+    pool = (_stack_pool() if len(stacks) > 1 and _spans_panels(model)
+            and not getattr(_in_stack, "active", False) else None)
+    if pool is None:
+        return np.concatenate([values(stack) for stack in stacks])
+    workers, pool = pool
+    step = workers + 1
+    futures = {i: pool.submit(_pooled, values, stack)
+               for i, stack in enumerate(stacks) if i % step}
+    results, failed, error = [None] * len(stacks), len(stacks), None
+    for i in range(0, len(stacks), step):
+        try:
+            results[i] = _pooled(values, stacks[i])
+        except BaseException as exc:   # the caller's first failing stack
+            failed, error = i, exc
+            break
+    for i, future in futures.items():
+        if i > failed:
+            future.cancel()
+    wait(futures.values())
+    for i, future in futures.items():   # in stack order
+        if i < failed:
+            results[i] = future.result()   # raises the stack's exception
+    if error is not None:
+        raise error
+    return np.concatenate(results)
 
 
 class SingularBoundaryError(ModelError):
@@ -286,6 +401,23 @@ def _ill_conditioned(x, inv_norm):
     return not (_norm_1(x) * inv_norm).max() <= PANEL_CONDITION_MAX
 
 
+def _in_panel_products(act, uv, panels):
+    """u_q left_q + v_q right_q on the panels of ``panels``, (K, P, n, n):
+    D_q before its column scale, from the generators uv (K, P, n, 2) and
+    the in-panel partials of the action.  A mirror keeps no partials: its
+    products are the conjugates of its source's, conj(conj(u) left +
+    conj(v) right), bitwise those of the conjugate partials.  The second
+    product is added panel by panel, without a full-size temporary."""
+    source = act._source or act
+    if source is not act:
+        uv = np.conj(uv)
+    left, right = source._partials(panels.start, panels.stop)
+    e = uv[..., :1] * left[:, panels]
+    for q in range(panels.stop - panels.start):
+        e[:, q] += uv[:, q, :, 1:] * right[:, panels.start + q]
+    return np.conj(e, out=e) if source is not act else e
+
+
 @dataclass(eq=False)
 class _PanelFactors:
     """A = I + K_SS factorized through its panels at every point of a
@@ -347,9 +479,7 @@ class _PanelFactors:
         uv = (uv * inside[:, None]).reshape(shape + (2,))
         # W vanishes off S: so do the columns of the moments and of D_q
         moments = _w_columns(model, moments, run).reshape(k, 2, npan, n).transpose(0, 2, 1, 3)
-        left, right = act._partials(panels.start, panels.stop)
-        e = uv[..., :1] * left[:, panels]
-        e += uv[..., 1:] * right[:, panels]
+        e = _in_panel_products(act, uv, panels)
         e *= _w_columns(model, model.c_values[run], run).reshape(npan, 1, n)
         e.reshape(k, npan, -1)[..., :: n + 1] += 1.0
         scale = np.abs(uv).max(axis=-2)   # (K, P, 2): max |u_q|, max |v_q|
@@ -484,10 +614,15 @@ class BoundarySystem:
     ``mirror`` is the system at the mirror point, (lam, -/+) for (lam, +/-)
     and conj z for z.  H0 is real, so its free action is
     ``action.conjugate()``, which shares this system's evaluation of the
-    free kernel, and its K_SS is the conjugate of this system's free-kernel
-    block on S times the weights of K (no second ``block``); the factors of
-    its K_TS are the conjugate psi, phi and moments of that action.  A and
-    its factors are its own, because W is complex.
+    free kernel and keeps no partials: its R0 applications and blocks are
+    the conjugates of this system's.  Its K_SS is the conjugate of this
+    system's free-kernel block on S times the weights of K (no second
+    ``block``), its in-panel blocks E_q the conjugates of this system's
+    in-panel products times the weights, and the factors of its K_TS the
+    conjugate psi, phi and moments of that action.  A and its factors are
+    its own, because W is complex: on the well over 80 of 192 nodes a
+    mirror point holds 0.04 MB after a two-column R_H application, where
+    it held 0.14 MB with partials of its own (tracemalloc).
     """
 
     def __init__(self, model, z=None, lam=None, side=None):
@@ -581,11 +716,8 @@ class BoundarySystem:
         factors, else None."""
         x = None
         if self._panels is None:
-            structured = (self.action is not None and self.model.w_sample_matrix is None
-                          and self.support.size > 0
-                          and self.model.support_run[1].size > self.model.grid.n)
-            panels, x = (_PanelFactors.build(self.model, self.action, rhs) if structured
-                         else (None, None))
+            panels, x = (_PanelFactors.build(self.model, self.action, rhs)
+                         if _spans_panels(self.model) else (None, None))
             self._panels = panels or False
         return self._panels or None, x
 
@@ -900,7 +1032,8 @@ def sigma_profile(model, lam_grid):
         raise AdmissibilityError(
             f"scan range exceeds grid resolution: lam_max {lam_grid[-1]:.3g} > {limit:.3g}"
         )
-    profile = over_stacks(lambda lam: np.stack(_sigma_pair(model, lam), axis=-1), lam_grid)
+    profile = over_stacks(model, lambda lam: np.stack(_sigma_pair(model, lam), axis=-1),
+                          lam_grid)
     return {"+": profile[:, 0], "-": profile[:, 1]}
 
 
@@ -1219,7 +1352,7 @@ def order_estimate(model, lam_star, side, eps_samples):
     if eps_samples.max() / eps_samples.min() < 10.0**2.9:
         raise ModelError("order estimate needs eps samples spanning >= 3 decades")
     sgn = 1.0 if side == "+" else -1.0
-    norms = over_stacks(lambda z: BoundarySystem(model, z=z).weighted_resolvent_norm(),
+    norms = over_stacks(model, lambda z: BoundarySystem(model, z=z).weighted_resolvent_norm(),
                         lam_star + 1j * sgn * eps_samples)
     logs = np.log(norms)
     slope, intercept = np.polyfit(-np.log(eps_samples), logs, 1)
@@ -1341,7 +1474,7 @@ def locate_eigenvalues(model, re_range=(-10.0, 30.0), im_range=(-6.0, 6.0),
     res = np.linspace(re_range[0], re_range[1], n_re)
     band = np.linspace(im_range[0], im_range[1], n_im)
     ims = np.array(sorted(set(float(b) for b in band if abs(b) > 0.02) | {-0.05, 0.05}))
-    surface = over_stacks(lambda z: BoundarySystem(model, z=z).log_det()[0],
+    surface = over_stacks(model, lambda z: BoundarySystem(model, z=z).log_det()[0],
                           (res[None, :] + 1j * ims[:, None]).ravel()).reshape(ims.size, n_re)
     seeds = []
     for i in range(ims.size):
@@ -1387,7 +1520,8 @@ def _contour_trace(model, center, radius, n):
     """(1 / 2 pi i) int tr[(Id + K)^(-1) K'(z)] dz on ``_circle``, its nodes
     in stacks: the zeros of det(Id + K) inside, with multiplicity."""
     zs, dz = _circle(center, radius, n)
-    return np.sum(over_stacks(lambda z: _logdet_derivative(model, z), zs) * dz) / (2j * math.pi)
+    traces = over_stacks(model, lambda z: _logdet_derivative(model, z), zs)
+    return np.sum(traces * dz) / (2j * math.pi)
 
 
 def eigenvalue_winding(model, center, radius, n_nodes=32):

@@ -25,8 +25,9 @@ being a stack of one.  Those samples are independent points, so
 one system and its mirror per stack of at most
 ``birman_schwinger.BATCH_POINTS`` values of z.  The cap bounds memory,
 not time: every point of a stack keeps its partials and the factors of
-its A = I + K_SS alive at once (0.28 MB a point with its mirror on a
-well over 80 of 192 nodes, where A factorizes through its 5 panels).
+its A = I + K_SS alive at once (0.18 MB a point with its mirror on a
+well over 80 of 192 nodes, where A factorizes through its 5 panels and
+two stacks run at once, one per thread).
 The contour rank, trace and vector action of a continuum
 ``riesz_projection``, the singularity probe of the boundary-exact forms
 (``bs.sigma_profile``) and the 24 Gauss nodes of a subinterval of the
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import birman_schwinger as bs
-from .model import AdmissibilityError, ModelError
+from .model import AdmissibilityError, ModelError, _barycentric_weights, _lagrange_basis
 from .numerics import _leggauss, gauss_legendre
 
 __all__ = [
@@ -196,8 +197,8 @@ def _correction_pairing(model, lams, u, v, cache):
     W-localized form of <u, R0 C W (Id - C R_H C W) C R0 v>, at every lam
     of a 1-D array: (K, 2), plus side first.  Each stack of ``bs.over_stacks``
     keeps its plus-side system and mirror in ``cache`` under (stack, side);
-    all four R0 applications come from the plus side, R0(l - i0) x =
-    conj(R0(l + i0) conj x), bitwise the mirror's own."""
+    all four R0 applications come from the plus side's partials, the
+    mirror's as R0(l - i0) x = conj(R0(l + i0) conj x)."""
     c, w = model.c_values, model.grid.weights
 
     def pairings(stack):
@@ -207,12 +208,12 @@ def _correction_pairing(model, lams, u, v, cache):
             cache[(key, "+")], cache[(key, "-")] = plus, plus.mirror()
         plus, minus = cache[(key, "+")], cache[(key, "-")]
         ru, rv = plus.action.apply(u), plus.action.apply(v)
-        ru_minus, rv_minus = (np.conj(plus.action.apply(np.conj(x))) for x in (u, v))
+        ru_minus, rv_minus = minus.action.apply(u), minus.action.apply(v)
         tp = np.sum(w * np.conj(c * ru_minus) * plus.w_solve(c * rv), axis=-1)
         tm = np.sum(w * np.conj(c * ru) * minus.w_solve(c * rv_minus), axis=-1)
         return np.stack([tp, tm], axis=-1)
 
-    return bs.over_stacks(pairings, lams)
+    return bs.over_stacks(model, pairings, lams)
 
 
 def spectral_form(model, interval, u, v, f=None, blowup_scale=None, cache=None):
@@ -291,7 +292,7 @@ def stone_apply(model, interval, v):
         return pieces[0] + pieces[1]
 
     def vec_integrand(ks):
-        return -bs.over_stacks(jump, ks * ks) / (2j * math.pi) * 2.0 * ks[:, None]
+        return -bs.over_stacks(model, jump, ks * ks) / (2j * math.pi) * 2.0 * ks[:, None]
 
     corr = _adaptive(vec_integrand, math.sqrt(max(a, 0.0)), math.sqrt(b))
     return out + corr
@@ -436,7 +437,7 @@ def _batched_forms(model, zs, pairs):
         return np.stack([np.sum(wu * s.resolvent_apply(vs)[0], axis=-2)
                          for s in (system, system.mirror())], axis=1)
 
-    return np.moveaxis(bs.over_stacks(forms, zs), 1, 0)
+    return np.moveaxis(bs.over_stacks(model, forms, zs), 1, 0)
 
 
 def _inner_nodes(interval, lam, eps):
@@ -490,24 +491,27 @@ def stone_product_forms(model, interval1, interval2, pairs, f1=None, f2=None):
     structure, the Lorentzian denominators, is kept explicit.  The inner
     quadrature refines toward the diagonal m = l and the eps -> 0 limit is
     taken with an extrapolation basis containing the endpoint term
-    eps*log(eps).
+    eps*log(eps).  The interpolation is one Lagrange basis per eps
+    (``model._lagrange_basis``), shared by both signs and every pair, so a
+    call repeats to the bit.
     """
-    from scipy.interpolate import BarycentricInterpolator
-
     pairs = [(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
              for u, v in pairs]
     hull = (min(interval1[0], interval2[0]), max(interval1[1], interval2[1]))
     samp = gauss_legendre(110, hull[0] - 0.05, hull[1] + 0.05)
+    bary = _barycentric_weights(samp.nodes)
     outer = gauss_legendre(32, *interval1)
     wl = outer.weights
     if f1 is not None:
         wl = wl * np.asarray([f1(lam) for lam in outer.nodes])
     eps_arr = np.array([0.2, 0.1, 0.05, 0.025])
     results = np.empty((eps_arr.size, len(pairs)), dtype=complex)
+    # the samples of every eps in one call: 110 = 5 x 22, so each eps fills
+    # five whole stacks, and the stacks of all four share the threads
+    samples = _batched_forms(model, (samp.nodes + 1j * eps_arr[:, None]).ravel(), pairs)
+    samples = np.reshape(samples, (2, eps_arr.size, samp.nodes.size, len(pairs)))
     for ie, eps in enumerate(eps_arr):
-        fp, fm = _batched_forms(model, samp.nodes + 1j * eps, pairs)   # (110, P) each
-        interp_p = BarycentricInterpolator(samp.nodes, fp)
-        interp_m = BarycentricInterpolator(samp.nodes, fm)
+        fp, fm = samples[:, ie]   # (110, P) each
         # the inner rules of all outer nodes, concatenated: one evaluation
         # of each interpolant, then one sum per outer node
         inner = [_inner_nodes(interval2, lam, eps) for lam in outer.nodes]
@@ -517,7 +521,8 @@ def stone_product_forms(model, interval1, interval2, pairs, f1=None, f2=None):
         if f2 is not None:
             wm = wm * np.asarray([f2(x) for x in mu])
         n = outer.nodes.size
-        vp, vm = (f(np.concatenate([outer.nodes, mu])) for f in (interp_p, interp_m))
+        basis = _lagrange_basis(samp.nodes, bary, np.concatenate([outer.nodes, mu]))
+        vp, vm = basis @ fp, basis @ fm
         fl_p, fl_m = np.repeat(vp[:n], sizes, axis=0), np.repeat(vm[:n], sizes, axis=0)
         fm_p, fm_m = vp[n:], vm[n:]                   # (n_mu, P)
         d = (np.repeat(outer.nodes, sizes) - mu)[:, None]
@@ -613,8 +618,16 @@ def riesz_projection(model, lam, radius):
     if rank < 1:
         raise ModelError("contour encloses no determinant zero (no eigenvalue)")
 
+    systems = {}   # one per stack of nodes, kept for every vector
+
+    def resolvent(z, vec):
+        key = tuple(z.tolist())
+        if key not in systems:
+            systems[key] = bs.BoundarySystem(model, z=z)
+        return systems[key].resolvent_apply(vec)[0]
+
     def action(vec):
-        rv = bs.over_stacks(lambda z: bs.BoundarySystem(model, z=z).resolvent_apply(vec)[0], zs)
+        rv = bs.over_stacks(model, lambda z: resolvent(z, vec), zs)
         return -np.tensordot(dz, rv, axes=1) / (2j * math.pi)
 
     return SpectralProjection(
@@ -753,29 +766,34 @@ def resolution_residual(model, reg, pairs, lam_max=100.0, rtol=1e-4,
     reg.validate(model)
     if eigenvalues is None:
         eigenvalues = bs.locate_eigenvalues(model)
+    # the Riesz projections, and the boundary systems of every stack of
+    # the essential integral, depend on lam alone: built once for all pairs
+    projections = []
+    for entry in eigenvalues:
+        zj = entry["z"]
+        radius = min(0.25, 0.5 * abs(zj.imag) if zj.imag != 0 else 0.25)
+        projections.append((zj, riesz_projection(model, zj, max(radius, 1e-3))))
+    systems = {}
     out = []
     sing_ks = sorted(math.sqrt(l) for l, _ in reg.singularities if l > 0)
     for idx, (u, v) in enumerate(pairs):
         d2 = None if d2_profiles is None else d2_profiles[idx]
         lhs = grid_inner(model, u, regularizer_apply(model, reg, v, d2_profile=d2))
         disc = 0.0 + 0.0j
-        for entry in eigenvalues:
-            zj = entry["z"]
-            radius = min(0.25, 0.5 * abs(zj.imag) if zj.imag != 0 else 0.25)
-            radius = max(radius, 1e-3)
-            proj = riesz_projection(model, zj, radius)
-            pv = proj.action(v)
-            disc += complex(reg(zj)) * grid_inner(model, u, pv)
+        for zj, proj in projections:
+            disc += complex(reg(zj)) * grid_inner(model, u, proj.action(v))
 
         def jump(lams):
-            system = bs.BoundarySystem(model, lam=lams, side="+")
-            plus, _ = system.resolvent_apply(v)
-            minus, _ = system.mirror().resolvent_apply(v)
+            key = tuple(lams.tolist())
+            if key not in systems:
+                plus = bs.BoundarySystem(model, lam=lams, side="+")
+                systems[key] = plus, plus.mirror()
+            (plus, _), (minus, _) = (system.resolvent_apply(v) for system in systems[key])
             return np.sum(model.grid.weights * np.conj(u) * (plus - minus), axis=-1)
 
         def integrand(ks):
             # each point's value in Python's complex arithmetic, as it is alone
-            jumps = bs.over_stacks(jump, ks * ks).tolist()
+            jumps = bs.over_stacks(model, jump, ks * ks).tolist()
             return np.array([complex(reg(k * k)) * j / (2j * math.pi) * 2.0 * k
                              for k, j in zip(ks, jumps)])
 

@@ -15,10 +15,12 @@ Exit codes: 0 success, 1 a verify suite ran and one of its checks failed,
 out-of-bounds value; the message names <section>.<key>), 3 inadmissible
 range, 4 unwritable destination.
 
-``--threads N`` limits the BLAS threads through ``threadpoolctl`` when it
-is installed; otherwise they are left to the BLAS environment variables
-(e.g. OPENBLAS_NUM_THREADS).  The commands themselves run on one Python
-thread.
+``--threads N`` (default: every CPU; below 1 is a schema violation) caps
+the threads a command runs on, the calling thread included: the stacks of
+spectral points of ``birman_schwinger.over_stacks`` share at most N, and
+the BLAS threads are limited to N through ``threadpoolctl`` when it is
+installed, else left to the BLAS environment variables (e.g.
+OPENBLAS_NUM_THREADS).  Reports do not depend on N.
 """
 
 from __future__ import annotations
@@ -613,15 +615,16 @@ def main(argv=None):
     parser.add_argument("--report", default=None, help="input report for export")
     args = parser.parse_args(argv)
 
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=max(1, args.threads))
-    except Exception:
-        pass
-
     t0 = time.time()
     try:
+        if args.threads < 1:
+            raise SchemaError(f"--threads must be at least 1, got {args.threads}")
+        try:
+            from threadpoolctl import threadpool_limits
+
+            threadpool_limits(limits=args.threads)
+        except Exception:
+            pass
         if args.command == "export":
             if not args.report:
                 raise SchemaError("export needs --report <json path>")
@@ -631,7 +634,8 @@ def main(argv=None):
             if not args.config:
                 raise SchemaError("missing --config <path>")
             cfg, cfg_dict = load_config(args.config)
-            results = COMMANDS[args.command](cfg)
+            with bs.thread_cap(args.threads):
+                results = COMMANDS[args.command](cfg)
     except SchemaError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -624,7 +624,7 @@ class FreeResolventAction:
     moments in O(N n) per vector and never form the N x N matrix; ``block``
     forms only the entries asked for, and ``matrix`` is the block over all
     nodes.  All three read one memo of in-panel partial integrals, filled
-    only on the panels asked for.
+    only on the panels asked for (a mirror reads its source's).
 
     The action runs at a stack of K independent spectral points sharing
     one pass of NumPy calls: ``k`` is a 1-D array of K wavenumbers, or one
@@ -678,13 +678,15 @@ class FreeResolventAction:
         """The action at -conj(k), sharing this one's kernel evaluation.
 
         The mirror's phi, psi, pref and moment weights are the conjugates of
-        these, and it reads the conjugates of whatever partials this action
-        has or computes on its request, so it never evaluates phi or psi on
-        the partial tensors; its blocks, and a matrix it assembles from
-        them, are bitwise the conjugates of this action's; its ``apply`` is
-        bitwise conj(R0(k) conj x), so callers may take it from here.  The mirror
-        holds this action, not the other way round, so the pair forms no
-        reference cycle.  The mirror of a mirror is its source."""
+        these.  It keeps no partials of its own: its ``apply`` is
+        conj(R0(k) conj x) and its blocks, and a matrix it assembles from
+        them, are the conjugates of this action's, all bitwise those of
+        conjugate partials, and ``birman_schwinger._PanelFactors``
+        conjugates this action's in-panel products.  A mirror thus costs
+        its five conjugate (K, N) arrays, 12 KB a point on a 192-node
+        grid, and never evaluates phi or psi on the partial tensors.  The
+        mirror holds this action, not the other way round, so the pair
+        forms no reference cycle.  The mirror of a mirror is its source."""
         if self._source is not None:
             return self._source
         mirror = object.__new__(FreeResolventAction)
@@ -701,13 +703,7 @@ class FreeResolventAction:
 
     def _fill(self, a, b):
         """Fill the partials memo on the panels [a, b): contract phi and psi
-        at the interpolation points against the partial tensors, or, in a
-        mirror, conjugate the source's."""
-        if self._source is not None:
-            left, right = self._source._partials(a, b)
-            np.conj(left[:, a:b], out=self._left[:, a:b])
-            np.conj(right[:, a:b], out=self._right[:, a:b])
-            return
+        at the interpolation points against the partial tensors."""
         y, half, tl, tr = self.grid.partial_tensors()
         for memo, f, t in ((self._left, self.phi, tl), (self._right, self.psi, tr)):
             values = f(y[a:b]).transpose(1, 0, 2) * half[a:b, None, None]
@@ -751,8 +747,10 @@ class FreeResolventAction:
         panel.  Sources inside q read the partial integrals, needed only on
         the run of panels that rows and cols share, in one gather.  The pass
         never reads the memoized matrix, so each entry has the same bits
-        whatever else has been assembled.
+        whatever else has been assembled.  A mirror conjugates its source's.
         """
+        if self._source is not None:
+            return np.conj(self._source.block(rows, cols))
         g = self.grid
         pref = self.pref[:, None]
         psi_r = pref * self.psi_nodes.take(rows, axis=1)
@@ -798,8 +796,11 @@ class FreeResolventAction:
         """R0 g on the grid for samples g (a vector, or the columns of a
         matrix; per point with shape (K, N, m)), (K, N[, m]): exactly
         ``matrix() @ samples`` up to rounding, in O(N n) per column and
-        without forming the N x N matrix."""
+        without forming the N x N matrix.  A mirror conjugates its
+        source's, conj(R0(k) conj g)."""
         samples = np.asarray(samples, dtype=complex)
+        if self._source is not None:
+            return np.conj(self._source.apply(np.conj(samples)))
         g = self.grid
         cols, before, after = self._moments(samples)
         left, right = self._partials(0, g.npanels)

@@ -381,7 +381,7 @@ def _jump_terms(model, lams, cw):
         return np.stack((free, -second["-"], +second["+"], third["-"], -third["+"]),
                         axis=-3)[..., 0]
 
-    return bs.over_stacks(terms, lams)
+    return bs.over_stacks(model, terms, lams)
 
 
 def ac_equality_check(model):

@@ -1,6 +1,9 @@
 import cmath
 import functools
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from specres import birman_schwinger as BS
 from specres import calculus as C
 from specres import families as F
 from specres import model as M
+from specres import subspaces as S
 from specres.model import AdmissibilityError, ModelError
 from specres.numerics import LimitSequence, extrapolate_to_zero
 
@@ -1192,3 +1196,137 @@ def test_weighted_resolvent_norm_matches_the_full_order_columns(name, z):
     ref = np.linalg.norm((np.eye(model.size) - inv)[:, support], 2)
     value = BS.BoundarySystem(model, z=z).weighted_resolvent_norm()
     assert abs(value - ref) <= 1e-12 * ref
+
+
+# ---------------------------------------------------------------------------
+# the stacks of a multi-panel support on the worker threads
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def wide_well():
+    """The ``calculus`` bench well: W over 80 of 192 nodes, 5 of 12 panels."""
+    return M.radial_model(M.square_well(0.15 - 0.1j, 6.0))
+
+
+class TestStackPool:
+    def pooled_threads(self, monkeypatch):
+        """The names of the threads that run the stacks of pooled calls."""
+        names = []
+        pooled = BS._pooled
+
+        def recording(values, stack):
+            names.append(threading.current_thread().name)
+            return pooled(values, stack)
+
+        monkeypatch.setattr(BS, "_pooled", recording)
+        return names
+
+    def test_pooled_stacks_equal_the_serial_ones(self, monkeypatch):
+        # the same bits on any thread: forms, jump terms, sigma_min
+        # profiles and product-form samples, with the pool and capped at 1
+        model = wide_well()
+        x = model.grid.nodes
+        u = M.GaussianBump(center=3.0, width=0.45)(x)
+        v = M.GaussianBump(center=3.2, width=0.48, modulation=0.5)(x)
+        w = M.GaussianBump(center=3.0, width=0.5)(x)
+        zs = np.linspace(0.5, 7.0, 2 * BS.BATCH_POINTS + 5) + 0.05j
+
+        def run():
+            cert = S.ac_certificate(model, w=w)
+            return [C.stone_form(model, (1.0, 4.0), u, v),
+                    (cert.c_u, cert.witness_values, cert.terms),
+                    BS.sigma_profile(model, np.linspace(0.5, 6.0, 2 * BS.BATCH_POINTS + 3)),
+                    C._batched_forms(model, zs, [(u, v), (v, u)])]
+
+        names = self.pooled_threads(monkeypatch)
+        pooled = run()
+        if BS._stack_pool() is not None:   # more than one usable CPU
+            assert any(name.startswith("specres-stack") for name in names)
+        names.clear()
+        with BS.thread_cap(1):
+            serial = run()
+        assert names == []
+        assert pooled[:2] == serial[:2]
+        for side in "+-":
+            assert np.array_equal(pooled[2][side], serial[2][side])
+        assert all(np.array_equal(a, b) for a, b in zip(pooled[3], serial[3]))
+
+    def test_the_first_failing_stack_raises_after_every_stack_ends(self):
+        # stacks 1 and 3 fail, stack 3 well after stack 1 and the stacks of
+        # the caller: stack 1's exception, once no stack is running
+        running, lock = [0], threading.Lock()
+
+        def values(stack):
+            index = int(stack[0]) // BS.BATCH_POINTS
+            with lock:
+                running[0] += 1
+            try:
+                time.sleep(0.3 if index == 3 else 0.05)
+                if index in (1, 3):
+                    raise ValueError(f"stack {index}")
+                return stack
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        with pytest.raises(ValueError, match="stack 1"):
+            BS.over_stacks(wide_well(), values, np.arange(5 * BS.BATCH_POINTS))
+        assert running[0] == 0
+
+    def test_a_nested_call_runs_serially(self):
+        # over_stacks inside a pooled stack runs on that stack's thread
+        def outer(stack):
+            here, seen = threading.current_thread(), []
+
+            def inner(points):
+                seen.append(threading.current_thread())
+                return points
+
+            BS.over_stacks(wide_well(), inner, np.arange(3 * BS.BATCH_POINTS))
+            assert set(seen) == {here}
+            return stack
+
+        result = []
+        caller = threading.Thread(target=lambda: result.append(
+            BS.over_stacks(wide_well(), outer, np.arange(4 * BS.BATCH_POINTS))), daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert np.array_equal(result[0], np.arange(4 * BS.BATCH_POINTS))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_makes_its_own_pool(self):
+        # the child of a process whose pool exists has none of its threads
+        model, points = wide_well(), np.arange(3 * BS.BATCH_POINTS)
+        assert np.array_equal(BS.over_stacks(model, lambda s: s, points), points)
+        pid = os.fork()
+        if pid == 0:
+            ok = False
+            try:
+                ok = np.array_equal(BS.over_stacks(model, lambda s: s, points), points)
+            finally:
+                os._exit(0 if ok else 1)
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.05)
+        else:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish its pooled call")
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_a_one_panel_support_never_submits(self, small_well, monkeypatch):
+        def refuse():
+            raise AssertionError("a one-panel support asked for the pool")
+
+        monkeypatch.setattr(BS, "_stack_pool", refuse)
+        names = self.pooled_threads(monkeypatch)
+        BS.sigma_profile(small_well, np.linspace(0.5, 4.0, 3 * BS.BATCH_POINTS))
+        BS.locate_eigenvalues(small_well)
+        u, v = M.GaussianBump(center=3.0)(small_well.grid.nodes), small_well.c_values
+        C._batched_forms(small_well, np.linspace(0.5, 4.0, 50) + 0.1j, [(u, v)])
+        assert names == []

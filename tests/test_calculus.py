@@ -699,25 +699,63 @@ class TestAssemblyCounts:
         C.stone_form(model, (1.0, 4.0), v, u, cache=cache)
         assert built == []
 
-    def test_a_mirror_fills_its_partials_on_the_support_only(self, monkeypatch):
-        # the minus side's R0 applications come from the plus side, so the
-        # mirror's partials serve its factors of A alone: panels of S only
+    def test_a_mirror_fills_no_partials_and_allocates_no_memo(self, monkeypatch):
+        # a mirror's R0 applications, blocks and in-panel products of A are
+        # the conjugates of its source's: it never fills partials, and its
+        # memo is never allocated
         model = pairing_model("wide_well")
-        support = np.flatnonzero(model.support_mask())
-        panels = set(np.unique(model.grid.panel_index[support]).tolist())
-        assert len(panels) < model.grid.npanels
-        filled = []
-        fill = M.FreeResolventAction._fill
+        filled, mirrors = [], []
+        fill, conjugate = M.FreeResolventAction._fill, M.FreeResolventAction.conjugate
 
         def recording_fill(act, a, b):
             if act._source is not None:
                 filled.extend(range(a, b))
             return fill(act, a, b)
 
+        def recording_conjugate(act):
+            mirror = conjugate(act)
+            mirrors.append(mirror)
+            return mirror
+
         monkeypatch.setattr(M.FreeResolventAction, "_fill", recording_fill)
+        monkeypatch.setattr(M.FreeResolventAction, "conjugate", recording_conjugate)
         u, v = pair_for(model)
         C.stone_form(model, (1.0, 4.0), u, v)
-        assert filled and set(filled) <= panels
+        S._jump_terms(model, np.array([0.5, 2.0, 4.0]), model.c_values * v)
+        C._batched_forms(model, np.array([2.3 + 0.1j, 1.0 + 0.00625j]), [(u, v)])
+        assert mirrors and filled == []
+        for mirror in mirrors:
+            assert mirror._source is not None and mirror._run is None
+            assert mirror._left is None and mirror._right is None
+
+    def test_resolution_pairs_share_their_systems(self, monkeypatch):
+        # the stacks of the essential integral and of the Riesz projection
+        # are built once for all pairs: two pairs build as many stacked
+        # systems as one (r(H) v builds its one system at z0 per vector),
+        # and each pair's row is the one it has alone
+        model = M.radial_model(M.square_well(-5.0 - 0.5j, 1.0))
+        eigenvalues = BS.locate_eigenvalues(model)
+        assert len(eigenvalues) == 1
+        reg = C.Regularizer(z0=-1.0 + 1.0j, nu_infinity=1)
+        u, v = pair_for(model)
+        built = []
+        init = BS.BoundarySystem.__init__
+
+        def counting_init(system, model, z=None, lam=None, side=None):
+            built.append(np.ndim(lam if z is None else z))
+            init(system, model, z=z, lam=lam, side=side)
+
+        monkeypatch.setattr(BS.BoundarySystem, "__init__", counting_init)
+        rows, stacked = [], []
+        for pairs in ([(u, v)], [(v, u)], [(u, v), (v, u)]):
+            built.clear()
+            rows.append(C.resolution_residual(model, reg, pairs, lam_max=30.0,
+                                              eigenvalues=eigenvalues))
+            stacked.append(built.count(1))
+        assert stacked[0] == stacked[2] > 0
+        for alone, row in zip(rows[0] + rows[1], rows[2]):
+            alone.pop("pair"), row.pop("pair")
+            assert row == alone
 
     def test_singularity_probe_reuses_the_cache(self, small_well, monkeypatch):
         u, v = pair_for(small_well)

@@ -141,21 +141,43 @@ class TestScanCommand:
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
     def test_thread_pool_writes_the_serial_report(self, tmp_path, tuned_well):
-        # --threads limits only the BLAS threads; the report must not
-        # depend on it
+        # --threads caps the threads; the report must not depend on it, on a
+        # one-panel scan (serial stacks) or on the multi-panel Stone check,
+        # whose stacks share the threads
         _, v0 = tuned_well
-        cfg = write_config(tmp_path, TUNED_SCAN_TEMPLATE.format(
-            v0=f"{v0.real}{v0.imag:+}j").replace("num_points = 101", "num_points = 41"))
-        reports = []
-        for threads in ("2", "1"):
-            out = tmp_path / threads
-            assert cli.main(["scan", "--config", cfg, "--out", str(out),
-                             "--threads", threads]) == 0
-            report = json.loads((out / "scan_report.json").read_text())
-            report.pop("wall_clock_s")
-            reports.append(json.dumps(report, sort_keys=True))
-        assert reports[0] == reports[1]
-        assert json.loads(reports[0])["results"]["detected"]
+        scan = write_config(tmp_path, TUNED_SCAN_TEMPLATE.format(
+            v0=f"{v0.real}{v0.imag:+}j").replace("num_points = 101", "num_points = 41"), "scan.ini")
+        stone = write_config(tmp_path, """
+[model]
+backend = radial
+potential = square_well
+v0 = 0.15-0.1i
+well_radius = 6.0
+
+[verify]
+suite = stone
+""", "stone.ini")
+        for command, cfg, name in (("scan", scan, "scan_report.json"),
+                                   ("verify", stone, "verify_report.json")):
+            reports = []
+            for threads in ("2", "1"):
+                out = tmp_path / command / threads
+                assert cli.main([command, "--config", cfg, "--out", str(out),
+                                 "--threads", threads]) == 0
+                report = json.loads((out / name).read_text())
+                report.pop("wall_clock_s")
+                reports.append(json.dumps(report, sort_keys=True))
+            assert reports[0] == reports[1]
+            results = json.loads(reports[0])["results"]
+            assert results["detected"] if command == "scan" else results["passed"]
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_exit_2(self, tmp_path, threads, capsys):
+        cfg = write_config(tmp_path, FREE_SCAN)
+        assert cli.main(["scan", "--config", cfg, "--out", str(tmp_path),
+                         "--threads", threads]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "scan_report.json").exists()
 
     def test_orders_and_states_need_no_full_free_kernel(self, tmp_path, tuned_well,
                                                         small_well, monkeypatch):
