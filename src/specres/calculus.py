@@ -618,16 +618,18 @@ def riesz_projection(model, lam, radius):
     if rank < 1:
         raise ModelError("contour encloses no determinant zero (no eigenvalue)")
 
-    systems = {}   # one per stack of nodes, kept for every vector
+    def action(vec, systems=None):
+        # systems: a dict keeping one system per stack of nodes, for a
+        # caller that applies the projection to several vectors
+        def resolvent(z):
+            if systems is None:
+                return bs.BoundarySystem(model, z=z).resolvent_apply(vec)[0]
+            key = tuple(z.tolist())
+            if key not in systems:
+                systems[key] = bs.BoundarySystem(model, z=z)
+            return systems[key].resolvent_apply(vec)[0]
 
-    def resolvent(z, vec):
-        key = tuple(z.tolist())
-        if key not in systems:
-            systems[key] = bs.BoundarySystem(model, z=z)
-        return systems[key].resolvent_apply(vec)[0]
-
-    def action(vec):
-        rv = bs.over_stacks(model, lambda z: resolvent(z, vec), zs)
+        rv = bs.over_stacks(model, resolvent, zs)
         return -np.tensordot(dz, rv, axes=1) / (2j * math.pi)
 
     return SpectralProjection(
@@ -772,7 +774,7 @@ def resolution_residual(model, reg, pairs, lam_max=100.0, rtol=1e-4,
     for entry in eigenvalues:
         zj = entry["z"]
         radius = min(0.25, 0.5 * abs(zj.imag) if zj.imag != 0 else 0.25)
-        projections.append((zj, riesz_projection(model, zj, max(radius, 1e-3))))
+        projections.append((zj, riesz_projection(model, zj, max(radius, 1e-3)), {}))
     systems = {}
     out = []
     sing_ks = sorted(math.sqrt(l) for l, _ in reg.singularities if l > 0)
@@ -780,8 +782,8 @@ def resolution_residual(model, reg, pairs, lam_max=100.0, rtol=1e-4,
         d2 = None if d2_profiles is None else d2_profiles[idx]
         lhs = grid_inner(model, u, regularizer_apply(model, reg, v, d2_profile=d2))
         disc = 0.0 + 0.0j
-        for zj, proj in projections:
-            disc += complex(reg(zj)) * grid_inner(model, u, proj.action(v))
+        for zj, proj, kept in projections:
+            disc += complex(reg(zj)) * grid_inner(model, u, proj.action(v, kept))
 
         def jump(lams):
             key = tuple(lams.tolist())
