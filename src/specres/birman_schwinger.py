@@ -24,10 +24,9 @@ eps samples of ``order_estimate``, the log|det| surface of
 ``locate_eigenvalues`` and the contour of ``eigenvalue_winding`` (one
 circle rule, ``_circle``, shared with the rank, trace and vector action
 of ``calculus.riesz_projection``).  On a support spanning several
-panels those stacks share the usable CPUs, the calling thread and a pool
-of worker threads, with the bits they have serially.  Golden-section
-refinement, Newton steps, kernel vectors and inverses ask for one point
-at a time.
+panels those stacks share two threads, the calling one and a worker,
+with the bits they have serially.  Golden-section refinement, Newton
+steps, kernel vectors and inverses ask for one point at a time.
 
 K = C R0 C W has no columns off the support S of W.  Ordering the nodes
 as (S, T), Id + K = [[A, 0], [B, I]] with A = I + K_SS and B = K_TS, so
@@ -154,8 +153,8 @@ PANEL_CONDITION_MAX = 1e8
 #: forms' cache keeps them all (17 MB for a ``calculus`` pass).
 BATCH_POINTS = 22
 
-_thread_cap = None              # the cap of ``thread_cap``; None: every usable CPU
-_pool = (0, None)               # (workers, executor) of ``over_stacks``, made on first use
+_thread_cap = None              # the cap of ``thread_cap``; None: no cap
+_pool = None                    # the worker of ``over_stacks``, made on first use
 _pool_lock = threading.Lock()
 _in_stack = threading.local()   # .active: this thread runs a stack of a pooled call
 
@@ -179,29 +178,32 @@ def thread_cap(threads):
         _thread_cap = saved
 
 
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _stack_pool():
-    """(workers, executor): the worker threads of ``over_stacks``, one
-    fewer than the usable CPUs under ``thread_cap``, the caller being the
-    other; None when that is none.  Made on first use, and again when that
-    number changes."""
+    """The one worker thread of ``over_stacks``, beside the caller, where
+    two CPUs are usable and ``thread_cap`` allows two threads; None
+    otherwise.  Two threads is the measured configuration (2 CPUs, 1 BLAS
+    thread): more would keep more stacks alive at once and contend for the
+    GIL, and they are unmeasured.  Made on first use."""
     global _pool
-    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(workers or 1, math.inf if _thread_cap is None else _thread_cap) - 1
-    if workers < 1:
+    if min(_usable_cpus(), 2 if _thread_cap is None else _thread_cap) < 2:
         return None
     with _pool_lock:
-        if _pool[0] != workers:
-            if _pool[1] is not None:
-                _pool[1].shutdown(wait=False)
-            _pool = workers, ThreadPoolExecutor(workers, thread_name_prefix="specres-stack")
+        if _pool is None:
+            _pool = ThreadPoolExecutor(1, thread_name_prefix="specres-stack")
         return _pool
 
 
 def _forget_pool():
-    """In a forked child: the parent's pool threads do not exist there, so
+    """In a forked child: the parent's pool thread does not exist there, so
     the child makes its own pool on first use."""
     global _pool, _pool_lock
-    _pool, _pool_lock = (0, None), threading.Lock()
+    _pool, _pool_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):   # POSIX
@@ -233,10 +235,10 @@ def over_stacks(model, values, points):
     ``point_batches`` and concatenated in their order.
 
     When A factorizes through the panels of the model (``_spans_panels``),
-    the stacks are shared with the worker threads of ``_stack_pool``: the
-    calling thread evaluates every (workers + 1)-th stack, the first
-    included, and the pool the others; NumPy releases the GIL in its
-    kernels, so they overlap.  A stack gives the same bits on any thread.
+    the stacks are shared with the worker thread of ``_stack_pool``: the
+    calling thread evaluates the even stacks, the first included, and the
+    worker the odd ones; NumPy releases the GIL in its kernels, so they
+    overlap.  A stack gives the same bits on any thread.
     On a one-panel support (dense A: the ``scan`` and ``eigen`` wells)
     the stacks are too short to pay for a second thread, and they run in
     this thread one after another, as do the stacks of a call made inside
@@ -253,12 +255,10 @@ def over_stacks(model, values, points):
             and not getattr(_in_stack, "active", False) else None)
     if pool is None:
         return np.concatenate([values(stack) for stack in stacks])
-    workers, pool = pool
-    step = workers + 1
     futures = {i: pool.submit(_pooled, values, stack)
-               for i, stack in enumerate(stacks) if i % step}
+               for i, stack in enumerate(stacks) if i % 2}
     results, failed, error = [None] * len(stacks), len(stacks), None
-    for i in range(0, len(stacks), step):
+    for i in range(0, len(stacks), 2):
         try:
             results[i] = _pooled(values, stacks[i])
         except BaseException as exc:   # the caller's first failing stack

@@ -618,18 +618,8 @@ def riesz_projection(model, lam, radius):
     if rank < 1:
         raise ModelError("contour encloses no determinant zero (no eigenvalue)")
 
-    def action(vec, systems=None):
-        # systems: a dict keeping one system per stack of nodes, for a
-        # caller that applies the projection to several vectors
-        def resolvent(z):
-            if systems is None:
-                return bs.BoundarySystem(model, z=z).resolvent_apply(vec)[0]
-            key = tuple(z.tolist())
-            if key not in systems:
-                systems[key] = bs.BoundarySystem(model, z=z)
-            return systems[key].resolvent_apply(vec)[0]
-
-        rv = bs.over_stacks(model, resolvent, zs)
+    def action(vec):
+        rv = bs.over_stacks(model, lambda z: bs.BoundarySystem(model, z=z).resolvent_apply(vec)[0], zs)
         return -np.tensordot(dz, rv, axes=1) / (2j * math.pi)
 
     return SpectralProjection(
@@ -768,29 +758,25 @@ def resolution_residual(model, reg, pairs, lam_max=100.0, rtol=1e-4,
     reg.validate(model)
     if eigenvalues is None:
         eigenvalues = bs.locate_eigenvalues(model)
-    # the Riesz projections, and the boundary systems of every stack of
-    # the essential integral, depend on lam alone: built once for all pairs
+    # the Riesz projections depend on the eigenvalues alone: one for all pairs
     projections = []
     for entry in eigenvalues:
         zj = entry["z"]
         radius = min(0.25, 0.5 * abs(zj.imag) if zj.imag != 0 else 0.25)
-        projections.append((zj, riesz_projection(model, zj, max(radius, 1e-3)), {}))
-    systems = {}
+        projections.append((zj, riesz_projection(model, zj, max(radius, 1e-3))))
     out = []
     sing_ks = sorted(math.sqrt(l) for l, _ in reg.singularities if l > 0)
     for idx, (u, v) in enumerate(pairs):
         d2 = None if d2_profiles is None else d2_profiles[idx]
         lhs = grid_inner(model, u, regularizer_apply(model, reg, v, d2_profile=d2))
         disc = 0.0 + 0.0j
-        for zj, proj, kept in projections:
-            disc += complex(reg(zj)) * grid_inner(model, u, proj.action(v, kept))
+        for zj, proj in projections:
+            disc += complex(reg(zj)) * grid_inner(model, u, proj.action(v))
 
         def jump(lams):
-            key = tuple(lams.tolist())
-            if key not in systems:
-                plus = bs.BoundarySystem(model, lam=lams, side="+")
-                systems[key] = plus, plus.mirror()
-            (plus, _), (minus, _) = (system.resolvent_apply(v) for system in systems[key])
+            system = bs.BoundarySystem(model, lam=lams, side="+")
+            plus, _ = system.resolvent_apply(v)
+            minus, _ = system.mirror().resolvent_apply(v)
             return np.sum(model.grid.weights * np.conj(u) * (plus - minus), axis=-1)
 
         def integrand(ks):

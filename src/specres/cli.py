@@ -17,10 +17,10 @@ range, 4 unwritable destination.
 
 ``--threads N`` (default: every CPU; below 1 is a schema violation) caps
 the threads a command runs on, the calling thread included: the stacks of
-spectral points of ``birman_schwinger.over_stacks`` share at most N, and
-the BLAS threads are limited to N through ``threadpoolctl`` when it is
-installed, else left to the BLAS environment variables (e.g.
-OPENBLAS_NUM_THREADS).  Reports do not depend on N.
+spectral points of ``birman_schwinger.over_stacks`` share at most
+min(N, 2), and the BLAS threads are limited to N through
+``threadpoolctl`` when it is installed, else left to the BLAS
+environment variables (e.g. OPENBLAS_NUM_THREADS).  Reports do not depend on N.
 """
 
 from __future__ import annotations

@@ -1210,6 +1210,11 @@ def wide_well():
 
 
 class TestStackPool:
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        """Two usable CPUs on any host, so the pool is made and used."""
+        monkeypatch.setattr(BS, "_usable_cpus", lambda: 2)
+
     def pooled_threads(self, monkeypatch):
         """The names of the threads that run the stacks of pooled calls."""
         names = []
@@ -1241,8 +1246,7 @@ class TestStackPool:
 
         names = self.pooled_threads(monkeypatch)
         pooled = run()
-        if BS._stack_pool() is not None:   # more than one usable CPU
-            assert any(name.startswith("specres-stack") for name in names)
+        assert any(name.startswith("specres-stack") for name in names)
         names.clear()
         with BS.thread_cap(1):
             serial = run()
@@ -1252,13 +1256,24 @@ class TestStackPool:
             assert np.array_equal(pooled[2][side], serial[2][side])
         assert all(np.array_equal(a, b) for a, b in zip(pooled[3], serial[3]))
 
+    def test_the_pool_is_one_worker_beside_the_caller(self, monkeypatch):
+        # two threads at most, the measured configuration, on any host
+        monkeypatch.setattr(BS, "_usable_cpus", lambda: 8)
+        assert BS._stack_pool()._max_workers == 1
+        with BS.thread_cap(1):
+            assert BS._stack_pool() is None
+        monkeypatch.setattr(BS, "_usable_cpus", lambda: 1)
+        assert BS._stack_pool() is None
+
     def test_the_first_failing_stack_raises_after_every_stack_ends(self):
-        # stacks 1 and 3 fail, stack 3 well after stack 1 and the stacks of
-        # the caller: stack 1's exception, once no stack is running
-        running, lock = [0], threading.Lock()
+        # stacks 1 and 3 fail on the worker, stack 3 well after stack 1 and
+        # the stacks of the caller: stack 1's exception, once no stack is
+        # running
+        running, lock, caller = [0], threading.Lock(), threading.current_thread()
 
         def values(stack):
             index = int(stack[0]) // BS.BATCH_POINTS
+            assert (threading.current_thread() is caller) == (index % 2 == 0)
             with lock:
                 running[0] += 1
             try:

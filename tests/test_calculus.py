@@ -728,31 +728,19 @@ class TestAssemblyCounts:
             assert mirror._source is not None and mirror._run is None
             assert mirror._left is None and mirror._right is None
 
-    def test_resolution_pairs_share_their_systems(self, monkeypatch):
-        # the stacks of the essential integral and of the Riesz projection
-        # are built once for all pairs: two pairs build as many stacked
-        # systems as one (r(H) v builds its one system at z0 per vector),
-        # and each pair's row is the one it has alone
-        model = M.radial_model(M.square_well(-5.0 - 0.5j, 1.0))
+    @pytest.mark.parametrize("width", [1.0, 2.0], ids=["one_panel", "three_panels"])
+    def test_each_resolution_pair_has_the_row_it_has_alone(self, width):
+        # the Riesz projection is built once for all pairs, and the
+        # boundary systems afresh for each: a pair's row keeps its bits
+        # next to another pair, on the dense and on the panel path
+        model = M.radial_model(M.square_well(-5.0 - 0.5j, width))
+        assert BS._spans_panels(model) == (width > 1.0)
         eigenvalues = BS.locate_eigenvalues(model)
         assert len(eigenvalues) == 1
         reg = C.Regularizer(z0=-1.0 + 1.0j, nu_infinity=1)
         u, v = pair_for(model)
-        built = []
-        init = BS.BoundarySystem.__init__
-
-        def counting_init(system, model, z=None, lam=None, side=None):
-            built.append(np.ndim(lam if z is None else z))
-            init(system, model, z=z, lam=lam, side=side)
-
-        monkeypatch.setattr(BS.BoundarySystem, "__init__", counting_init)
-        rows, stacked = [], []
-        for pairs in ([(u, v)], [(v, u)], [(u, v), (v, u)]):
-            built.clear()
-            rows.append(C.resolution_residual(model, reg, pairs, lam_max=30.0,
-                                              eigenvalues=eigenvalues))
-            stacked.append(built.count(1))
-        assert stacked[0] == stacked[2] > 0
+        rows = [C.resolution_residual(model, reg, pairs, lam_max=30.0, eigenvalues=eigenvalues)
+                for pairs in ([(u, v)], [(v, u)], [(u, v), (v, u)])]
         for alone, row in zip(rows[0] + rows[1], rows[2]):
             alone.pop("pair"), row.pop("pair")
             assert row == alone
