@@ -1199,7 +1199,7 @@ def test_weighted_resolvent_norm_matches_the_full_order_columns(name, z):
 
 
 # ---------------------------------------------------------------------------
-# the stacks of a multi-panel support on the worker threads
+# the stacks of a multi-panel support on the worker thread
 # ---------------------------------------------------------------------------
 
 
