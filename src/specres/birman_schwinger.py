@@ -66,8 +66,8 @@ between two panels every entry is a rank-one product, so solves and
 det A come from the n x n blocks and one system of order 2P in the
 prefix and suffix moments of the solution, P the panels from the first
 to the last holding S (``_PanelFactors``; 5 blocks of 16 and order 10
-for the well over 80 nodes, in place of one LU of order 80).  The dense
-A is still written for the SVD of M.
+for the well over 80 nodes, in place of one solve of order 80).  The
+dense A is still written for the SVD of M, and solved on other supports.
 
 The module-level ``sigma_min`` stays at full order N: it is the
 assembled reference the tests compare against, and the layer that
@@ -86,7 +86,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .model import (
     AdmissibilityError,
@@ -451,8 +450,9 @@ class _PanelFactors:
     costs half an explicit inverse of the (K, P, n, n) blocks, so each
     solve runs one stacked ``np.linalg.solve`` on them; the one that
     builds the factors carries its right-hand side beside [u v], since
-    most systems are solved once.  ``build`` gives None where some E_q or
-    R is singular or has ||X||_1 ||X^(-1)||_1 above
+    most systems are solved once, and a later ``solve`` puts its
+    right-hand side in the same columns.  ``build`` gives None where some
+    E_q or R is singular or has ||X||_1 ||X^(-1)||_1 above
     ``PANEL_CONDITION_MAX``, ||E_q^(-1)||_1 estimated from one more
     column of that solve (``_probe``).
     """
@@ -469,7 +469,7 @@ class _PanelFactors:
         """(factors, A^(-1) rhs) at every point of the action, rhs
         (K, |S|, m) indexed by S or None (then the solution is None); the
         factors are None, and so is the solution, where the guard sends A
-        to the dense LU."""
+        to the dense solve."""
         run, inside = model.support_run
         n = model.grid.n
         panels = slice(run.start // n, run.stop // n)
@@ -522,12 +522,15 @@ class _PanelFactors:
         return y.reshape(k, npan * n, m)[:, self.inside]
 
     def solve(self, rhs):
-        """A^(-1) rhs at every point, rhs (K, |S|, m) indexed by S."""
+        """A^(-1) rhs at every point, rhs (K, |S|, m) indexed by S, in the
+        columns 3.. of a block solved as ``build`` solves it (the products
+        round a column by its place in the block): the bits of a fresh
+        system built with rhs."""
         k, npan, n, _ = self.gen.shape
-        y = np.zeros((k, npan * n, rhs.shape[-1]), dtype=complex)
-        y[:, self.inside] = rhs
-        y = np.linalg.solve(self.e, y.reshape(k, npan, n, -1))
-        return self._couple(y, self.moments @ y)
+        y = np.zeros((k, npan, n, 3 + rhs.shape[-1]), dtype=complex)
+        y.reshape(k, npan * n, -1)[:, self.inside, 3:] = rhs
+        y = np.linalg.solve(self.e, y)
+        return self._couple(y[..., 3:], (self.moments @ y)[..., 3:])
 
     def log_det(self):
         """(log |det A|, its phase) at every point, det R = 1 / det R^(-1)."""
@@ -545,7 +548,7 @@ class BoundarySystem:
         Id + K = [[A, 0], [B, I]],   A = I + K_SS,   B = K_TS.
 
     Everything but K itself is computed from the blocks A and B, most of
-    it from the factors of A (``_panel_factors``, else ``_factors``):
+    it from A, through its panel factors (``_panel_factors``) or densely:
 
     * ``log_det``: det(Id + K) = det A (the Sylvester / Weinstein-Aronszajn
       identity);
@@ -569,19 +572,19 @@ class BoundarySystem:
       the free action and the rank-one coupling between panels
       (``_panel_generators``).  A stack with an in-panel block or a
       coupling system that is singular or past ``PANEL_CONDITION_MAX``
-      falls back to the dense LU.  ``a_solve``,
+      falls back to the dense A.  ``a_solve``,
       ``w_solve``, ``resolvent_apply``, ``log_det``, ``inverse``,
       ``weighted_resolvent_norm`` and the Newton steps of
       ``locate_eigenvalues`` (``_logdet_derivative``) read these factors;
-    * densely, by the LU of A (``_factors``) or slogdet of A, everywhere
-      else: the finite backend, a nonlocal W, and a support inside one
-      panel, where A is its own single in-panel block.
+    * densely, by one stacked ``np.linalg.solve`` or slogdet of A per
+      operation, everywhere else: the finite backend, a nonlocal W, and a
+      support inside one panel, where A is its own single in-panel block.
 
     K_SS is the block of the free kernel on S, written in one pass by
     ``action.block`` and kept, times the weights of K; it is written only
     where the dense A is read: the SVD of M (``sigma_min``,
     ``kernel_vector``, ``weighted_resolvent_norm``), ``k_support``,
-    ``bs_matrix_dz`` and the dense factorization.  K_TS is written by
+    ``bs_matrix_dz`` and the dense solves.  K_TS is written by
     ``block`` only on the T rows that share a panel with S; every other
     run of T is a factor pair (``_k_rest_factors``).  ``action.apply``
     applies R0 through panel moments, and no method assembles the N x N
@@ -596,10 +599,10 @@ class BoundarySystem:
     ``FreeResolventAction``, ``_k_ss`` is (K, |S|, |S|), the pieces of
     K_TS and M are (K, ...), the panel factors are (K, P, n, n) blocks,
     solved by one stacked ``np.linalg.solve`` per solve, and the inverse
-    of a (K, 2P, 2P) coupling system, and the dense LU is one 2-D
-    factorization per point (SciPy's batched LU loops over the same 2-D
-    calls in a slower wrapper).  Either is kept: the ``calculus`` cache
-    reuses it across pairs, per stack of quadrature nodes.  ``sigma_min``,
+    of a (K, 2P, 2P) coupling system; they are kept, and the ``calculus``
+    cache reuses them across pairs, per stack of quadrature nodes.  A
+    dense A keeps only its block of the free kernel and is formed and
+    solved anew by each operation, as slogdet forms it.  ``sigma_min``,
     ``log_det`` and ``weighted_resolvent_norm`` come from one stacked SVD
     or slogdet; ``w_solve`` and ``resolvent_apply`` take samples as columns,
     (K, N, m), or (N[, m]) shared by every point for ``resolvent_apply``.
@@ -628,7 +631,7 @@ class BoundarySystem:
     def __init__(self, model, z=None, lam=None, side=None):
         self.model = model
         self.support, self.rest = model.support_split
-        self._lu = self._g_ss = self._r0_k = None
+        self._g_ss = self._r0_k = None
         self._panels = None   # _PanelFactors; False where A is factorized densely
         self._source = None   # the system this one mirrors, if any
         if model.backend == "finite":
@@ -696,7 +699,7 @@ class BoundarySystem:
         if self.action is None:
             return BoundarySystem(self.model, z=_as_given(np.conj(self.z), self.one))
         other = copy.copy(self)
-        other._lu = other._g_ss = other._panels = None
+        other._g_ss = other._panels = None
         other._source = self
         other.action = self.action.conjugate()
         return other
@@ -708,7 +711,7 @@ class BoundarySystem:
         return a
 
     def _panel_factors(self, rhs=None):
-        """The ``_PanelFactors`` of A, kept, or None where A is factorized
+        """The ``_PanelFactors`` of A, kept, or None where A is solved
         densely: on the finite backend, for a nonlocal W, for a support in
         at most one panel (A is then its one in-panel block, or empty) and
         where the guard of ``_PanelFactors.build`` refuses the stack.  With
@@ -720,12 +723,6 @@ class BoundarySystem:
                          if _spans_panels(self.model) else (None, None))
             self._panels = panels or False
         return self._panels or None, x
-
-    def _factors(self):
-        """The dense LU factors (lu, piv) of A, one pair per point, kept."""
-        if self._lu is None:
-            self._lu = [sla.lu_factor(a, check_finite=False) for a in self._a()]
-        return self._lu
 
     def _reduced(self):
         """M = [[A, 0], [B', I]], (K, |S| + p, |S| + p), and the pieces
@@ -791,15 +788,12 @@ class BoundarySystem:
 
     def a_solve(self, rhs):
         """A^(-1) rhs at every point, rhs (K, |S|, m) indexed by the support
-        S: by the panel factors, or by one 2-D ``lu_solve`` per point on
-        the kept LU factors of A."""
+        S: by the panel factors, or by one stacked ``np.linalg.solve`` on A,
+        which keeps no factors."""
         panels, x = self._panel_factors(rhs)
         if x is not None:
             return x
-        if panels is not None:
-            return panels.solve(rhs)
-        return np.stack([sla.lu_solve(lu, b, check_finite=False)
-                         for lu, b in zip(self._factors(), rhs)])
+        return np.linalg.solve(self._a(), rhs) if panels is None else panels.solve(rhs)
 
     def inverse(self):
         """(Id + K)^(-1) in the representation of K, with -B A^(-1) =

@@ -4,15 +4,15 @@ Matrices and vectors are plain ``numpy.ndarray`` objects with complex128
 entries.  Everything here is a pure function of its inputs; the heavy
 lifting is delegated to LAPACK through numpy/scipy, wrapped so that each
 operation certifies its own residual and reports failure modes explicitly
-instead of returning garbage.
+instead of returning garbage.  SciPy is imported where it is used.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 __all__ = [
     "NumericsError",
@@ -156,10 +156,9 @@ def solve_linear(a, b):
     Raises :class:`SingularMatrixError` when a pivot is singular to working
     precision, reporting the smallest pivot magnitude.
     """
+    import scipy.linalg as sla
     a = _as_square(a)
     b = np.asarray(b, dtype=complex)
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", sla.LinAlgWarning)
         lu, piv = sla.lu_factor(a, check_finite=False)
@@ -189,6 +188,7 @@ def smallest_singular_value(a):
 
 def determinant(a):
     """Determinant via LU pivots with permutation-sign tracking."""
+    import scipy.linalg as sla
     a = _as_square(a)
     lu, piv = sla.lu_factor(a, check_finite=False)
     # piv[i] = j means rows i and j were swapped at step i.
@@ -276,6 +276,7 @@ def matrix_exponential_apply(a, t, u):
 
     Refuses when |t| * ||A|| would push exp past the representable range.
     """
+    import scipy.linalg as sla
     a = _as_square(a)
     u = np.asarray(u, dtype=complex)
     if not np.isfinite(t):

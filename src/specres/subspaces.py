@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .calculus import J_GRAM_CONDITION_MAX, grid_inner, grid_norm, mode_transform
 from .model import ModelError
@@ -105,6 +104,7 @@ def _propagate(h, u, times):
     states[lo:hi], stepped (Jordan-safe) from the time nearest 0 both ways,
     one factor per direction on a uniform grid.  Each direction stops
     before its first step that overflows."""
+    import scipy.linalg as sla
     steps = np.diff(times)
     uniform = steps.size > 0 and np.allclose(steps, steps[0], rtol=1e-12)
     i0 = int(np.argmin(np.abs(times)))
@@ -148,6 +148,7 @@ def generalized_eigenspace(h, selector):
     Schur-based, so Jordan structure is handled exactly; ``selector`` maps
     an eigenvalue to bool.
     """
+    import scipy.linalg as sla
     t, z, sdim = sla.schur(h, output="complex", sort=selector)
     return z[:, :sdim]
 
@@ -197,6 +198,7 @@ def ads_basis(model, sign):
     )
     angles = None
     if vectors.shape[1] and oracle.shape[1]:
+        import scipy.linalg as sla
         angles = sla.subspace_angles(vectors, oracle)
     return SubspaceBasis(
         label, vectors, angles,
@@ -206,6 +208,7 @@ def ads_basis(model, sign):
 
 
 def _step_generator(h, lam, sign, horizon):
+    import scipy.linalg as sla
     max_im = max(np.max(np.abs(lam.imag)), 1e-12)
     t_step = min(3.0 / max_im, horizon)
     n_steps = max(1, int(math.ceil(horizon / t_step)))

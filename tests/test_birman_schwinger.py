@@ -598,8 +598,7 @@ class TestSupportReduction:
 
         def record(fn):
             def wrapped(a, *args, **kwargs):
-                # lu_solve takes the (lu, piv) pair of lu_factor
-                orders.append((fn.__name__, (a[0] if isinstance(a, tuple) else a).shape[-2:]))
+                orders.append((fn.__name__, a.shape[-2:]))
                 return fn(a, *args, **kwargs)
             return wrapped
 
@@ -607,15 +606,14 @@ class TestSupportReduction:
             raise AssertionError("full free-kernel assembly")
 
         monkeypatch.setattr(M.FreeResolventAction, "matrix", full_assembly)
-        for mod, name in ((np.linalg, "slogdet"), (np.linalg, "solve"), (np.linalg, "inv"),
-                          (scipy.linalg, "lu_factor"), (scipy.linalg, "lu_solve")):
-            monkeypatch.setattr(mod, name, record(getattr(mod, name)))
+        for name in ("slogdet", "solve", "inv"):
+            monkeypatch.setattr(np.linalg, name, record(getattr(np.linalg, name)))
         BS.BoundarySystem(model, z=-0.4 - 2.2j).log_det()
         BS._logdet_derivative(model, -0.4 - 2.2j)
         # in-panel blocks of order n and one coupling system of order 2P, P
         # the panels of S (one run here), or A itself when S lies in one panel
         panels = np.unique(model.grid.panel_index[model.support_mask()]).size
-        assert {name for name, _ in orders} >= {"slogdet", "lu_factor"}
+        assert {name for name, _ in orders} >= {"slogdet", "solve"}
         assert all(shape[0] <= max(model.grid.n, 2 * panels) for _, shape in orders)
 
     def test_determinant_computes_partials_on_the_support_panels_only(self, monkeypatch):
@@ -717,20 +715,23 @@ def test_mirror_system_matches_a_fresh_system(name, point):
 
 def test_finite_k_is_solved_once_per_system(monkeypatch):
     # sigma_min reads K_SS and K_TS, the inverse reads K_TS again: one
-    # N x N resolvent solve in all
+    # solve of the resolvent (H0 - z)^(-1) in all (the inverse also solves
+    # A = I + K_SS, which has order N too: S is every node here)
     model = sylvester_model("finite")
+    z = 2.0 - 0.4j
+    h0_z = model.h0 - z * np.eye(model.size)
     solves = []
     solve = np.linalg.solve
 
     def counting_solve(a, b):
-        solves.append(a.shape[-2:])   # one point is a stack of one
+        solves.append("resolvent" if np.array_equal(a[0], h0_z) else a.shape)
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
-    system = BS.BoundarySystem(model, z=2.0 - 0.4j)
+    system = BS.BoundarySystem(model, z=z)
     system.sigma_min()
     system.inverse()
-    assert solves == [(model.size, model.size)]
+    assert solves.count("resolvent") == 1
 
 
 def _backward_error(a, x, y):
@@ -748,9 +749,10 @@ def test_a_solve_is_scipy_lu(name, points):
     # a multiplication W over several panels solves through the panel
     # factors of A, with the backward error of a dense LU; a support in one
     # panel, a nonlocal W ("rank_one"), the finite backend and |S| = 0
-    # ("free") run one 2-D LU per point: bitwise SciPy's
-    # lu_solve(lu_factor(A)) on the whole stack, for per-point and for
-    # shared (broadcast) right-hand sides, and at one point
+    # ("free") solve A densely (one stacked np.linalg.solve): bitwise
+    # SciPy's lu_solve(lu_factor(A)), the independent reference, on the
+    # whole stack, for per-point and for shared (broadcast) right-hand
+    # sides, and at one point
     model = sylvester_model(name)
     if "lam" in points and model.backend == "finite":
         points = {"z": 2.0 - 0.4j}
@@ -774,6 +776,59 @@ def test_a_solve_is_scipy_lu(name, points):
     if k == 1 and not structured:
         lu = scipy.linalg.lu_factor(a[0], check_finite=False)
         assert np.array_equal(system.a_solve(rhs)[0], scipy.linalg.lu_solve(lu, rhs[0]))
+
+
+@pytest.mark.parametrize("name", ["radial_well", "line_well", "rank_one", "finite"])
+def test_a_dense_solve_is_one_stacked_numpy_solve(name, monkeypatch):
+    # a dense A keeps no factors: each solve is one np.linalg.solve of the
+    # whole (K, |S|, |S|) stack, and nothing in scipy.linalg is called
+    model = sylvester_model(name)
+    system = BS.BoundarySystem(model, z=np.array([3.0 + 0.7j, -1.5 - 2.0j, 0.4 + 0.05j]))
+    assert system._panel_factors()[0] is None
+    s = system.k_support().shape[-1]   # on the finite backend, after its resolvent solve
+    shapes = []
+    solve = np.linalg.solve
+
+    def recording_solve(a, b):
+        shapes.append(a.shape)
+        return solve(a, b)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.linalg call")
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    for attr in scipy.linalg.__all__:
+        if callable(getattr(scipy.linalg, attr)):
+            monkeypatch.setattr(scipy.linalg, attr, refuse)
+    rhs = np.random.default_rng(6).standard_normal((3, s, 2)) + 0.5j
+    for _ in range(2):
+        shapes.clear()
+        system.a_solve(rhs)
+        assert shapes == [(3, s, s)]
+
+
+@pytest.mark.parametrize("columns", [1, 2, 3])
+def test_a_kept_panel_system_solves_as_a_fresh_one(columns):
+    # a multi-panel system kept after its first solve, as the calculus
+    # caches keep them, solves a later right-hand side in the block that
+    # built its factors: the bits of a fresh system built with it
+    model = wide_well()
+    lam = np.linspace(0.5, 6.0, 12)
+    s = np.count_nonzero(model.support_mask())
+    rng = np.random.default_rng(columns)
+
+    def rhs(m):
+        return rng.standard_normal((lam.size, s, m)) + 1j * rng.standard_normal((lam.size, s, m))
+
+    kept = BS.BoundarySystem(model, lam=lam, side="+")
+    first = rhs(columns)
+    x = kept.a_solve(first)
+    assert kept._panel_factors()[0] is not None
+    assert np.array_equal(kept.a_solve(first), x)
+    for m in (1, 2, 3):
+        later = rhs(m)
+        fresh = BS.BoundarySystem(model, lam=lam, side="+")
+        assert np.array_equal(kept.a_solve(later), fresh.a_solve(later))
 
 
 # supports of a multiplication W over several panels, by shape: two

@@ -449,3 +449,19 @@ seed = 3
         rep = json.loads((tmp_path / "resonant_state_report.json").read_text())
         assert rep["results"]["residual"] <= 1e-4
         assert rep["results"]["classification"] == "resonance"
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # SciPy is imported inside the finite-backend and certified routines
+    # that use it, so a continuum command does not wait for it at start-up
+    import subprocess
+    import sys
+
+    import specres
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(specres.__file__)))
+    code = ("import sys, specres.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
