@@ -145,11 +145,14 @@ PANEL_CONDITION_MAX = 1e8
 #: in-panel partials and the factors of A, and its mirror's factors of A,
 #: alive at once, while stacks of 11 to 22 points already run as fast as
 #: longer ones.  On a well over 80 of 192 nodes (5 of 12 panels) a
-#: product-form point and its mirror hold 0.18 MB after a two-column R_H
-#: application (0.23 MB at the peak; tracemalloc), 0.1 MB of it the
-#: partials of the plus side on the 12 panels (a mirror keeps none); so
-#: does a node of an adaptive rule (24, two stacks of 12), and the Stone
-#: forms' cache keeps them all (17 MB for a ``calculus`` pass).
+#: product-form point and its mirror hold 0.17 MB after a two-column R_H
+#: application (0.22 MB at the peak; tracemalloc), 0.1 MB of it the
+#: partials of the plus side on the 12 panels that ``apply`` reads (a
+#: mirror keeps none); so does a node of an adaptive rule (24, two stacks
+#: of 12), and the Stone forms' cache keeps them all (16.5 MB for a
+#: ``calculus`` pass).  A point whose system only takes det A holds
+#: 0.07 MB on that well and 0.012 MB on a support in one panel, whose
+#: partials cover that panel alone.
 BATCH_POINTS = 22
 
 _thread_cap = None              # the cap of ``thread_cap``; None: no cap
@@ -327,8 +330,10 @@ def _panel_generators(model, act, rows, cols):
     applied after any masking of the columns."""
     c = model.c_values
     scale = act.pref[:, None] * c[rows] * model.grid.sqrtw[rows]
-    return (np.stack((act.psi_nodes[:, rows], act.phi_nodes[:, rows]), axis=-1) * scale[..., None],
-            np.stack((act.phi_w[:, cols], act.psi_w[:, cols]), axis=1) * c[cols])
+    phi, psi, *at_rows = act._at(rows)
+    phi_w, psi_w = at_rows if cols is rows else act._at(cols)[2:]
+    return (np.stack((psi, phi), axis=-1) * scale[..., None],
+            np.stack((phi_w, psi_w), axis=1) * c[cols])
 
 
 def _w_columns(model, f, cols):
@@ -411,9 +416,9 @@ def _in_panel_products(act, uv, panels):
     if source is not act:
         uv = np.conj(uv)
     left, right = source._partials(panels.start, panels.stop)
-    e = uv[..., :1] * left[:, panels]
+    e = uv[..., :1] * left
     for q in range(panels.stop - panels.start):
-        e[:, q] += uv[:, q, :, 1:] * right[:, panels.start + q]
+        e[:, q] += uv[:, q, :, 1:] * right[:, q]
     return np.conj(e, out=e) if source is not act else e
 
 
@@ -450,11 +455,12 @@ class _PanelFactors:
     costs half an explicit inverse of the (K, P, n, n) blocks, so each
     solve runs one stacked ``np.linalg.solve`` on them; the one that
     builds the factors carries its right-hand side beside [u v], since
-    most systems are solved once, and a later ``solve`` puts its
-    right-hand side in the same columns.  ``build`` gives None where some
-    E_q or R is singular or has ||X||_1 ||X^(-1)||_1 above
-    ``PANEL_CONDITION_MAX``, ||E_q^(-1)||_1 estimated from one more
-    column of that solve (``_probe``).
+    most systems are solved once, or one zero column where it has none
+    (``log_det``), and a later ``solve`` puts its right-hand side in the
+    same columns: a kept system solves to the bits of a fresh one.
+    ``build`` gives None where some E_q or R is singular or has
+    ||X||_1 ||X^(-1)||_1 above ``PANEL_CONDITION_MAX``, ||E_q^(-1)||_1
+    estimated from one more column of that solve (``_probe``).
     """
 
     e: np.ndarray         # (K, P, n, n): E_q
@@ -484,12 +490,16 @@ class _PanelFactors:
         e.reshape(k, npan, -1)[..., :: n + 1] += 1.0
         scale = np.abs(uv).max(axis=-2)   # (K, P, 2): max |u_q|, max |v_q|
         scale[scale == 0.0] = 1.0         # the panels between pieces of S
-        # one solve for [u v] / scale, the probe and the right-hand side
-        m = 0 if rhs is None else rhs.shape[-1]
+        # one solve for [u v] / scale, the probe and the right-hand side,
+        # or one zero column in its place: the moments of a block of three
+        # columns round otherwise than those of a wider one (alike from 4
+        # to 11 columns), and factors built for log_det would then solve
+        # to other bits than a fresh system
+        m = 1 if rhs is None else rhs.shape[-1]
         cols = np.zeros(shape + (3 + m,), dtype=complex)
         np.divide(uv, scale[..., None, :], out=cols[..., :2])
         cols[..., 2] = _probe(n)
-        if m:
+        if rhs is not None:
             cols.reshape(k, npan * n, -1)[:, inside, 3:] = rhs
         try:
             x = np.linalg.solve(e, cols)
@@ -509,7 +519,7 @@ class _PanelFactors:
                 or _ill_conditioned(r, _norm_1(r_inv))):
             return None, None
         factors = cls(e, x[..., :2], moments, mix, r_inv, inside)
-        return factors, factors._couple(x[..., 3:], t[..., 3:]) if m else None
+        return factors, None if rhs is None else factors._couple(x[..., 3:], t[..., 3:])
 
     def _couple(self, y, t):
         """A^(-1) rhs, (K, |S|, m), from y = E^(-1) rhs on the panels,
@@ -624,7 +634,7 @@ class BoundarySystem:
     in-panel products times the weights, and the factors of its K_TS the
     conjugate psi, phi and moments of that action.  A and its factors are
     its own, because W is complex: on the well over 80 of 192 nodes a
-    mirror point holds 0.04 MB after a two-column R_H application, where
+    mirror point holds 0.03 MB after a two-column R_H application, where
     it held 0.14 MB with partials of its own (tracemalloc).
     """
 

@@ -293,26 +293,41 @@ class PanelGrid:
         2n-point Gauss rule on [-1, xi_i] (or [xi_i, 1]) integrates it
         exactly.  The interpolant of an entire phi errs like
         (|k| h_p / 4)^(2n) / (2n)!, and the partials cost 2n values of phi
-        per panel, not n per node.  Built on first use, kept: 0.13 MB for
-        n = 16, whatever the number of panels."""
-        if self._partial_tensors is not None:
-            return self._partial_tensors
-        n, xi = self.n, self.ref_nodes
-        fine, fine_w = _leggauss(2 * n)
-        bary = _barycentric_weights(fine)
-        half = 0.5 * np.diff(self.edges)
-        y = 0.5 * (self.edges[:-1] + self.edges[1:])[:, None] + half[:, None] * fine
-        tensors = [y, half]
-        for lo, hi in ((-1.0, xi), (xi, 1.0)):
-            mid, scale = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            pts = (mid[:, None] + scale[:, None] * fine).ravel()             # (n 2n)
-            l_fine = _lagrange_basis(fine, bary, pts).reshape(n, 2 * n, 2 * n)
-            l_nodes = self.lagrange_values(pts).reshape(n, 2 * n, n)
-            # C-contiguous, so _contract reshapes it without a copy
-            tensors.append(np.ascontiguousarray(
-                np.einsum("is,isj,ism->jim", scale[:, None] * fine_w, l_fine, l_nodes)))
-        self._partial_tensors = tuple(tensors)
+        per panel, not n per node.  y and half are built on first use and
+        kept; tl and tr depend on n alone and are built once per process
+        (``_reference_partials``), 0.13 MB for n = 16."""
+        if self._partial_tensors is None:
+            fine, _ = _leggauss(2 * self.n)
+            half = 0.5 * np.diff(self.edges)
+            y = 0.5 * (self.edges[:-1] + self.edges[1:])[:, None] + half[:, None] * fine
+            self._partial_tensors = (y, half) + _reference_partials(self.n)
         return self._partial_tensors
+
+
+_REFERENCE_PARTIALS_CACHE: dict = {}
+
+
+def _reference_partials(n):
+    """The reference tensors (tl, tr) of ``PanelGrid.partial_tensors`` for
+    n nodes per panel, built once per n."""
+    got = _REFERENCE_PARTIALS_CACHE.get(n)
+    if got is not None:
+        return got
+    xi = gauss_legendre(n, -1.0, 1.0).nodes
+    bary_nodes = _barycentric_weights(xi)
+    fine, fine_w = _leggauss(2 * n)
+    bary = _barycentric_weights(fine)
+    tensors = []
+    for lo, hi in ((-1.0, xi), (xi, 1.0)):
+        mid, scale = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        pts = (mid[:, None] + scale[:, None] * fine).ravel()             # (n 2n)
+        l_fine = _lagrange_basis(fine, bary, pts).reshape(n, 2 * n, 2 * n)
+        l_nodes = _lagrange_basis(xi, bary_nodes, pts).reshape(n, 2 * n, n)
+        # C-contiguous, so _contract reshapes it without a copy
+        tensors.append(np.ascontiguousarray(
+            np.einsum("is,isj,ism->jim", scale[:, None] * fine_w, l_fine, l_nodes)))
+    _REFERENCE_PARTIALS_CACHE[n] = got = tuple(tensors)
+    return got
 
 
 def _panel_edges(lo, hi, breakpoints, target_panels):
@@ -623,15 +638,20 @@ class FreeResolventAction:
     of the kernel costs nothing.  ``apply`` and ``evaluate`` run on panel
     moments in O(N n) per vector and never form the N x N matrix; ``block``
     forms only the entries asked for, and ``matrix`` is the block over all
-    nodes.  All three read one memo of in-panel partial integrals, filled
-    only on the panels asked for (a mirror reads its source's).
+    nodes.  All three read one memo of in-panel partial integrals, which
+    covers only the run of panels asked for (a mirror reads its source's).
+    The kernel factors phi and psi at the nodes, and their moment weights,
+    are evaluated on the nodes a call reads (``_at``): a block on the
+    support of W reads |S| of them, and only ``apply``, ``evaluate``, the
+    amplitudes and the rows of K off S (``birman_schwinger._k_rest_factors``)
+    read, and keep, all N.
 
     The action runs at a stack of K independent spectral points sharing
     one pass of NumPy calls: ``k`` is a 1-D array of K wavenumbers, or one
     wavenumber, which becomes a stack of one.  Every array carries the
     leading point axis: ``ks`` is (K,), ``phi_nodes``, ``psi_nodes``,
     ``phi_w`` and ``psi_w`` are (K, N), ``pref`` (K,), the partials
-    (K, P, n, n), and the partials of all K points are contracted in one
+    (K, run, n, n), and the partials of all K points are contracted in one
     GEMM-shaped matmul.  ``block`` returns (K, rows, cols); ``apply``
     takes samples (N,) or (N, m) shared by every point, or (K, N, m), one
     set of columns per point, and returns (K, N[, m]).  ``k``, ``apply``
@@ -639,13 +659,15 @@ class FreeResolventAction:
     value, a complex or an array without the point axis (``_as_given``).
     ``matrix``, the amplitudes and ``norm_squared`` serve one point and
     read the single point of the stack.  A stack holds the partials of
-    every point, 2 P n^2 complex numbers (98 KB on a 12-panel, 16-node
-    grid), plus half as much again while one side is contracted (its real
-    and imaginary parts), so callers cap its size
-    (``birman_schwinger.BATCH_POINTS``).  They come from 2 P 2n values of
-    phi and psi per point (768 complex sin and exp on that grid), at the
-    interpolation points of ``PanelGrid.partial_tensors``, and from one
-    k-independent tensor per side shared by every action on the grid.
+    every point on the run of panels asked for, 2 n^2 complex numbers a
+    panel (8 KB for n = 16: 8 KB for a block on a support in one panel,
+    98 KB once ``apply`` has read all 12 panels of the default grid),
+    plus half as much again while one side is contracted (its real and
+    imaginary parts), so callers cap its size
+    (``birman_schwinger.BATCH_POINTS``).  They come from 2 x 2n values of
+    phi and psi per point and panel (64 complex sin and exp for n = 16),
+    at the interpolation points of ``PanelGrid.partial_tensors``, and from
+    one tensor per side shared by every action with n nodes per panel.
 
     H0 is real, so the kernel at the mirror wavenumber -conj(k) (lam - i0
     for lam + i0, conj z for z) is the complex conjugate of this one;
@@ -659,11 +681,7 @@ class FreeResolventAction:
         self.ks, self.one = _as_stack(k)
         self.grid = model.grid
         self.phi, self.psi, self.pref = _phi_psi(model.backend, self.ks)
-        g = self.grid
-        self.phi_nodes = self.phi(g.nodes)
-        self.psi_nodes = self.psi(g.nodes)
-        self.phi_w = self.phi_nodes * g.weights   # full-panel phi moments
-        self.psi_w = self.psi_nodes * g.weights
+        self._nodes = None   # phi, psi, phi_w and psi_w on every node, once read there
         self._matrix = None
         self._left = self._right = None
         self._run = None   # the panels [start, stop) the partials cover
@@ -674,58 +692,92 @@ class FreeResolventAction:
         """The wavenumbers, as given: a complex for an action at one."""
         return _as_given(self.ks, self.one)
 
+    def _at(self, nodes=slice(None)):
+        """(phi, psi, phi_w, psi_w) at the grid nodes ``nodes``, an index
+        array or a slice, (K, nodes) each: phi and psi, and the full-panel
+        moment weights phi w and psi w.  On every node (the default) they
+        are computed once and kept.  On fewer they are slices of the kept
+        arrays where these exist, and otherwise computed on those nodes
+        alone: phi and psi are elementwise, so an entry has the same bits
+        either way, and a block on the support of W evaluates the kernel
+        on |S| nodes, not N.  A mirror conjugates its source's."""
+        every = isinstance(nodes, slice) and nodes == slice(None)
+        if self._nodes is not None:
+            return self._nodes if every else tuple(a[:, nodes] for a in self._nodes)
+        if self._source is not None:
+            values = tuple(np.conj(a) for a in self._source._at(nodes))
+        else:
+            g = self.grid
+            phi, psi = self.phi(g.nodes[nodes]), self.psi(g.nodes[nodes])
+            values = phi, psi, phi * g.weights[nodes], psi * g.weights[nodes]
+        if every:
+            self._nodes = values
+        return values
+
+    phi_nodes = property(lambda self: self._at()[0])
+    psi_nodes = property(lambda self: self._at()[1])
+    phi_w = property(lambda self: self._at()[2])   # full-panel phi moments
+    psi_w = property(lambda self: self._at()[3])
+
     def conjugate(self):
         """The action at -conj(k), sharing this one's kernel evaluation.
 
         The mirror's phi, psi, pref and moment weights are the conjugates of
-        these.  It keeps no partials of its own: its ``apply`` is
-        conj(R0(k) conj x) and its blocks, and a matrix it assembles from
-        them, are the conjugates of this action's, all bitwise those of
-        conjugate partials, and ``birman_schwinger._PanelFactors``
-        conjugates this action's in-panel products.  A mirror thus costs
-        its five conjugate (K, N) arrays, 12 KB a point on a 192-node
-        grid, and never evaluates phi or psi on the partial tensors.  The
-        mirror holds this action, not the other way round, so the pair
-        forms no reference cycle.  The mirror of a mirror is its source."""
+        these, the values at the nodes taken on first use (``_at``).  It
+        keeps no partials of its own: its ``apply`` is conj(R0(k) conj x)
+        and its blocks, and a matrix it assembles from them, are the
+        conjugates of this action's, all bitwise those of conjugate
+        partials, and ``birman_schwinger._PanelFactors`` conjugates this
+        action's in-panel products.  A mirror thus costs at most its four
+        conjugate (K, N) arrays, 12 KB a point on a 192-node grid, once
+        something reads every node, and never evaluates phi or psi on the
+        partial tensors.  The mirror holds this action, not the other way
+        round, so the pair forms no reference cycle.  The mirror of a
+        mirror is its source."""
         if self._source is not None:
             return self._source
         mirror = object.__new__(FreeResolventAction)
         mirror.model, mirror.grid, mirror.one = self.model, self.grid, self.one
-        mirror.ks = -np.conj(self.ks)
+        mirror.ks, mirror.pref = -np.conj(self.ks), np.conj(self.pref)
         phi, psi = self.phi, self.psi
         mirror.phi = lambda t: np.conj(phi(t))
         mirror.psi = lambda t: np.conj(psi(t))
-        for name in ("pref", "phi_nodes", "psi_nodes", "phi_w", "psi_w"):
-            setattr(mirror, name, np.conj(getattr(self, name)))
-        mirror._matrix = mirror._left = mirror._right = mirror._run = None
+        mirror._nodes = mirror._matrix = mirror._left = mirror._right = mirror._run = None
         mirror._source = self
         return mirror
 
     def _fill(self, a, b):
-        """Fill the partials memo on the panels [a, b): contract phi and psi
-        at the interpolation points against the partial tensors."""
+        """Fill the partials memo on the panels [a, b), inside its run:
+        contract phi and psi at the interpolation points against the
+        partial tensors."""
         y, half, tl, tr = self.grid.partial_tensors()
+        at = slice(a - self._run[0], b - self._run[0])
         for memo, f, t in ((self._left, self.phi, tl), (self._right, self.psi, tr)):
             values = f(y[a:b]).transpose(1, 0, 2) * half[a:b, None, None]
-            memo.real[:, a:b], memo.imag[:, a:b] = _contract(values, t)
+            memo.real[:, at], memo.imag[:, at] = _contract(values, t)
 
     def _partials(self, start, stop):
         """The in-panel partial integrals left[k, p, i, m] = int_{a_p}^{x_i}
-        phi l_m and right[k, p, i, m] = int_{x_i}^{b_p} psi l_m, as
-        (K, P, n, n) arrays valid on the panels [start, stop) (and on any
-        run computed before: the memo grows to the smallest run covering
-        both)."""
-        g = self.grid
-        if self._run is None:
-            self._left = np.empty((self.ks.size, g.npanels, g.n, g.n), dtype=complex)
-            self._right = np.empty_like(self._left)
-            self._run = (start, start)
-        lo, hi = self._run
-        for a, b in ((min(start, lo), lo), (hi, max(stop, hi))):
-            if a < b:
-                self._fill(a, b)
-        self._run = (min(start, lo), max(stop, hi))
-        return self._left, self._right
+        phi l_m and right[k, p, i, m] = int_{x_i}^{b_p} psi l_m on the
+        panels p of [start, stop), as (K, stop - start, n, n) views of the
+        memo.  The memo holds the run of panels asked for so far; a request
+        outside it grows it, with one copy, to the smallest run covering
+        both, and fills only the new panels."""
+        lo, hi = self._run or (start, start)
+        run = (min(start, lo), max(stop, hi))
+        if run != self._run:
+            n = self.grid.n
+            left = np.empty((self.ks.size, run[1] - run[0], n, n), dtype=complex)
+            right = np.empty_like(left)
+            if lo < hi:
+                kept = slice(lo - run[0], hi - run[0])
+                left[:, kept], right[:, kept] = self._left, self._right
+            self._left, self._right, self._run = left, right, run
+            for a, b in ((run[0], lo), (hi, run[1])):
+                if a < b:
+                    self._fill(a, b)
+        at = slice(start - run[0], stop - run[0])
+        return self._left[:, at], self._right[:, at]
 
     def matrix(self):
         """Dense sample-to-sample matrix of the action (includes weights),
@@ -753,9 +805,9 @@ class FreeResolventAction:
             return np.conj(self._source.block(rows, cols))
         g = self.grid
         pref = self.pref[:, None]
-        psi_r = pref * self.psi_nodes.take(rows, axis=1)
-        phi_r = pref * self.phi_nodes.take(rows, axis=1)
-        phi_c, psi_c = self.phi_w.take(cols, axis=1), self.psi_w.take(cols, axis=1)
+        phi_r, psi_r, *at_rows = self._at(rows)
+        phi_c, psi_c = at_rows if cols is rows else self._at(cols)[2:]
+        psi_r, phi_r = pref * psi_r, pref * phi_r
         row_panel, col_panel = g.panel_index[rows], g.panel_index[cols]
         out = psi_r[:, :, None] * phi_c[:, None, :]
         np.multiply(phi_r[:, :, None], psi_c[:, None, :], out=out,
@@ -764,8 +816,8 @@ class FreeResolventAction:
         if i.size:
             q = row_panel[i]
             left, right = self._partials(q[0], q[-1] + 1)   # q is sorted
-            # entry [q, rows[i] - q n, cols[j] - q n] of the (P, n, n) partials
-            at = rows[i] * g.n + cols[j] - q * g.n
+            # entry [q - q[0], rows[i] - q n, cols[j] - q n] of the partials
+            at = rows[i] * g.n + cols[j] - q * g.n - q[0] * g.n * g.n
             left, right = (a.reshape(a.shape[0], -1).take(at, axis=1) for a in (left, right))
             out[:, i, j] = psi_r.take(i, axis=1) * left + phi_r.take(i, axis=1) * right
         return out

@@ -632,6 +632,32 @@ class TestSupportReduction:
         # the left and the right partials, each over the panels of S once
         assert contracted == [support_panels.size] * 2
 
+    def test_eigenvalue_paths_evaluate_the_kernel_on_the_support_only(self, monkeypatch):
+        # locate_eigenvalues, the winding number and the Newton derivative
+        # read K on S alone (det A, K'_SS): no action evaluates phi or psi
+        # on every node, and each memo holds the partials of the one panel
+        # of S, not of all twelve
+        model = M.radial_model(M.square_well(-25.0 - 4.0j))
+        panel = np.unique(model.grid.panel_index[model.support_mask()])
+        assert panel.size == 1 and model.grid.npanels > 1
+        actions = []
+        init = M.FreeResolventAction.__init__
+
+        def recording_init(act, *args):
+            init(act, *args)
+            actions.append(act)
+
+        monkeypatch.setattr(M.FreeResolventAction, "__init__", recording_init)
+        roots = BS.locate_eigenvalues(model)
+        assert roots
+        assert BS.eigenvalue_winding(model, roots[0]["z"], 1e-3) == 1
+        BS._logdet_derivative(model, np.array([1.0 + 1.0j, 2.0 - 0.5j]))
+        assert actions
+        for act in actions:
+            assert act._nodes is None
+            assert act._run == (panel[0], panel[0] + 1)
+            assert act._left.shape[1] == act._right.shape[1] == 1
+
     def test_sigma_min_paths_run_at_the_order_of_the_support(self, tuned_well, monkeypatch):
         # no assembled free kernel, every SVD of order |S| + 1 (T lies right
         # of S, one row of B'; the scan's are stacked, (K, |S| + 1, |S| + 1))
@@ -711,6 +737,65 @@ def test_mirror_system_matches_a_fresh_system(name, point):
     v = M.GaussianBump(center=1.2, width=0.6)(model.grid.nodes) + 0.3j
     assert _rel(mirror.w_solve(v), fresh.w_solve(v)) <= 1e-12
     assert np.array_equal(mirror.action.matrix(), np.conj(system.action.matrix()))
+
+
+# the node factors are computed on a block's own nodes until something
+# reads every node, then sliced from the kept arrays: a k = 0 stack too
+LAZY_FACTOR_CASES = [case for case in MIRROR_CASES
+                     if case[0] in ("radial_well", "line_well", "rank_one")] + [
+    ("radial_well", {"lam": np.array([0.0, 2.0, 5.5]), "side": "+"})]
+
+
+@pytest.mark.parametrize("name, point", LAZY_FACTOR_CASES)
+def test_a_block_has_its_bits_before_and_after_every_node_is_read(name, point):
+    # block and the generators of K between panels, on the action and on
+    # its mirror, equal (==) before and after apply and evaluate keep phi,
+    # psi and their moment weights on every node
+    model = sylvester_model(name)
+    n = model.size
+    blocks = [(model.support_split[0],) * 2, (np.arange(0, n, 7), np.arange(3, n, 5))]
+    act = M.resolvent_action(model, **point)
+    mirror = act.conjugate()
+
+    def read(x):
+        return ([x.block(rows, cols) for rows, cols in blocks]
+                + [part for rows, cols in blocks
+                   for part in BS._panel_generators(model, x, rows, cols)])
+
+    before = [read(x) for x in (act, mirror)]
+    assert act._nodes is None and mirror._nodes is None
+    v = np.random.default_rng(2).standard_normal(n) + 0.5j
+    for x in (act, mirror):
+        x.apply(v)
+        x.evaluate(v, model.grid.nodes[::11])
+    assert act._nodes is not None and mirror._nodes is not None
+    for x, want in zip((act, mirror), before):
+        for got, ref in zip(read(x), want):
+            assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("name", ["radial_well", "line_well", "two_wells"])
+def test_a_memo_grown_from_a_block_matches_one_filled_at_once(name):
+    # block(S, S) fills the partials of the panels of S alone; apply then
+    # grows the memo to every panel: the same partials, applications and
+    # blocks (==) as an action whose first use is apply
+    model = sylvester_model(name)
+    g = model.grid
+    s = model.support_split[0]
+    first, last = g.panel_index[s[[0, -1]]]
+    assert last + 1 - first < g.npanels
+    zs = np.array([3.0 + 0.7j, -1.5 - 2.0j])
+    grown, whole = M.resolvent_action(model, z=zs), M.resolvent_action(model, z=zs)
+    block = grown.block(s, s)
+    assert grown._run == (first, last + 1)
+    assert grown._left.shape == (zs.size, last + 1 - first, g.n, g.n)
+    v = np.random.default_rng(4).standard_normal((g.size, 2)) + 0.5j
+    assert np.array_equal(grown.apply(v), whole.apply(v))
+    assert grown._run == whole._run == (0, g.npanels)
+    for got, want in zip(grown._partials(0, g.npanels), whole._partials(0, g.npanels)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(grown.block(s, s), block)
+    assert np.array_equal(whole.block(s, s), block)
 
 
 def test_finite_k_is_solved_once_per_system(monkeypatch):
@@ -829,6 +914,25 @@ def test_a_kept_panel_system_solves_as_a_fresh_one(columns):
         later = rhs(m)
         fresh = BS.BoundarySystem(model, lam=lam, side="+")
         assert np.array_equal(kept.a_solve(later), fresh.a_solve(later))
+
+
+def test_a_panel_system_first_used_by_log_det_solves_as_a_fresh_one():
+    # factors built for log_det carry one zero column where a solve puts
+    # its right-hand side: a later solve, and the determinant, have the
+    # bits of a system built by its first solve
+    model = wide_well()
+    lam = np.linspace(0.5, 6.0, 12)
+    s = np.count_nonzero(model.support_mask())
+    rng = np.random.default_rng(7)
+    kept = BS.BoundarySystem(model, lam=lam, side="+")
+    log_det = kept.log_det()
+    assert kept._panel_factors()[0] is not None
+    for m in (1, 2, 3):
+        rhs = rng.standard_normal((lam.size, s, m)) + 1j * rng.standard_normal((lam.size, s, m))
+        fresh = BS.BoundarySystem(model, lam=lam, side="+")
+        assert np.array_equal(kept.a_solve(rhs), fresh.a_solve(rhs))
+        for got, want in zip(fresh.log_det(), log_det):
+            assert np.array_equal(got, want)
 
 
 # supports of a multiplication W over several panels, by shape: two
