@@ -633,9 +633,8 @@ class BoundarySystem:
     ``block``), its in-panel blocks E_q the conjugates of this system's
     in-panel products times the weights, and the factors of its K_TS the
     conjugate psi, phi and moments of that action.  A and its factors are
-    its own, because W is complex: on the well over 80 of 192 nodes a
-    mirror point holds 0.03 MB after a two-column R_H application, where
-    it held 0.14 MB with partials of its own (tracemalloc).
+    its own, because W is complex: a mirror point on the well over 80 of
+    192 nodes holds 0.03 MB after a two-column R_H application (tracemalloc).
     """
 
     def __init__(self, model, z=None, lam=None, side=None):
@@ -1328,7 +1327,9 @@ def dissipative_audit(model, lam_range=(1e-3, 25.0), n_grid=300):
 
 
 def _self_adjoint_part(model):
-    """The model with W replaced by its Hermitian part W1."""
+    """The model with W replaced by its Hermitian part W1, the real part of
+    the potential, on the model's own grid and weight: H_{V1} is compared
+    with H on one discretization."""
     from . import model as M
 
     pot = model.potential
@@ -1337,13 +1338,8 @@ def _self_adjoint_part(model):
         func=(None if pot.func is None else (lambda x, f=pot.func: np.real(f(x)) + 0j)),
         support=pot.support, sigma=pot.sigma,
     )
-    ctor = M.radial_model if model.backend == "radial" else M.line_model
-    kwargs = {"weight": model.weight}
-    if model.backend == "radial":
-        return ctor(real_pot, length=model.grid.hi,
-                    panels=model.grid.npanels, nodes_per_panel=model.grid.n, **kwargs)
-    return ctor(real_pot, half_length=model.grid.hi,
-                panels=model.grid.npanels, nodes_per_panel=model.grid.n, **kwargs)
+    return M.OperatorModel(model.backend, potential=real_pot, weight=model.weight,
+                           grid=model.grid)
 
 
 def order_estimate(model, lam_star, side, eps_samples):

@@ -679,22 +679,14 @@ def embedded_projection(model, lam, eigenbasis):
 
 def _panel_d2_matrix(grid):
     """Block-diagonal second-derivative matrix of the panel interpolant."""
-    n = grid.n
-    x = grid.ref_nodes
-    # differentiation matrix on reference nodes
-    bary = grid.bary
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                d[i, j] = bary[j] / bary[i] / (x[i] - x[j])
-        d[i, i] = -np.sum(d[i, :])
-    blocks = []
-    for p in range(grid.npanels):
-        half = 0.5 * (grid.edges[p + 1] - grid.edges[p])
-        dp = d / half
-        blocks.append(dp @ dp)
-    return blocks
+    x, bary = grid.ref_nodes, grid.bary
+    # differentiation matrix on reference nodes: each row sums to zero
+    with np.errstate(divide="ignore"):
+        d = bary[None, :] / bary[:, None] / (x[:, None] - x[None, :])
+    np.fill_diagonal(d, 0.0)
+    np.fill_diagonal(d, -d.sum(axis=1))
+    half = 0.5 * np.diff(grid.edges)
+    return [dp @ dp for dp in d / half[:, None, None]]
 
 
 def apply_h(model, samples, d2_profile=None):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -304,15 +304,10 @@ class PanelGrid:
         return self._partial_tensors
 
 
-_REFERENCE_PARTIALS_CACHE: dict = {}
-
-
+@cache
 def _reference_partials(n):
     """The reference tensors (tl, tr) of ``PanelGrid.partial_tensors`` for
-    n nodes per panel, built once per n."""
-    got = _REFERENCE_PARTIALS_CACHE.get(n)
-    if got is not None:
-        return got
+    n nodes per panel, built once per n and shared by every such grid."""
     xi = gauss_legendre(n, -1.0, 1.0).nodes
     bary_nodes = _barycentric_weights(xi)
     fine, fine_w = _leggauss(2 * n)
@@ -326,8 +321,7 @@ def _reference_partials(n):
         # C-contiguous, so _contract reshapes it without a copy
         tensors.append(np.ascontiguousarray(
             np.einsum("is,isj,ism->jim", scale[:, None] * fine_w, l_fine, l_nodes)))
-    _REFERENCE_PARTIALS_CACHE[n] = got = tuple(tensors)
-    return got
+    return tuple(tensors)
 
 
 def _panel_edges(lo, hi, breakpoints, target_panels):
@@ -484,7 +478,7 @@ class OperatorModel:
     @property
     def w_is_zero(self):
         """True when W vanishes: H = H0."""
-        return not self.support_mask().any()
+        return self.support_split[0].size == 0
 
     def apply_w(self, u):
         """W u on grid samples (a vector, or the columns of a matrix)."""
@@ -639,7 +633,8 @@ class FreeResolventAction:
     moments in O(N n) per vector and never form the N x N matrix; ``block``
     forms only the entries asked for, and ``matrix`` is the block over all
     nodes.  All three read one memo of in-panel partial integrals, which
-    covers only the run of panels asked for (a mirror reads its source's).
+    covers the run of panels first asked for, or every panel once a call
+    reads outside that run (a mirror reads its source's).
     The kernel factors phi and psi at the nodes, and their moment weights,
     are evaluated on the nodes a call reads (``_at``): a block on the
     support of W reads |S| of them, and only ``apply``, ``evaluate``, the
@@ -659,7 +654,7 @@ class FreeResolventAction:
     value, a complex or an array without the point axis (``_as_given``).
     ``matrix``, the amplitudes and ``norm_squared`` serve one point and
     read the single point of the stack.  A stack holds the partials of
-    every point on the run of panels asked for, 2 n^2 complex numbers a
+    every point on the panels its memo covers, 2 n^2 complex numbers a
     panel (8 KB for n = 16: 8 KB for a block on a support in one panel,
     98 KB once ``apply`` has read all 12 panels of the default grid),
     plus half as much again while one side is contracted (its real and
@@ -747,36 +742,29 @@ class FreeResolventAction:
         return mirror
 
     def _fill(self, a, b):
-        """Fill the partials memo on the panels [a, b), inside its run:
+        """Allocate the partials memo on the panels [a, b) and fill it:
         contract phi and psi at the interpolation points against the
         partial tensors."""
         y, half, tl, tr = self.grid.partial_tensors()
-        at = slice(a - self._run[0], b - self._run[0])
+        n = self.grid.n
+        self._left = np.empty((self.ks.size, b - a, n, n), dtype=complex)
+        self._right = np.empty_like(self._left)
+        self._run = (a, b)
         for memo, f, t in ((self._left, self.phi, tl), (self._right, self.psi, tr)):
             values = f(y[a:b]).transpose(1, 0, 2) * half[a:b, None, None]
-            memo.real[:, at], memo.imag[:, at] = _contract(values, t)
+            memo.real, memo.imag = _contract(values, t)
 
     def _partials(self, start, stop):
         """The in-panel partial integrals left[k, p, i, m] = int_{a_p}^{x_i}
         phi l_m and right[k, p, i, m] = int_{x_i}^{b_p} psi l_m on the
         panels p of [start, stop), as (K, stop - start, n, n) views of the
-        memo.  The memo holds the run of panels asked for so far; a request
-        outside it grows it, with one copy, to the smallest run covering
-        both, and fills only the new panels."""
-        lo, hi = self._run or (start, start)
-        run = (min(start, lo), max(stop, hi))
-        if run != self._run:
-            n = self.grid.n
-            left = np.empty((self.ks.size, run[1] - run[0], n, n), dtype=complex)
-            right = np.empty_like(left)
-            if lo < hi:
-                kept = slice(lo - run[0], hi - run[0])
-                left[:, kept], right[:, kept] = self._left, self._right
-            self._left, self._right, self._run = left, right, run
-            for a, b in ((run[0], lo), (hi, run[1])):
-                if a < b:
-                    self._fill(a, b)
-        at = slice(start - run[0], stop - run[0])
+        memo.  The memo holds the run of panels first asked for; a request
+        outside it refills the memo on every panel, which then serves all."""
+        if self._run is None:
+            self._fill(start, stop)
+        elif start < self._run[0] or stop > self._run[1]:
+            self._fill(0, self.grid.npanels)
+        at = slice(start - self._run[0], stop - self._run[0])
         return self._left[:, at], self._right[:, at]
 
     def matrix(self):

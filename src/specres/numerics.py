@@ -9,6 +9,7 @@ instead of returning garbage.  SciPy is imported where it is used.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -199,15 +200,10 @@ def determinant(a):
     return det
 
 
-_LEGGAUSS_CACHE: dict = {}
-
-
+@functools.cache
 def _leggauss(n):
-    got = _LEGGAUSS_CACHE.get(n)
-    if got is None:
-        got = np.polynomial.legendre.leggauss(n)
-        _LEGGAUSS_CACHE[n] = got
-    return got
+    """The n-point Gauss-Legendre (nodes, weights) on [-1, 1], kept per n."""
+    return np.polynomial.legendre.leggauss(n)
 
 
 def gauss_legendre(n, a, b):

@@ -274,6 +274,19 @@ class TestDissipative:
         rep = BS.dissipative_audit(model)
         assert all(im < -1e-10 for im in rep["eigenvalue_imag_parts"])
 
+    @pytest.mark.parametrize("model", [
+        M.radial_model(M.square_well(-1.0 - 2.0j, 0.5)),
+        M.radial_model(M.square_well(-1.0 - 2.0j, 0.3)),
+        M.line_model(M.square_well(-1.0 - 2.0j, 0.7)),
+    ], ids=["radial_0.5", "radial_0.3", "line"])
+    def test_self_adjoint_part_shares_the_grid_of_the_model(self, model):
+        # H_{V1} is compared with H on one discretization: on a well of
+        # radius 0.5 or 0.3 a grid rebuilt from the model's 13 panels has 14
+        part = BS._self_adjoint_part(model)
+        assert part.grid is model.grid and part.weight is model.weight
+        assert part.backend == model.backend and part.dissipative
+        assert np.array_equal(part.w_values, model.w_values.real)
+
     def test_non_dissipative_refused(self, small_well):
         well = M.radial_model(M.square_well(0.3 + 0.2j, 1.0), s=1.5, length=14.0)
         with pytest.raises(ModelError):

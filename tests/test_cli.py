@@ -451,6 +451,84 @@ seed = 3
         assert rep["results"]["classification"] == "resonance"
 
 
+class TestConfigPaths:
+    """Config options that no other test and no benchmark workload runs."""
+
+    def test_line_backend_scan_matches_the_api_profile(self, tmp_path):
+        cfg = write_config(tmp_path, FREE_SCAN.replace("backend = radial", "backend = line1d")
+                           .replace("length = 14.0", "half_length = 10.0")
+                           .replace("num_points = 60", "num_points = 20"))
+        assert cli.main(["scan", "--config", cfg, "--out", str(tmp_path)]) == 0
+        results = json.loads((tmp_path / "scan_report.json").read_text())["results"]
+        assert results["detected"] == []
+        model = M.line_model(M.PotentialSpec(), s=1.5, half_length=10.0)
+        profile = bs.sigma_profile(model, np.linspace(0.2, 9.0, 20))
+        assert [s["sigma_min_plus"] for s in results["sigma_samples"]] == profile["+"].tolist()
+        assert [s["sigma_min_minus"] for s in results["sigma_samples"]] == profile["-"].tolist()
+
+    def test_piecewise_potential_builds_its_pieces(self, tmp_path):
+        text = """
+[model]
+backend = radial
+potential = piecewise
+pieces = 0:0.5:-1-0.5i; 0.5:1.25:0.3-0.1i
+
+[scan]
+lambda_min = 0.5
+lambda_max = 4.0
+num_points = 12
+"""
+        cfg = write_config(tmp_path, text)
+        model = cli.build_model(cli.load_config(cfg)[0])
+        assert model.potential.support == (0.0, 1.25)
+        assert {0.5, 1.25} <= set(model.grid.edges.tolist())
+        c2 = model.c_values ** 2
+        for x, v in ((0.25, -1 - 0.5j), (1.0, 0.3 - 0.1j), (3.0, 0.0)):
+            at = np.argmin(np.abs(model.grid.nodes - x))
+            assert model.w_values[at] * c2[at] == pytest.approx(v, rel=1e-14, abs=1e-14)
+        assert cli.main(["scan", "--config", cfg, "--out", str(tmp_path)]) == 0
+        samples = json.loads((tmp_path / "scan_report.json").read_text())["results"]["sigma_samples"]
+        profile = bs.sigma_profile(model, np.linspace(0.5, 4.0, 12))
+        assert [s["sigma_min_plus"] for s in samples] == profile["+"].tolist()
+
+    def test_complex_symmetric_project(self, tmp_path):
+        text = "[model]\nbackend = finite\nkind = complex_symmetric\nsize = 5\n\n[run]\nseed = 3\n"
+        cfg = write_config(tmp_path, text)
+        model = cli.build_model(cli.load_config(cfg)[0])
+        assert np.array_equal(model.w_matrix, model.w_matrix.T)
+        assert cli.main(["project", "--config", cfg, "--out", str(tmp_path)]) == 0
+        projs = json.loads((tmp_path / "project_report.json").read_text())["results"]["projections"]
+        assert sum(p["rank"] for p in projs) == 5
+        assert all(p["idempotency"] <= 1e-8 and p["commutation"] <= 1e-8 for p in projs)
+
+    def test_resonant_state_at_a_given_lambda_star(self, tmp_path, tuned_well):
+        # lambda_star and side skip the scan: the state at the given point
+        _, v0 = tuned_well
+        cfg = write_config(tmp_path, TUNED_SCAN_TEMPLATE.format(
+            v0=f"{v0.real}{v0.imag:+}j") + "lambda_star = 1.0\nside = +\n")
+        assert cli.main(["resonant-state", "--config", cfg, "--out", str(tmp_path)]) == 0
+        results = json.loads((tmp_path / "resonant_state_report.json").read_text())["results"]
+        assert results["lambda"] == 1.0 and results["side"] == "+"
+        assert results["residual"] <= 1e-4
+        assert results["classification"] == "resonance"
+
+    def test_resolution_suite_reads_the_regularizer_section(self, tmp_path, tuned_well):
+        # r(H) = R_H(z0) (H - lam*) regularizes the tuned well, where r = 1
+        # blows up (test_resolution_negative_case_fails); lam* is the
+        # scanned singularity, as acceptance criterion 6 takes it
+        _, v0 = tuned_well
+        text = TUNED_SCAN_TEMPLATE.format(v0=f"{v0.real}{v0.imag:+}j")
+        model = cli.build_model(cli.load_config(write_config(tmp_path, text))[0])
+        lam_star = bs.scan_singularities(model, np.linspace(0.3, 3.0, 101))[0].lam
+        cfg = write_config(tmp_path, text + f"\n[regularizer]\nz0 = 1+3i\n"
+                           f"singularities = {lam_star!r}:1\n\n[verify]\nsuite = resolution\n")
+        reg = cli.build_regularizer(cli.load_config(cfg)[0], model)
+        assert reg.singularities == ((lam_star, 1),) and reg.z0 == 1 + 3j
+        assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+        check, = json.loads((tmp_path / "verify_report.json").read_text())["results"]["checks"]
+        assert check["name"] == "resolution_residual" and check["value"] <= 2e-3
+
+
 def test_importing_the_cli_loads_no_scipy():
     # SciPy is imported inside the finite-backend and certified routines
     # that use it, so a continuum command does not wait for it at start-up
