@@ -2,4 +2,4 @@
 
 __version__ = "0.1.0"
 
-from . import birman_schwinger, calculus, cli, families, model, numerics, subspaces  # noqa: E402,F401
+from . import birman_schwinger, calculus, families, model, numerics, subspaces  # noqa: E402,F401

@@ -69,7 +69,6 @@ __all__ = [
     "riesz_projection",
     "embedded_projection",
     "regularizer_apply",
-    "apply_h",
     "resolution_residual",
     "dunford_contour_check",
 ]
@@ -677,66 +676,41 @@ def embedded_projection(model, lam, eigenbasis):
 # ---------------------------------------------------------------------------
 
 
-def _panel_d2_matrix(grid):
-    """Block-diagonal second-derivative matrix of the panel interpolant."""
-    x, bary = grid.ref_nodes, grid.bary
-    # differentiation matrix on reference nodes: each row sums to zero
-    with np.errstate(divide="ignore"):
-        d = bary[None, :] / bary[:, None] / (x[:, None] - x[None, :])
-    np.fill_diagonal(d, 0.0)
-    np.fill_diagonal(d, -d.sum(axis=1))
-    half = 0.5 * np.diff(grid.edges)
-    return [dp @ dp for dp in d / half[:, None, None]]
-
-
-def apply_h(model, samples, d2_profile=None):
-    """H v = -v'' + V v on the grid.
-
-    With ``d2_profile`` (callable) the second derivative is analytic;
-    otherwise the panel interpolant is differentiated (fine for functions
-    smooth within each panel, which panel-aligned potential breakpoints
-    guarantee).
-    """
-    if model.backend == "finite":
-        return model.h @ np.asarray(samples, dtype=complex)
-    g = model.grid
-    v = np.asarray(samples, dtype=complex)
-    if d2_profile is not None:
-        d2 = np.asarray(d2_profile(g.nodes), dtype=complex)
-    else:
-        blocks = _panel_d2_matrix(g)
-        d2 = np.zeros_like(v)
-        for p in range(g.npanels):
-            sl = g.panel_slice(p)
-            d2[sl] = blocks[p] @ v[sl]
-    pot = model.c_values * model.apply_w(model.c_values * v)
-    return -d2 + pot
-
-
-def regularizer_apply(model, reg, samples, d2_profile=None):
-    """r(H) v = R_H(z0)^m prod (H - lam_j)^(nu_j) v, the m applications of
-    R_H(z0) from one system at z0 (solves with H - z0 on the finite
-    backend)."""
+def regularizer_apply(model, reg, samples):
+    """r(H) v = prod_j (Id + (z0 - lam_j) R)^(nu_j) R^(nu_inf) v, R = R_H(z0):
+    (H - lam) R = Id + (z0 - lam) R, so the m applications of R from one
+    system at z0 (solves with H - z0 on the finite backend) make r(H) and H
+    is never applied.  -v'' + V v is H only on D(H), where the radial
+    backend needs v(0) = 0; these bounded factors act on any grid vector."""
     reg.validate(model)
-    out = np.asarray(samples, dtype=complex).copy()
-    first = True
-    for lam, nu in reg.singularities:
-        for _ in range(nu):
-            out = apply_h(model, out, d2_profile=d2_profile if first else None) - lam * out
-            first = False
     if model.backend == "finite":
         shifted = model.h - reg.z0 * np.eye(model.size)
         resolvent = lambda x: np.linalg.solve(shifted, x)
     else:
         system = bs.BoundarySystem(model, z=reg.z0)
         resolvent = lambda x: system.resolvent_apply(x)[0]
-    for _ in range(reg.total_order):
+    out = np.asarray(samples, dtype=complex).copy()
+    for _ in range(reg.nu_infinity):
         out = resolvent(out)
+    for lam, nu in reg.singularities:
+        for _ in range(nu):
+            out = out + (reg.z0 - lam) * resolvent(out)
     return out
 
 
+def _eigenvalue_window(model):
+    """The default ``locate_eigenvalues`` box widened to the numerical range
+    of H, which holds every eigenvalue: Re z >= min Re V, |Im z| <= max |Im V|
+    (V = c^2 w), searched at the default seed spacing."""
+    pot = model.c_values ** 2 * model.w_values
+    lo = min(-10.0, math.floor(pot.real.min()) - 1.0)
+    hi = max(6, math.ceil(np.abs(pot.imag).max()) + 1)
+    return {"re_range": (lo, 30.0), "n_re": max(24, round(0.6 * (30.0 - lo))),
+            "im_range": (-hi, hi), "n_im": 2 * hi + 1}
+
+
 def resolution_residual(model, reg, pairs, lam_max=100.0, rtol=1e-4,
-                        eigenvalues=None, d2_profiles=None):
+                        eigenvalues=None):
     """Residual of the spectral resolution formula for r(H).
 
     residual = | <u, r(H) v> - <u, r(H) Pi_disc v>
@@ -746,10 +720,16 @@ def resolution_residual(model, reg, pairs, lam_max=100.0, rtol=1e-4,
     reported with the tail estimate beyond Lmax (from the 1/lam decay of
     the weighted integrand).  A blow-up of the integrand (r missing a
     singularity of sufficient order) raises IntegrandBlowupError.
+
+    ``eigenvalues`` defaults to a search on ``_eigenvalue_window``: the box
+    of ``locate_eigenvalues`` misses the bound states of a well deeper than
+    Re z = -10.  Continuum backends only.
     """
+    if model.backend == "finite":
+        raise ModelError("the resolution formula runs on the continuum backends")
     reg.validate(model)
     if eigenvalues is None:
-        eigenvalues = bs.locate_eigenvalues(model)
+        eigenvalues = bs.locate_eigenvalues(model, **_eigenvalue_window(model))
     # the Riesz projections depend on the eigenvalues alone: one for all pairs
     projections = []
     for entry in eigenvalues:
@@ -759,8 +739,7 @@ def resolution_residual(model, reg, pairs, lam_max=100.0, rtol=1e-4,
     out = []
     sing_ks = sorted(math.sqrt(l) for l, _ in reg.singularities if l > 0)
     for idx, (u, v) in enumerate(pairs):
-        d2 = None if d2_profiles is None else d2_profiles[idx]
-        lhs = grid_inner(model, u, regularizer_apply(model, reg, v, d2_profile=d2))
+        lhs = grid_inner(model, u, regularizer_apply(model, reg, v))
         disc = 0.0 + 0.0j
         for zj, proj in projections:
             disc += complex(reg(zj)) * grid_inner(model, u, proj.action(v))

@@ -137,7 +137,7 @@ def square_well(v0, radius=1.0):
 
 @dataclass(frozen=True)
 class GaussianBump:
-    """exp(-(x - center)^2 / (2 width^2)) with analytic derivatives.
+    """amplitude exp(-(x - center)^2 / (2 width^2)) exp(i modulation x).
 
     Effectively compactly supported once |x - center| > ~8 width; used as
     the standard smooth test profile.
@@ -154,17 +154,6 @@ class GaussianBump:
         if self.modulation:
             return base * np.exp(1j * self.modulation * x)
         return base + 0j
-
-    def second_derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        t = (x - self.center) / self.width
-        g = self.amplitude * np.exp(-0.5 * t * t)
-        d1 = -t / self.width * g
-        d2 = (t * t - 1.0) / self.width**2 * g
-        if self.modulation:
-            ph = np.exp(1j * self.modulation * x)
-            return ph * (d2 + 2j * self.modulation * d1 - self.modulation**2 * g)
-        return d2 + 0j
 
 
 @dataclass(frozen=True)
@@ -251,9 +240,6 @@ class PanelGrid:
         lead = self.nodes[0] - self.lo
         trail = self.hi - self.nodes[-1]
         return float(max(gaps.max(initial=0.0), 2 * lead, 2 * trail))
-
-    def panel_slice(self, p):
-        return slice(p * self.n, (p + 1) * self.n)
 
     def panel_of(self, x):
         """Index of the panel holding x (a point or an array of points)."""

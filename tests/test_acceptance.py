@@ -146,16 +146,14 @@ def test_criterion_06_resolution_of_identity(tuned):
         v = V_PROFILE(model.grid.nodes)
         reg = C.Regularizer(complex(1.0, 3.0), (), 0)
         eigs = [] if name == "free" else None
-        rows = C.resolution_residual(model, reg, [(u, v)], eigenvalues=eigs,
-                                     d2_profiles=[V_PROFILE.second_derivative])
+        rows = C.resolution_residual(model, reg, [(u, v)], eigenvalues=eigs)
         results[name] = rows[0]["residual"]
     scan = BS.scan_singularities(singular, np.linspace(0.3, 3.0, 101))
     lam_star = scan[0].lam
     u = U_PROFILE(singular.grid.nodes)
     v = V_PROFILE(singular.grid.nodes)
     reg_ok = C.Regularizer(complex(1.0, 3.0), ((lam_star, 1),), 0)
-    rows = C.resolution_residual(singular, reg_ok, [(u, v)],
-                                 d2_profiles=[V_PROFILE.second_derivative])
+    rows = C.resolution_residual(singular, reg_ok, [(u, v)])
     results["singular-regularized"] = rows[0]["residual"]
     blew_up = False
     try:

@@ -354,12 +354,18 @@ class TestRegularizerApply:
         out = C.regularizer_apply(small_well, reg, v)
         assert np.allclose(out, v)
 
-    def test_finite_eigendecomposition_oracle(self, rng):
+    @pytest.mark.parametrize("singularities, nu_infinity", [
+        (((1.3, 1),), 0),
+        (((1.3, 2),), 0),
+        (((1.3, 1),), 1),
+        (((1.3, 1), (-0.4, 1)), 0),
+    ], ids=["simple", "double", "nu_infinity", "two_zeros"])
+    def test_finite_eigendecomposition_oracle(self, rng, singularities, nu_infinity):
         h0 = rng.standard_normal((6, 6))
         h0 = (h0 + h0.T) / 2
         w = 0.3 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
         model = M.finite_model(h0.astype(complex), np.ones(6), w)
-        reg = C.Regularizer(complex(0.5, 2.0), ((1.3, 1),), 0)
+        reg = C.Regularizer(complex(0.5, 2.0), singularities, nu_infinity)
         v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         out = C.regularizer_apply(model, reg, v)
         lam, vecs = np.linalg.eig(model.h)
@@ -376,18 +382,22 @@ class TestRegularizerApply:
             out = C.regularizer_apply(model, reg, vec.astype(complex))
             assert np.linalg.norm(out) <= 1e-8
 
-    def test_applications_commute(self):
-        # the reversed order differentiates a computed vector, so give the
-        # interpolant enough nodes per feature width
-        model = M.radial_model(M.square_well(0.3 - 0.2j, 1.0), s=1.5,
-                               length=14.0, panels=16, nodes_per_panel=20)
-        prof = V_PROFILE
-        v = prof(model.grid.nodes)
+    def test_applications_commute(self, small_well):
+        # on D(H) (V_PROFILE vanishes at r = 0 to 2e-10) r(H) v = R_H(z0) (H - lam) v,
+        # with H v = -v'' + V v from the closed-form v'' of the profile
+        prof, model = V_PROFILE, small_well
+        x = model.grid.nodes
+        t = (x - prof.center) / prof.width
+        g = prof.amplitude * np.exp(-0.5 * t * t)
+        mu = prof.modulation
+        d2 = np.exp(1j * mu * x) * ((t * t - 1.0) / prof.width**2 * g
+                                    - 2j * mu * t / prof.width * g - mu**2 * g)
+        v = prof(x)
+        assert abs(v[0]) <= 1e-9
         reg = C.Regularizer(complex(1.0, 3.0), ((2.0, 1),), 0)
-        a = C.regularizer_apply(model, reg, v, d2_profile=prof.second_derivative)
-        # reversed order: resolvent first, then (H - lam)
-        mid, _ = BS.BoundarySystem(model, z=reg.z0).resolvent_apply(v)
-        b = C.apply_h(model, mid) - 2.0 * mid
+        a = C.regularizer_apply(model, reg, v)
+        hv = -d2 + model.c_values * model.apply_w(model.c_values * v)
+        b, _ = BS.BoundarySystem(model, z=reg.z0).resolvent_apply(hv - 2.0 * v)
         assert np.linalg.norm(a - b) / np.linalg.norm(a) <= 1e-8
 
     def test_z0_validated(self, small_well):
@@ -398,31 +408,50 @@ class TestRegularizerApply:
 class TestResolution:
     def test_free_model_stone_completeness(self, free_radial, test_pair):
         u, v = test_pair
-        prof_v = V_PROFILE
         reg = C.Regularizer(complex(1.0, 3.0), (), 0)
-        rows = C.resolution_residual(free_radial, reg, [(u, v)],
-                                     eigenvalues=[],
-                                     d2_profiles=[prof_v.second_derivative])
+        rows = C.resolution_residual(free_radial, reg, [(u, v)], eigenvalues=[])
         assert rows[0]["residual"] <= 1e-3
 
     def test_small_well_full_pipeline(self, small_well):
         u, v = pair_for(small_well)
-        prof_v = V_PROFILE
         reg = C.Regularizer(complex(1.0, 3.0), (), 0)
-        rows = C.resolution_residual(small_well, reg, [(u, v)],
-                                     d2_profiles=[prof_v.second_derivative])
+        rows = C.resolution_residual(small_well, reg, [(u, v)])
         assert rows[0]["residual"] <= 2e-3
 
     def test_singular_model_with_regularizer(self, tuned_well):
         model, _ = tuned_well
         u, v = pair_for(model)
-        prof_v = V_PROFILE
         reports = BS.scan_singularities(model, np.linspace(0.3, 3.0, 101))
         lam_star = reports[0].lam
         reg = C.Regularizer(complex(1.0, 3.0), ((lam_star, 1),), 0)
-        rows = C.resolution_residual(model, reg, [(u, v)],
-                                     d2_profiles=[prof_v.second_derivative])
+        rows = C.resolution_residual(model, reg, [(u, v)])
         assert rows[0]["residual"] <= 5e-3
+
+    @pytest.mark.parametrize("nu", [1, 2])
+    def test_zero_at_a_regular_point_off_the_domain_of_h(self, small_well, nu):
+        # the vectors of `specres verify resolution`: v(0) != 0 puts v off
+        # D(H), where r(H) v still holds through R_H(z0) alone
+        u = M.GaussianBump(center=3.0, width=0.6)(small_well.grid.nodes)
+        v = M.GaussianBump(center=2.5, width=0.8)(small_well.grid.nodes)
+        assert abs(v[0]) >= 1e-3
+        reg = C.Regularizer(complex(1.0, 3.0), ((1.0, nu),), 0)
+        rows = C.resolution_residual(small_well, reg, [(u, v)])
+        assert rows[0]["residual"] <= 1e-8
+
+    def test_default_search_finds_the_bound_state_left_of_the_default_box(self, tuned_well):
+        # Re V = -21.26 on the tuned well; its bound state -14.72 + 1.90i lies
+        # left of Re z = -10, where the default locate_eigenvalues box ends
+        model, _ = tuned_well
+        u, v = pair_for(model)
+        reg = C.Regularizer(complex(1.0, 3.0), ((1.0, 1),), 0)
+        rows = C.resolution_residual(model, reg, [(u, v)])
+        assert rows[0]["residual"] <= 1e-8
+
+    def test_finite_model_is_refused(self):
+        model = F.jordan_block_model(2.0 + 0.0j, size=2)
+        reg = C.Regularizer(complex(1.0, 3.0), (), 0)
+        with pytest.raises(ModelError, match="continuum"):
+            C.resolution_residual(model, reg, [(np.ones(2), np.ones(2))])
 
     def test_singular_model_unregularized_blows_up(self, tuned_well):
         model, _ = tuned_well
@@ -433,13 +462,10 @@ class TestResolution:
 
     def test_residual_decreases_under_refinement(self, small_well):
         u, v = pair_for(small_well)
-        prof_v = V_PROFILE
         reg = C.Regularizer(complex(1.0, 3.0), (), 0)
         coarse = C.resolution_residual(small_well, reg, [(u, v)], rtol=3e-3,
-                                       d2_profiles=[prof_v.second_derivative],
                                        lam_max=60.0)[0]["residual"]
         fine = C.resolution_residual(small_well, reg, [(u, v)], rtol=1e-4,
-                                     d2_profiles=[prof_v.second_derivative],
                                      lam_max=100.0)[0]["residual"]
         assert fine <= coarse * 1.5 + 1e-6
 

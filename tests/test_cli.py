@@ -528,6 +528,34 @@ num_points = 12
         check, = json.loads((tmp_path / "verify_report.json").read_text())["results"]["checks"]
         assert check["name"] == "resolution_residual" and check["value"] <= 2e-3
 
+    @pytest.mark.parametrize("z0", ["1+3i", "2+1i"])
+    def test_resolution_suite_off_the_domain_of_h(self, tmp_path, tuned_well, z0):
+        # the suite's v does not vanish at r = 0: r(H) v goes through R_H(z0)
+        # alone, and the default search holds the bound state -14.72 + 1.90i
+        _, v0 = tuned_well
+        cfg = write_config(tmp_path, TUNED_SCAN_TEMPLATE.format(v0=f"{v0.real}{v0.imag:+}j")
+                           + f"\n[regularizer]\nz0 = {z0}\nsingularities = 1.0:1\n"
+                           "\n[verify]\nsuite = resolution\n")
+        assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+        check, = json.loads((tmp_path / "verify_report.json").read_text())["results"]["checks"]
+        assert check["passed"] and check["value"] <= 1e-6
+
+    def test_project_locates_without_a_given_eigenvalue(self, tmp_path):
+        # a [regularizer] section without `eigenvalue` projects onto the
+        # first located root, as a config without the section does
+        text = "[model]\nbackend = radial\npotential = square_well\nv0 = -12-2i\n"
+        outs = []
+        for name, extra in (("bare", ""), ("z0", "\n[regularizer]\nz0 = 1+3i\n")):
+            cfg = write_config(tmp_path, text + extra, name=f"{name}.ini")
+            out = tmp_path / name
+            assert cli.main(["project", "--config", cfg, "--out", str(out)]) == 0
+            outs.append(json.loads((out / "project_report.json").read_text())["results"])
+        assert outs[0] == outs[1]
+        proj, = outs[0]["projections"]
+        root = bs.locate_eigenvalues(M.radial_model(M.square_well(-12 - 2j)))[0]["z"]
+        assert complex(proj["lambda"]["re"], proj["lambda"]["im"]) == root
+        assert proj["rank"] == 1
+
 
 def test_importing_the_cli_loads_no_scipy():
     # SciPy is imported inside the finite-backend and certified routines
@@ -543,3 +571,19 @@ def test_importing_the_cli_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_module_entry_point_prints_no_runtime_warning():
+    # `python -m specres.cli` runs the module once: importing the package
+    # does not import it first
+    import subprocess
+    import sys
+
+    import specres
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(specres.__file__)))
+    out = subprocess.run([sys.executable, "-m", "specres.cli", "scan"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 2
+    assert "missing --config" in out.stderr
+    assert "RuntimeWarning" not in out.stderr
