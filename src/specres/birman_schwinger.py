@@ -46,7 +46,10 @@ Krupnik, *Traces and Determinants of Linear Operators*, 2000).  With the
 QR of each factor pair, and the T rows sharing a panel with S kept
 dense, B = Q B' where Q has orthonormal columns and B' has one row per
 outer run of T, two per gap and one per shared row, cut to |S| rows by
-one more QR when there are more.  Id + K is then unitarily equivalent to
+one more QR when there are more.  The row of an outer run is ||u|| f,
+and ||u|| has a closed form, since |psi(x)|^2 = exp(-2 Im k x): B' reads
+the kernel on S, on the shared rows and on the gaps, never on an outer
+run.  Id + K is then unitarily equivalent to
 M = [[A, 0], [B', I]] direct-summed with the identity on range(Q)^perp,
 and M(0, y) = (0, y) bounds sigma_min(M) by 1 whenever T is not empty, so
 
@@ -79,6 +82,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import functools
 import math
 import os
 import threading
@@ -318,6 +322,19 @@ def _k_block(model, act, rows, support):
     return _scale_k(model, act.block(rows, support), rows, support)
 
 
+def _generators(model, act, rows, phi, psi):
+    """[u, v] = [psi, phi] at ``rows`` times the row scale pref c sqrt(w)
+    of K, (K, rows, 2), from phi and psi at those rows."""
+    scale = act.pref[:, None] * model.c_values[rows] * model.grid.sqrtw[rows]
+    return np.stack((psi, phi), axis=-1) * scale[..., None]
+
+
+def _moment_rows(model, phi_w, psi_w, cols):
+    """[a; b] = [phi w; psi w] at ``cols`` times c, (K, 2, cols): the moment
+    rows of K before the rest of the column scale, ``_w_columns``."""
+    return np.stack((phi_w, psi_w), axis=1) * model.c_values[cols]
+
+
 def _panel_generators(model, act, rows, cols):
     """The factors of K between panels, at every point of the action.
 
@@ -328,12 +345,9 @@ def _panel_generators(model, act, rows, cols):
     and psi moments at ``cols`` times c, (K, 2, cols): a and b before the
     rest of the column scale, ``_w_columns``, which a nonlocal W needs
     applied after any masking of the columns."""
-    c = model.c_values
-    scale = act.pref[:, None] * c[rows] * model.grid.sqrtw[rows]
     phi, psi, *at_rows = act._at(rows)
     phi_w, psi_w = at_rows if cols is rows else act._at(cols)[2:]
-    return (np.stack((psi, phi), axis=-1) * scale[..., None],
-            np.stack((phi_w, psi_w), axis=1) * c[cols])
+    return _generators(model, act, rows, phi, psi), _moment_rows(model, phi_w, psi_w, cols)
 
 
 def _w_columns(model, f, cols):
@@ -344,17 +358,23 @@ def _w_columns(model, f, cols):
 
 
 def _k_rest_factors(model, act):
-    """K[T, S], T the nodes off the support S of W, as pieces (rows, u, f)
-    with K[rows, S] = u @ f, or f when u is None, at every point of the
-    action, written without the dense block: u is (K, rows, c), f is
-    (K, c, |S|) and a dense f is (K, rows, |S|).
+    """K[T, S], T the nodes off the support S of W, as pieces (rows, cols,
+    f) at every point of the action, written without the dense block, and
+    evaluating the kernel only on S and on the rows of T that share a
+    panel with S: K[rows, S] = u @ f with u the generator columns ``cols``
+    (a slice of [u, v], ``_generators``) at the rows, or K[rows, S] = f
+    when cols is None.  f is (K, c, |S|), c the columns of u, and a dense
+    f is (K, rows, |S|).
 
     The row of K at a node x of T in a panel without nodes of S is
     u(x) a + v(x) b on the S nodes left and right of its panel
     (``_panel_generators``).  Rows between the same two panels of S share
-    a and b: their piece is [u, v] and f = [a; b], one column and one row
-    when a or b is empty.  T rows in a panel of S are one dense piece from
-    ``_k_block``.  The row sets are the model's ``rest_runs``.
+    a and b: their piece has both columns and f = [a; b]; a run left or
+    right of all of S has one column, v or u, and one row of f.  T rows in
+    a panel of S are one dense piece from ``_k_block``.  The row sets are
+    the model's ``rest_runs``.  ``_rest_generators`` evaluates u on a
+    piece's rows and ``_rest_norm`` the norm of a one-column u in closed
+    form.
     """
     support, _ = model.support_split
     if not support.size:
@@ -363,26 +383,49 @@ def _k_rest_factors(model, act):
     pieces = []
     if shared.size:
         pieces.append((shared, None, _k_block(model, act, shared, support)))
-    uv, ab = _panel_generators(model, act, slice(None), support)
+    ab = _moment_rows(model, *act._at(support)[2:], support)
     for rows, left in runs:   # left: the S nodes left of the rows, a prefix of S
-        u, f = [], []
+        f = []
         if left[0]:
-            u.append(uv[:, rows, 0])
             f.append(np.where(left, ab[:, 0], 0.0))
         if not left[-1]:
-            u.append(uv[:, rows, 1])
             f.append(np.where(left, 0.0, ab[:, 1]))
-        f = _w_columns(model, np.stack(f, axis=-2), support)
-        pieces.append((rows, np.stack(u, axis=-1), f))
+        cols = slice(0 if left[0] else 1, 1 if left[-1] else 2)
+        pieces.append((rows, cols, _w_columns(model, np.stack(f, axis=-2), support)))
     return pieces
 
 
-def _column_norm(u):
-    """The 2-norm of each point's column of a one-column u (K, rows, 1), by
-    the dot products of ``np.linalg.norm``: a point has the same bits in
-    any stack."""
-    x = u[..., 0]
-    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+def _rest_generators(model, act, rows, cols):
+    """The generator columns ``cols`` of a piece of ``_k_rest_factors`` on
+    its rows, (K, rows, c): phi and psi evaluated on those rows alone."""
+    return _generators(model, act, rows, *act._at(rows)[:2])[..., cols]
+
+
+def _rest_norm(model, act, rows, col):
+    """The 2-norm of the one generator column ``col`` of a piece of
+    ``_k_rest_factors`` on its rows, at every point of the action, (K,),
+    in closed form without evaluating the kernel:
+
+        ||u||^2 = |pref|^2 sum_rows c^2 w |g(x)|^2
+
+    with g = psi (col 0), |psi(x)|^2 = exp(-2 Im k x) (psi = e^(ikx) on
+    both backends), or g = phi (col 1), |phi(x)|^2 = exp(2 Im k x) on the
+    line (phi = e^(-ikx)) and sin^2(Re k x) + sinh^2(Im k x) on the radial
+    backend (phi = sin kx), x^2 at k = 0 (phi = x).  A mirror has the
+    same norms.  The sum is one dot product per point (``np.vecdot``): a
+    point has the same bits in any stack."""
+    x = model.grid.nodes[rows]
+    ks = act.ks
+    im = np.multiply.outer(ks.imag, x)
+    if col == 0:
+        sq = np.exp(-2.0 * im)
+    elif model.backend == "line1d":
+        sq = np.exp(2.0 * im)
+    else:
+        sq = np.sin(np.multiply.outer(ks.real, x)) ** 2 + np.sinh(im) ** 2
+        sq[ks == 0] = x * x
+    weights = model.c_values[rows] ** 2 * model.grid.weights[rows]
+    return np.abs(act.pref) * np.sqrt(np.vecdot(sq, weights))
 
 
 def _probe(n):
@@ -596,7 +639,16 @@ class BoundarySystem:
     ``kernel_vector``, ``weighted_resolvent_norm``), ``k_support``,
     ``bs_matrix_dz`` and the dense solves.  K_TS is written by
     ``block`` only on the T rows that share a panel with S; every other
-    run of T is a factor pair (``_k_rest_factors``).  ``action.apply``
+    run of T is a factor pair u @ f (``_k_rest_factors``), f the moments
+    of the kernel on S.  A run left or right of all of S has one column
+    u and enters M as ||u|| f, ||u|| in closed form (``_rest_norm``); a
+    run between two pieces of S enters as the triangular factor of its
+    two columns times f.  u is evaluated on the rows of its run alone,
+    and only for that QR and for the lifts of ``kernel_vector`` and
+    ``inverse`` (``_rest_times``): ``sigma_min`` and
+    ``weighted_resolvent_norm`` evaluate the kernel on S, the shared rows
+    and the gaps between pieces of S, and keep no (K, N) array.
+    ``action.apply``
     applies R0 through panel moments, and no method assembles the N x N
     free kernel but ``k``.  When S is empty (W = 0) det = 1,
     sigma_min = 1, the inverse is the identity and W (Id + K)^(-1) = 0.
@@ -697,11 +749,19 @@ class BoundarySystem:
         return _as_given(self._k_ss(), self.one)
 
     def _k_rest(self):
-        """K_TS as the pieces (rows, u, f) of ``_k_rest_factors``, or one
+        """K_TS as the pieces (rows, cols, f) of ``_k_rest_factors``, or one
         dense piece sliced from K on the finite backend."""
         if self.action is None:
             return [(self.rest, None, self._finite()[1][:, self.rest[:, None], self.support])]
         return _k_rest_factors(self.model, self.action)
+
+    def _rest_times(self, piece, x):
+        """K_TS[rows] x at the one point of the system for a piece (rows,
+        cols, f) of ``_k_rest``, as u (f x) with u evaluated on the rows of
+        the piece alone, or f x for a dense piece."""
+        rows, cols, f = piece
+        y = f[0] @ x
+        return y if cols is None else _rest_generators(self.model, self.action, rows, cols)[0] @ y
 
     def mirror(self):
         """The system at the mirror point on the conjugate free action."""
@@ -735,16 +795,19 @@ class BoundarySystem:
 
     def _reduced(self):
         """M = [[A, 0], [B', I]], (K, |S| + p, |S| + p), and the pieces
-        (rows, u, f) of K_TS = Q B': B' stacks each piece's f times the
-        triangular factor of its u (the norm of a one-column u:
-        B'* B' = B* B either way), cut to |S| rows by one more QR when
-        longer."""
+        (rows, cols, f) of K_TS = Q B' (``_k_rest``): B' stacks each
+        piece's f times the triangular factor of its u, which for a
+        one-column u is its norm, taken in closed form (``_rest_norm``)
+        without evaluating u (B'* B' = B* B either way), cut to |S| rows
+        by one more QR when longer.  Only the two-column pieces between
+        pieces of S evaluate their u, on their own rows."""
         pieces = self._k_rest()
         s = self.support.size
-        b = [f if u is None
-             else _column_norm(u)[:, None, None] * f if u.shape[-1] == 1
-             else np.linalg.qr(u, mode="r") @ f
-             for _, u, f in pieces]
+        b = [f if cols is None
+             else _rest_norm(self.model, self.action, rows, cols.start)[:, None, None] * f
+             if cols.stop - cols.start == 1
+             else np.linalg.qr(_rest_generators(self.model, self.action, rows, cols), mode="r") @ f
+             for rows, cols, f in pieces]
         b = np.concatenate(b, axis=1) if b else np.zeros((self.npoints, 0, s))
         if b.shape[1] > s:
             b = np.linalg.qr(b, mode="r")
@@ -778,8 +841,8 @@ class BoundarySystem:
         m, pieces = self._reduced()
         _, sv, vh = np.linalg.svd(m[0])
         x_s = x[self.support] = np.conj(vh[-1, :self.support.size])
-        for rows, u, f in pieces:
-            x[rows] = -(f[0] @ x_s if u is None else u[0] @ (f[0] @ x_s)) / (1.0 - sv[-1] ** 2)
+        for piece in pieces:
+            x[piece[0]] = -self._rest_times(piece, x_s) / (1.0 - sv[-1] ** 2)
         j = np.argmax(np.abs(x))
         x *= abs(x[j]) / x[j]
         x[j] = x[j].real   # not left to the rounding of the product
@@ -806,14 +869,14 @@ class BoundarySystem:
 
     def inverse(self):
         """(Id + K)^(-1) in the representation of K, with -B A^(-1) =
-        -u (f A^(-1)) on each piece (rows, u, f) of B.  One point."""
+        -u (f A^(-1)) on each piece (rows, cols, f) of B, u evaluated on
+        the rows of the piece (``_rest_times``).  One point."""
         s = self.support
         a_inv = self.a_solve(np.eye(s.size)[None])[0]
         inv = np.eye(self.model.size, dtype=complex)
         inv[np.ix_(s, s)] = a_inv
-        for rows, u, f in self._k_rest():
-            f = f[0] @ a_inv
-            inv[np.ix_(rows, s)] = -(f if u is None else u[0] @ f)
+        for piece in self._k_rest():
+            inv[np.ix_(piece[0], s)] = -self._rest_times(piece, a_inv)
         return inv
 
     def weighted_resolvent_norm(self):
@@ -927,23 +990,36 @@ class ResonantState:
     ``phi`` is normalized on the grid; Psi = -R0(lam +/- i0) C W phi solves
     (-d^2/dx^2 + V - lam) Psi = 0 with a pure outgoing/incoming exterior
     tail whose amplitude is carried exactly by ``tail_amplitude``.
+    ``residual``, the relative residual of that equation, is computed when
+    first read (a scan reports none), and ``psi_at`` evaluates Psi, each
+    from the free action rebuilt at (lam, side): the state keeps no action.
     """
 
     lam: float
     side: str
     phi: np.ndarray
     psi_samples: np.ndarray
-    residual: float
     tail_amplitude: complex
     tail_fit_amplitude: complex
     tail_fit_relerr: float
     kernel_residual: float
     model: OperatorModel = field(repr=False, default=None)
 
-    def psi_at(self, points):
+    def _action_source(self):
+        """The free action at (lam, side) and the source C W phi of Psi."""
         act = _state_system(self.model, self.lam, self.side).action
-        source = self.model.c_values * self.model.apply_w(self.phi)
+        return act, self.model.c_values * self.model.apply_w(self.phi)
+
+    def psi_at(self, points):
+        act, source = self._action_source()
         return -act.evaluate(source, points)
+
+    @functools.cached_property
+    def residual(self):
+        """||(-Psi'' + V Psi - lam Psi)|| / ||Psi|| on interior points
+        (``_stationary_residual``), computed on first read and kept."""
+        act, source = self._action_source()
+        return _stationary_residual(self.model, self.lam, act, source, self.psi_samples)
 
     @property
     def psi_norm(self):
@@ -962,6 +1038,8 @@ class SpectralPointReport:
     nu: int | None = None
     state: ResonantState | None = None
     quality: dict | None = field(default=None, init=False)   # the fit of order_estimate
+    # the golden-section refinement of a scan: (evaluations, final bracket width)
+    refinement: tuple | None = field(default=None, init=False)
 
     def as_record(self):
         record = {
@@ -974,14 +1052,20 @@ class SpectralPointReport:
         if self.quality is not None:
             record["nu_slope"] = self.quality["slope"]
             record["nu_ambiguous"] = self.quality["ambiguous"]
+        if self.refinement is not None:
+            record["refine_evaluations"], record["refine_width"] = self.refinement
         return record
 
 
 def _golden_min(f, a, b, tol):
+    """Golden-section search for a minimum of f on [a, b] down to a bracket
+    of width at most tol: (x, f(x), the evaluations of f, the final bracket
+    width), x the midpoint of the final bracket."""
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - gr * (b - a)
     d = a + gr * (b - a)
     fc, fd = f(c), f(d)
+    evaluations = 3   # c, d and the midpoint
     while (b - a) > tol:
         if fc < fd:
             b, d, fd = d, c, fc
@@ -991,8 +1075,9 @@ def _golden_min(f, a, b, tol):
             a, c, fc = c, d, fd
             d = a + gr * (b - a)
             fd = f(d)
+        evaluations += 1
     x = (a + b) / 2.0
-    return x, f(x)
+    return x, f(x), evaluations, b - a
 
 
 def _sigma_pair(model, lam):
@@ -1084,7 +1169,7 @@ def classify_minima(model, lam_grid, profile, detection_threshold=DETECTION_THRE
     reports = []
     seen = []
     for side, a, b in candidate_minima(lam_grid, profile):
-        lam_star, val = _golden_min(
+        lam_star, val, evaluations, width = _golden_min(
             lambda l: BoundarySystem(model, lam=l, side=side).sigma_min(), a, b, REFINE_WIDTH)
         if val >= detection_threshold:
             continue
@@ -1092,6 +1177,7 @@ def classify_minima(model, lam_grid, profile, detection_threshold=DETECTION_THRE
             continue
         seen.append(lam_star)
         rep = classify_point(model, lam_star, detection_threshold)
+        rep.refinement = (evaluations, width)
         if rep.kind == "both":
             try:
                 st = resonant_state(model, lam_star, "+", detection_threshold)
@@ -1132,7 +1218,8 @@ def resonant_state(model, lam_star, side, detection_threshold=DETECTION_THRESHOL
     phi is the right singular vector of the smallest singular value
     (``BoundarySystem.kernel_vector``, with its phase rule); the state is
     reconstructed as Psi(x) = -int G_{lam +/- i0}(x, y) c(y) (W phi)(y) dy and certified by
-    the relative residual of the stationary equation on interior points.
+    the relative residual of the stationary equation on interior points,
+    which the state computes when it is read (``ResonantState.residual``).
     Negative lam addresses discrete (bound-state) energies, where the
     kernel is the real decaying resolvent-set kernel.
     """
@@ -1149,13 +1236,11 @@ def resonant_state(model, lam_star, side, detection_threshold=DETECTION_THRESHOL
     source = model.c_values * model.apply_w(phi)
     psi = -act.apply(source)
     tail_amp = -act.outgoing_amplitude(source)
-
-    residual = _stationary_residual(model, lam_star, act, source, psi)
     fit_amp, fit_err = _tail_fit(model, act, source)
 
     return ResonantState(
         lam=float(lam_star), side=side, phi=phi, psi_samples=psi,
-        residual=residual, tail_amplitude=tail_amp,
+        tail_amplitude=tail_amp,
         tail_fit_amplitude=fit_amp, tail_fit_relerr=fit_err,
         kernel_residual=kernel_residual, model=model,
     )

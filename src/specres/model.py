@@ -623,9 +623,12 @@ class FreeResolventAction:
     reads outside that run (a mirror reads its source's).
     The kernel factors phi and psi at the nodes, and their moment weights,
     are evaluated on the nodes a call reads (``_at``): a block on the
-    support of W reads |S| of them, and only ``apply``, ``evaluate``, the
-    amplitudes and the rows of K off S (``birman_schwinger._k_rest_factors``)
-    read, and keep, all N.
+    support of W reads |S| of them, and so do the factors of the rows of K
+    off S (``birman_schwinger._k_rest_factors``), whose row generators are
+    evaluated on a run of T only where it is lifted or sits between two
+    pieces of S; sigma_min takes the norms of the other runs in closed
+    form.  Only ``apply``, ``evaluate`` and the amplitudes read, and keep,
+    all N.
 
     The action runs at a stack of K independent spectral points sharing
     one pass of NumPy calls: ``k`` is a 1-D array of K wavenumbers, or one

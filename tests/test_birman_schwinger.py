@@ -148,9 +148,9 @@ class TestScan:
         # |det(Id+K)| and sigma_min vanish at the same refined location
         model, _ = tuned_well
         lam_sigma, _ = BS._golden_min(
-            lambda l: BS.sigma_min(model, l, "+"), 0.9, 1.1, 1e-9)
+            lambda l: BS.sigma_min(model, l, "+"), 0.9, 1.1, 1e-9)[:2]
         lam_det, _ = BS._golden_min(
-            lambda l: BS.BoundarySystem(model, lam=l, side="+").log_det()[0], 0.9, 1.1, 1e-9)
+            lambda l: BS.BoundarySystem(model, lam=l, side="+").log_det()[0], 0.9, 1.1, 1e-9)[:2]
         assert abs(lam_sigma - lam_det) <= 1e-6
 
 
@@ -218,7 +218,7 @@ class TestAdjointAndOrders:
         f = lambda l: np.linalg.svd(
             np.eye(model.size)
             + np.conj(BS.bs_matrix(model, lam=l, side="+")), compute_uv=False)[-1]
-        lam_star, val = BS._golden_min(f, 0.9, 1.1, 1e-9)
+        lam_star, val = BS._golden_min(f, 0.9, 1.1, 1e-9)[:2]
         assert val <= 1e-6
         assert abs(lam_star - 1.0) <= 1e-6
 
@@ -670,6 +670,43 @@ class TestSupportReduction:
             assert act._nodes is None
             assert act._run == (panel[0], panel[0] + 1)
             assert act._left.shape[1] == act._right.shape[1] == 1
+
+    def test_scan_paths_evaluate_the_kernel_on_the_support_only(self, tuned_well, monkeypatch):
+        # the scan profile, the golden refinement, the point classification
+        # and the order estimate take the norms of K_TS in closed form: no
+        # action, mirrors included, evaluates phi or psi on every node but
+        # the resonant state's, which applies R0
+        model, _ = tuned_well
+        actions, state_actions = [], []
+        init = M.FreeResolventAction.__init__
+        conjugate = M.FreeResolventAction.conjugate
+        state_system = BS._state_system
+
+        def recording_init(act, *args):
+            init(act, *args)
+            actions.append(act)
+
+        def recording_conjugate(act):
+            actions.append(conjugate(act))
+            return actions[-1]
+
+        def recording_state_system(*args):
+            system = state_system(*args)
+            state_actions.append(system.action)
+            return system
+
+        monkeypatch.setattr(M.FreeResolventAction, "__init__", recording_init)
+        monkeypatch.setattr(M.FreeResolventAction, "conjugate", recording_conjugate)
+        monkeypatch.setattr(BS, "_state_system", recording_state_system)
+        grid = np.linspace(0.3, 3.0, 28)
+        profile = BS.sigma_profile(model, grid)
+        reports = BS.classify_minima(model, grid, profile, estimate_orders=True)
+        assert [(r.kind, r.nu) for r in reports] == [("outgoing_singularity", 1)]
+        BS.order_estimate(model, 2.0, "-", np.geomspace(1e-1, 1e-4, 10))
+        assert len(state_actions) == 1 and len(actions) > 1
+        for act in actions:
+            if act is not state_actions[0]:
+                assert act._nodes is None
 
     def test_sigma_min_paths_run_at_the_order_of_the_support(self, tuned_well, monkeypatch):
         # no assembled free kernel, every SVD of order |S| + 1 (T lies right
@@ -1276,6 +1313,7 @@ def test_sweeps_build_one_free_action_per_stack(tuned_well, free_radial, monkeyp
 def test_k_rest_pieces_factor_the_k_ts_block(name, point):
     # the pieces of K_TS cover T once (S is not empty); shared-panel rows
     # are dense block rows, every other piece u @ f has one or two columns
+    # of u, evaluated on its rows
     model = sylvester_model(name)
     system = BS.BoundarySystem(model, **point)
     k = system.k
@@ -1284,14 +1322,68 @@ def test_k_rest_pieces_factor_the_k_ts_block(name, point):
     covered = np.concatenate([t[:0]] + [rows for rows, _, _ in pieces])
     assert np.array_equal(np.sort(covered), t)
     panel = model.grid.panel_index
-    for rows, u, f in pieces:
-        if u is None:
+    for rows, cols, f in pieces:
+        if cols is None:
             assert np.isin(panel[rows], panel[s]).all()
             value = f
         else:
+            u = BS._rest_generators(model, system.action, rows, cols)
             assert u.shape[-1] in (1, 2) and not np.isin(panel[rows], panel[s]).any()
             value = u @ f
         assert _rel(value, k[np.ix_(rows, s)]) <= 1e-14
+
+
+# a radial shell: T left of S (a phi-run) and right of it (a psi-run)
+SHELL = M.PotentialSpec(pieces=((2.0, 3.0, -4.0 - 1.0j),), support=(2.0, 3.0))
+
+# the model of each case, and the generator columns (start, stop) of its
+# pieces of K_TS: (0, 1) a psi-run right of all of S, (1, 2) a phi-run left
+# of it, (0, 2) a run between two pieces of S, which stays a QR
+CLOSED_FORM_CASES = {
+    "tuned_well": (lambda: F.tuned_resonant_well(lam=1.0)[0], {(0, 1)}),
+    "line_well": (lambda: sylvester_model("line_well"), {(1, 2), (0, 1)}),
+    "shell": (lambda: M.radial_model(SHELL, **SMALL_GRID), {(1, 2), (0, 1)}),
+    "two_wells": (lambda: sylvester_model("two_wells"), {(1, 2), (0, 2), (0, 1)}),
+}
+
+
+def _closed_form_points(model):
+    points = [{"z": 3.0 + 0.7j}, {"z": -40.0 + 10.0j}, {"lam": 2.0, "side": "+"}]
+    if model.backend == "radial":
+        # k = 0 (phi = r), and a z whose exp(-2 Im k x) underflows to 0 on
+        # the last nodes (on the line the full-order reference overflows)
+        assert np.exp(-2.0 * M.wavenumber(-1000.0 + 10.0j).imag * model.grid.hi) == 0.0
+        points += [{"lam": 0.0, "side": "+"}, {"z": -1000.0 + 10.0j}]
+    return points
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_CASES))
+def test_closed_form_norms_match_the_evaluated_generators(name):
+    # a one-column run of K_TS enters M as ||u|| f, ||u|| in closed form:
+    # against the norm of u evaluated on its rows, and sigma_min against
+    # the full order, on the system and on its mirror
+    make, kinds = CLOSED_FORM_CASES[name]
+    model = make()
+    seen = set()
+    for point in _closed_form_points(model):
+        system = BS.BoundarySystem(model, **point)
+        for mirrored, one in ((False, system), (True, system.mirror())):
+            for rows, cols, f in one._k_rest():
+                seen.add((cols.start, cols.stop))
+                if cols.stop - cols.start == 1:
+                    u = BS._rest_generators(model, one.action, rows, cols)
+                    want = np.linalg.norm(u, axis=(-2, -1))[:, None, None] * f
+                    got = BS._rest_norm(model, one.action, rows, cols.start)[:, None, None] * f
+                    assert _rel(got, want) <= 1e-13
+            if "z" in point:
+                z = np.conj(point["z"]) if mirrored else point["z"]
+                id_plus_k = np.eye(model.size) + BS.bs_matrix(model, z=z)
+                ref = float(np.linalg.svd(id_plus_k, compute_uv=False)[-1])
+            else:
+                side = {"+": "-", "-": "+"}[point["side"]] if mirrored else point["side"]
+                ref = BS.sigma_min(model, point["lam"], side)
+            assert abs(one.sigma_min() - ref) <= max(1e-12 * ref, 1e-14)
+    assert seen == kinds
 
 
 @pytest.mark.parametrize("name", ["radial_well", "line_well", "gaussian_bump", "rank_one"])

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -70,6 +71,60 @@ class TestScanCommand:
         assert detected[0]["class"] == "outgoing_singularity"
         header = (tmp_path / "scan.csv").read_text().splitlines()[0]
         assert header == "lambda,sigma_min_plus,sigma_min_minus,class,nu"
+
+    def test_scan_computes_no_stationary_residual(self, tmp_path, tuned_well, monkeypatch):
+        # the scan report prints no residual, so its resonant state computes
+        # none; read afterwards, the residual is computed once, and is that
+        # of the action the state was extracted on
+        _, v0 = tuned_well
+        calls, states, systems = [], [], []
+        residual, resonant_state, state_system = (
+            bs._stationary_residual, bs.resonant_state, bs._state_system)
+
+        def counting_residual(*args):
+            calls.append(args)
+            return residual(*args)
+
+        def recording_state(*args, **kwargs):
+            states.append(resonant_state(*args, **kwargs))
+            return states[-1]
+
+        def recording_system(*args):
+            systems.append(state_system(*args))
+            return systems[-1]
+
+        monkeypatch.setattr(bs, "_stationary_residual", counting_residual)
+        monkeypatch.setattr(bs, "resonant_state", recording_state)
+        monkeypatch.setattr(bs, "_state_system", recording_system)
+        cfg = write_config(tmp_path, TUNED_SCAN_TEMPLATE.format(
+            v0=f"{v0.real}{v0.imag:+}j"))
+        assert cli.main(["scan", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert len(states) == len(systems) == 1 and not calls
+        state = states[0]
+        value = state.residual
+        assert state.residual == value and len(calls) == 1
+        model = state.model
+        source = model.c_values * model.apply_w(state.phi)
+        assert value == residual(model, state.lam, systems[0].action, source, state.psi_samples)
+        assert value <= 1e-4
+
+    def test_detected_points_report_their_refinement(self, tmp_path, tuned_well):
+        # the default 300-point grid on [1e-3, 25]: the golden search over
+        # the two gaps around the minimum, 0.167 wide, shrinks the bracket
+        # by the golden ratio per evaluation down to REFINE_WIDTH
+        _, v0 = tuned_well
+        cfg = write_config(tmp_path, TUNED_SCAN_TEMPLATE.format(
+            v0=f"{v0.real}{v0.imag:+}j").replace(
+            "lambda_min = 0.3\nlambda_max = 3.0\nnum_points = 101",
+            "lambda_min = 1e-3\nlambda_max = 25.0"))
+        assert cli.main(["scan", "--config", cfg, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "scan_report.json").read_text())
+        assert report["results"]["grid"]["points"] == 300
+        (rec,) = report["results"]["detected"]
+        ratio = (math.sqrt(5.0) - 1.0) / 2.0
+        steps = math.ceil(math.log(bs.REFINE_WIDTH / (2 * (25.0 - 1e-3) / 299)) / math.log(ratio))
+        assert rec["refine_evaluations"] == 3 + steps == 38
+        assert ratio * bs.REFINE_WIDTH < rec["refine_width"] <= bs.REFINE_WIDTH
 
     def test_report_states_the_merge_width(self, tmp_path):
         cfg = write_config(tmp_path, FREE_SCAN.replace("num_points = 60", "num_points = 8"))
@@ -394,7 +449,7 @@ num_points = 3
         code = cli.main(["export", "--report", report_path,
                          "--out", str(tmp_path), "--format", "json"])
         assert code == 0
-        original = json.loads(open(report_path).read())
+        original = json.loads((tmp_path / "scan_report.json").read_text())
         exported = json.loads((tmp_path / "export.json").read_text())
         assert original == exported
 
